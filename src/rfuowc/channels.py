@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import EvalOptions, DEFAULT_OPTIONS, MeijerGSpec, meijer_g_batch, ln_gamma
+from .specfun import gamma_p, ln_gamma, ln_gamma_upper_scaled
 
 __all__ = [
     "RfLinkParams",
@@ -311,66 +311,48 @@ def uowc_budget(uowc: UowcLinkParams, egg: EggParams, pointing: PointingParams,
     return mean_i, mean_i2, mu2, avg_snr2, rho
 
 
-def _pdf_specs(egg: EggParams, pointing: PointingParams):
-    xi2 = pointing.xi2
-    s1 = MeijerGSpec(m=2, n=0, a=(xi2 + 1.0,), b=(1.0, xi2))
-    s2 = MeijerGSpec(m=2, n=0, a=(xi2 / egg.c + 1.0,), b=(egg.a, xi2 / egg.c))
-    return s1, s2
-
-
-def _cdf_specs(egg: EggParams, pointing: PointingParams):
-    xi2 = pointing.xi2
-    s1 = MeijerGSpec(m=2, n=1, a=(1.0, xi2 + 1.0), b=(1.0, xi2, 0.0))
-    s2 = MeijerGSpec(m=2, n=1, a=(1.0, xi2 / egg.c + 1.0),
-                     b=(egg.a, xi2 / egg.c, 0.0))
-    return s1, s2
-
-
-def uowc_snr_pdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams,
-                 opts: EvalOptions = DEFAULT_OPTIONS):
+def uowc_snr_pdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
     """Density of the optical-hop SNR under turbulence plus misalignment."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR density requires x > 0")
     flat = x.reshape(-1)
-    out = _pdf_times_x(np.log(flat), budget, egg, pointing, opts) / flat
+    out = _pdf_times_x(np.log(flat), budget, egg, pointing) / flat
     out = out.reshape(x.shape)
     return float(out) if np.isscalar(x) or x.ndim == 0 else out
 
 
-def _pdf_times_x(ln_x, budget: LinkBudget, egg: EggParams,
-                 pointing: PointingParams, opts: EvalOptions = DEFAULT_OPTIONS):
-    """x * pdf(x) evaluated from log-SNR, the natural quadrature integrand."""
-    ln_x = np.asarray(ln_x, dtype=float)
+def _kernels(ln_x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+    """ln z1, ln z2, z1^{xi^2} Gamma(1 - xi^2, z1) and
+    z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a), where z1 = x / (lam A0 rho)
+    and z2 = (x / (b A0 rho))^c are the arguments of the two branches."""
     xi2 = pointing.xi2
-    s1, s2 = _pdf_specs(egg, pointing)
-    out = np.zeros_like(ln_x)
-    if egg.w > 0.0:
-        ln_z1 = ln_x - math.log(egg.lam * pointing.a0 * budget.rho)
-        out += egg.w * xi2 * meijer_g_batch(s1, ln_z1, opts)
-    if egg.w < 1.0:
-        ln_z2 = egg.c * (ln_x - math.log(egg.b * pointing.a0 * budget.rho))
-        g2 = meijer_g_batch(s2, ln_z2, opts)
-        out += (1.0 - egg.w) * xi2 * math.exp(-ln_gamma(egg.a)) * g2
-    return out
+    ln_z1 = ln_x - math.log(egg.lam * pointing.a0 * budget.rho)
+    ln_z2 = egg.c * (ln_x - math.log(egg.b * pointing.a0 * budget.rho))
+    g1 = np.exp(ln_z1 + ln_gamma_upper_scaled(1.0 - xi2, ln_z1))
+    g2 = np.exp(egg.a * ln_z2 + ln_gamma_upper_scaled(egg.a - xi2 / egg.c, ln_z2)
+                - math.lgamma(egg.a))
+    return ln_z1, ln_z2, g1, g2
 
 
-def uowc_snr_cdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams,
-                 opts: EvalOptions = DEFAULT_OPTIONS):
-    """CDF of the optical-hop SNR; monotone with limits 0 and 1."""
+def _pdf_times_x(ln_x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+    """x * pdf(x) evaluated from log-SNR, the natural quadrature integrand:
+    xi^2 [w z1^{xi^2} Gamma(1 - xi^2, z1)
+          + (1 - w) z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a)]."""
+    *_, g1, g2 = _kernels(np.asarray(ln_x, dtype=float), budget, egg, pointing)
+    return pointing.xi2 * (egg.w * g1 + (1.0 - egg.w) * g2)
+
+
+def uowc_snr_cdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+    """CDF of the optical-hop SNR; monotone with limits 0 and 1.  The density
+    integrated by parts with Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z:
+    w [1 - e^{-z1} + z1^{xi^2} Gamma(1 - xi^2, z1)]
+    + (1 - w) [P(a, z2) + z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a)]."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR CDF requires x > 0")
-    xi2 = pointing.xi2
-    s1, s2 = _cdf_specs(egg, pointing)
-    flat = np.log(x.reshape(-1))
-    out = np.zeros_like(flat)
-    if egg.w > 0.0:
-        ln_z1 = flat - math.log(egg.lam * pointing.a0 * budget.rho)
-        out += egg.w * xi2 * meijer_g_batch(s1, ln_z1, opts)
-    if egg.w < 1.0:
-        ln_z2 = egg.c * (flat - math.log(egg.b * pointing.a0 * budget.rho))
-        g2 = meijer_g_batch(s2, ln_z2, opts)
-        out += (1.0 - egg.w) * xi2 / egg.c * math.exp(-ln_gamma(egg.a)) * g2
+    ln_z1, ln_z2, g1, g2 = _kernels(np.log(x.reshape(-1)), budget, egg, pointing)
+    z1 = np.exp(np.minimum(ln_z1, 700.0))  # 1 - e^-z1 is 1 long before
+    out = egg.w * (g1 - np.expm1(-z1)) + (1.0 - egg.w) * (gamma_p(egg.a, ln_z2) + g2)
     out = np.clip(out, 0.0, 1.0).reshape(x.shape)
     return float(out) if np.isscalar(x) or x.ndim == 0 else out

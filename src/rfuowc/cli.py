@@ -51,7 +51,7 @@ def _resolve_seed(cli_seed, cfg_seed):
 
 
 def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
-    """One (axis value, method) cell; returns (p_out, err_est, c_used, ms)."""
+    """One (axis value, method) cell: (p_out, err_est, c_used, clamped, ms)."""
     cfg = spec.scenario.build(spec.axis, value)
     gth = value if spec.axis == "gamma_th" else spec.gamma_th
     q = OutageQuery(gth)
@@ -62,15 +62,15 @@ def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
         except CapabilityError:
             # expected above the supported integer exponent; row kept as NaN
             ms = (time.perf_counter() - t0) * 1e3
-            return math.nan, math.nan, float(math.floor(cfg.egg.c)), ms
-        out = (res.value, res.err_est, res.c_used)
+            return math.nan, math.nan, float(math.floor(cfg.egg.c)), False, ms
+        out = (res.value, res.err_est, res.c_used, res.clamped)
     elif method == "quadrature":
         res = outage_quadrature(cfg, q)
-        out = (res.value, res.err_est, res.c_used)
+        out = (res.value, res.err_est, res.c_used, res.clamped)
     elif method == "monte_carlo":
         est = mc_outage(cfg, q, McConfig(n_samples=spec.mc_samples, seed=seed,
                                          chunk_size=spec.mc_chunk))
-        out = (est.mean, est.std_err, cfg.egg.c)
+        out = (est.mean, est.std_err, cfg.egg.c, False)
     else:
         raise ConfigError(f"unknown method {method!r}")
     ms = (time.perf_counter() - t0) * 1e3
@@ -91,7 +91,7 @@ def run_sweep(spec: SweepSpec, seed: int, jobs: int = 1):
             for fut in concurrent.futures.as_completed(futs):
                 results[futs[fut]] = fut.result()
     rows = []
-    for (value, method), (p, err, c_used, ms) in zip(cells, results):
+    for (value, method), (p, err, c_used, clamped, ms) in zip(cells, results):
         rows.append({
             "axis": spec.axis,
             "axis_value": repr(float(value)),
@@ -101,6 +101,7 @@ def run_sweep(spec: SweepSpec, seed: int, jobs: int = 1):
             "c_used": repr(float(c_used)),
             "elapsed_ms": format(ms, ".3f"),
             "scenario": spec.scenario.label,
+            "clamped": bool(clamped),
         })
     return rows
 
@@ -121,7 +122,7 @@ def _write_manifest(out_path, config_bytes, seed, jobs, rows):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "points": [
             {"axis_value": row["axis_value"], "method": row["method"],
-             "elapsed_ms": row["elapsed_ms"]}
+             "elapsed_ms": row["elapsed_ms"], "clamped": row["clamped"]}
             for row in rows
         ],
     }

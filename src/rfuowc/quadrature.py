@@ -1,7 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature over a finite interval.
 
 The integrand is called on whole node arrays (one call per refinement sweep),
-which keeps the G-function evaluations batched.
+which keeps the special-function evaluations of the integrand batched.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Gamma-family helpers and numerical Meijer G-function evaluation.
+"""Gamma-family helpers, incomplete gamma functions and numerical Meijer
+G-function evaluation.
 
-The G-function instances needed by the channel and outage models all have
-real parameters, a positive real argument, at most two upper parameters and
-lower-parameter counts up to a few hundred.  Within that family the function
-is evaluated by a residue (Slater-type) series over the right pole ladders,
-computed entirely in log space with sign tracking.  When the series is
-ill-conditioned (heavy alternating cancellation, near-coincident pole
-ladders) evaluation switches to direct quadrature of the defining
-Mellin-Barnes contour integral, which is also exposed on its own as an
-independent cross-check oracle.
+The optical-hop density and CDF reduce to upper incomplete gamma functions
+(ln_gamma_upper_scaled, gamma_p).  The G-function instances of the
+closed-form outage expression all have real parameters, a positive real
+argument, at most two upper parameters and lower-parameter counts up to a
+few hundred.  Within that family the function is evaluated by a residue
+(Slater-type) series over the right pole ladders, computed entirely in log
+space with sign tracking.  When the series is ill-conditioned (heavy
+alternating cancellation, near-coincident pole ladders) evaluation switches
+to direct quadrature of the defining Mellin-Barnes contour integral, which
+is also exposed on its own as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ __all__ = [
     "ln_gamma",
     "ln_gamma_complex",
     "ln_abs_gamma_signed",
+    "ln_gamma_upper_scaled",
+    "gamma_p",
     "meijer_g",
     "meijer_g_log",
-    "meijer_g_batch",
     "meijer_g_mellin_barnes",
 ]
 
@@ -272,6 +275,127 @@ def ln_abs_gamma_signed(x):
         sign[pole] = 0.0
     shape = arr.shape
     return logabs.reshape(shape), sign.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# incomplete gamma
+# ---------------------------------------------------------------------------
+
+
+def _upper_cf(s, z):
+    """ln(z^-s Gamma(s, z)) by the Legendre continued fraction (modified Lentz)."""
+    out = np.full_like(z, -np.inf)
+    idx = np.nonzero(np.isfinite(z))[0]
+    s, z = s[idx], z[idx]
+    b = z + 1.0 - s
+    c = np.full_like(b, 1e300)
+    d = h = 1.0 / b
+    for i in range(1, 401):
+        an = -i * (i - s)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h = h * (c * d)
+        # stop at about one ulp: a tighter test may never fire
+        done = np.abs(c * d - 1.0) < 3e-16
+        if done.any():
+            out[idx[done]] = np.log(h[done]) - z[done]
+            idx, s, z, b, c, d, h = (v[~done] for v in (idx, s, z, b, c, d, h))
+        if idx.size == 0:
+            return out
+    raise NonConvergenceError("incomplete-gamma continued fraction did not converge")
+
+
+def _ln_lower_series(a, ln_z, lg_a):
+    """ln P(a, z) by its power series, given lg_a = ln Gamma(a)."""
+    z = np.exp(ln_z)
+    term = total = np.ones_like(z)
+    for k in range(1, 401):
+        term = term * z / (a + k)
+        total = total + term
+        if np.all(term < 1e-17 * total):
+            return a * ln_z - z - lg_a - np.log(a) + np.log(total)
+    raise NonConvergenceError("incomplete-gamma power series did not converge")
+
+
+def _upper_small_z(s, ln_z):
+    """ln(z^-s Gamma(s, z)) for z <= 1.5 and s <= 1/2.
+
+    At s0 = s + n in [-1/2, 1/2] Temme's split, with g = ln Gamma(1+s0)/s0,
+    A = s0 (g - ln z), B = max(A, 0) and S = sum_k>=1 (-z)^k / (k! (s0+k)):
+    z^-s0 Gamma(s0, z) = e^B [expm1(-|A|) / (-|A|) (g - ln z) - e^-B S].
+    It keeps the cancellation of Gamma(s0) against z^s0/s0 inside expm1 and
+    never overflows; at s0 = 0 it is E1(z) = -gamma_E - ln z - S.  Then n
+    steps of Gamma(s, z) = (Gamma(s+1, z) - z^s e^-z) / s (DLMF 8.8.2).
+    """
+    n = np.maximum(0.0, np.ceil(-s - 0.5))
+    s0 = s + n
+    z = np.exp(ln_z)
+    term = np.ones_like(z)
+    sigma = np.zeros_like(z)
+    for k in range(1, 40):  # z <= 1.5: the terms fall below 1e-17 by k = 26
+        term = term * (-z / k)
+        sigma += term / (s0 + k)
+        if np.max(np.abs(term), initial=0.0) < 1e-17:
+            break
+    # ln Gamma(1 + s0) = ln Gamma(2 + s0) - log1p(s0), from the Taylor series
+    g = _LGAMMA2_TAYLOR[-1]
+    for coef in _LGAMMA2_TAYLOR[-2::-1]:
+        g = g * s0 + coef
+    g = g - np.where(s0 == 0.0, 1.0, np.log1p(s0) / np.where(s0 == 0.0, 1.0, s0))
+    A = s0 * (g - ln_z)
+    mag = np.maximum(np.abs(A), 1e-300)
+    B = np.maximum(A, 0.0)
+    ln_s = B + np.log(-np.expm1(-mag) / mag * (g - ln_z) - np.exp(-B) * sigma)
+    for j in range(1, int(n.max(initial=0.0)) + 1):
+        step = n >= j
+        t = np.exp(ln_z[step] + z[step] + ln_s[step])
+        ln_s[step] = np.log1p(-t) - z[step] - np.log(j - s0[step])
+    return ln_s
+
+
+def _incomplete_args(s, ln_z):
+    """Broadcast shape, flat (s, ln_z, z) and the mask z > max(1.5, s + 1)."""
+    s, ln_z = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                  np.asarray(ln_z, dtype=float))
+    shape, s, ln_z = s.shape, s.ravel(), ln_z.ravel()
+    with np.errstate(over="ignore"):
+        z = np.exp(ln_z)
+    return shape, s, ln_z, z, z > np.maximum(1.5, s + 1.0)
+
+
+def ln_gamma_upper_scaled(s, ln_z):
+    """ln(z^-s Gamma(s, z)) for real s and z = exp(ln_z) > 0, vectorized.
+
+    The power factor is taken out so that a caller multiplying by z^p adds
+    p * ln_z to a log of moderate size instead of cancelling two large ones.
+    Legendre continued fraction above z = max(1.5, s + 1), below it
+    Gamma(s) (1 - P(s, z)) for s > 1/2, else _upper_small_z (Gil, Segura &
+    Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the
+    float range gives -inf.
+    """
+    shape, s, ln_z, z, cf = _incomplete_args(s, ln_z)
+    out = np.empty_like(z)
+    out[cf] = _upper_cf(s[cf], z[cf])
+    ser = ~cf & (s > 0.5)
+    sv, lz = s[ser], ln_z[ser]
+    lg = _lgamma_pos(sv)
+    out[ser] = lg + np.log1p(-np.exp(_ln_lower_series(sv, lz, lg))) - sv * lz
+    small = ~cf & ~ser
+    out[small] = _upper_small_z(s[small], ln_z[small])
+    return out.reshape(shape)
+
+
+def gamma_p(a, ln_z):
+    """Regularized lower incomplete gamma P(a, z) for a > 0, z = exp(ln_z)."""
+    shape, a, ln_z, z, cf = _incomplete_args(a, ln_z)
+    if np.any(a <= 0.0):
+        raise GammaDomainError("gamma_p requires a > 0")
+    out = np.empty_like(z)
+    lg = _lgamma_pos(a)
+    out[cf] = -np.expm1(_upper_cf(a[cf], z[cf]) + a[cf] * ln_z[cf] - lg[cf])
+    out[~cf] = np.exp(_ln_lower_series(a[~cf], ln_z[~cf], lg[~cf]))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -769,53 +893,6 @@ def meijer_g(spec: MeijerGSpec, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -
     if logabs == -np.inf:
         return 0.0
     return sign * math.exp(logabs)
-
-
-def meijer_g_batch(spec: MeijerGSpec, ln_z, opts: EvalOptions = DEFAULT_OPTIONS):
-    """Vectorized meijer_g over an array of log-arguments.
-
-    The series table is shared across the batch; entries that the series
-    cannot certify are re-evaluated individually (contour fallback).
-    """
-    ln_z = np.asarray(ln_z, dtype=float)
-    flat = ln_z.reshape(-1)
-    out = np.empty_like(flat)
-    try:
-        a, b, perturbed = _separate_ladders(spec, opts.pole_perturb_eps)
-    except DegenerateParameterError:
-        a = b = None
-        perturbed = False
-    todo = np.ones(flat.size, dtype=bool)
-    d = max(1, spec.q - spec.p)
-    feasible = d * np.exp(np.minimum(flat / d, 30.0)) <= -0.8 * math.log(opts.rel_tol)
-    if a is not None and feasible.any():
-        kmax = min(opts.max_terms,
-                   max(48, _kmax_guess(spec, float(np.max(flat[feasible])))))
-        tab = _series_table(spec.m, spec.n, a, b, kmax)
-        if not tab.degenerate:
-            ll = tab.logc[:, None] + tab.s[:, None] * flat[None, :]
-            L = np.max(ll, axis=0)
-            vals = tab.sign[:, None] * np.exp(ll - L[None, :])
-            tot = np.sum(vals, axis=0)
-            sum_abs = np.sum(np.abs(vals), axis=0)
-            logsize = tab.logsize[:, None] + np.abs(tab.s[:, None] * flat[None, :])
-            wlog = np.sum(logsize * np.abs(vals), axis=0)
-            tail = np.max(ll[tab.tail_idx, :], axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cancel = sum_abs / np.abs(tot)
-                rel = _EPS * (wlog / np.abs(tot) + 8.0 * cancel)
-            if perturbed:
-                rel = rel + 64.0 * opts.pole_perturb_eps
-            good = (np.abs(tot) > 0.0) & (tail < L - 42.0) & (rel <= opts.rel_tol)
-            good &= np.isfinite(L) & feasible
-            out[good] = np.sign(tot[good]) * np.exp(L[good] + np.log(np.abs(tot[good])))
-            zero = ~np.isfinite(L)
-            out[zero] = 0.0
-            todo = ~(good | zero)
-    for i in np.nonzero(todo)[0]:
-        sign, logabs = meijer_g_log(spec, float(flat[i]), opts)
-        out[i] = 0.0 if logabs == -np.inf else sign * math.exp(logabs)
-    return out.reshape(ln_z.shape)
 
 
 def meijer_g_mellin_barnes(spec: MeijerGSpec, z: float,

@@ -252,8 +252,7 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
 
 
 def outage_quadrature(cfg: SystemConfig, q: OutageQuery, floor_c: bool = False,
-                      epsabs: float = 1e-14, epsrel: float = 3e-9,
-                      opts: EvalOptions = DEFAULT_OPTIONS) -> OutageResult:
+                      epsabs: float = 1e-14, epsrel: float = 3e-9) -> OutageResult:
     """Outage probability by integrating the first-hop CDF against the
     optical SNR density on a log axis."""
     sys_e = cfg.floored() if floor_c else cfg
@@ -265,9 +264,9 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery, floor_c: bool = False,
     def integrand(u):
         x = np.exp(u)
         cdf1 = ch.rf_snr_cdf(gth + gth * c_const / x, mu1, n)
-        return cdf1 * ch._pdf_times_x(u, budget, egg, pointing, opts)
+        return cdf1 * ch._pdf_times_x(u, budget, egg, pointing)
 
-    u_lo, u_hi, trunc = _bracket(budget, egg, pointing, opts)
+    u_lo, u_hi, trunc = _bracket(budget, egg, pointing)
     knots = _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi)
     value, err = adaptive_quad(integrand, u_lo, u_hi, epsabs=epsabs,
                                epsrel=epsrel, points=knots)
@@ -275,37 +274,29 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery, floor_c: bool = False,
                      sys_e.egg.c)
 
 
-def _bracket(budget, egg, pointing, opts):
-    """Log-axis integration window with negligible truncated mass."""
+def _bracket(budget, egg, pointing):
+    """Log-axis integration window with negligible truncated mass: on each
+    side the first rung of a fixed ladder, all rungs evaluated in one call,
+    whose CDF (left) or exponential-tail estimate (right) is below 1e-15."""
     anchors = [math.log(egg.lam * pointing.a0 * budget.rho),
                math.log(egg.b * pointing.a0 * budget.rho)]
-    u_lo = min(anchors) - 3.0
-    for _ in range(80):
-        mass = ch.uowc_snr_cdf(math.exp(u_lo), budget, egg, pointing, opts)
-        if mass < 1e-15:
-            break
-        u_lo -= 4.0
-    else:
+    left = min(anchors) - 3.0 - 4.0 * np.arange(80)
+    low = np.nonzero(ch.uowc_snr_cdf(np.exp(left), budget, egg, pointing) < 1e-15)[0]
+    if low.size == 0:
         raise QuadratureError("left tail of the optical SNR does not vanish")
-    u_hi = max(anchors) + 2.0 / min(egg.c, 2.0)
-    prev = None
-    trunc = 0.0
-    for _ in range(80):
-        w = float(ch._pdf_times_x(np.array([u_hi]), budget, egg, pointing, opts)[0])
-        if prev is not None and w > 0.0 and prev > w:
-            slope = (math.log(prev) - math.log(w)) / step
-            trunc = w / max(slope, 0.2)
-            if trunc < 1e-15:
-                break
-        elif w == 0.0:
-            trunc = 0.0
-            break
-        prev = w
-        step = 2.0
-        u_hi += step
-    else:
+    right = max(anchors) + 2.0 / min(egg.c, 2.0) + 2.0 * np.arange(80)
+    w = ch._pdf_times_x(right, budget, egg, pointing)
+    prev, cur = w[:-1], w[1:]
+    falling = (cur > 0.0) & (prev > cur)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(falling, np.log(prev) - np.log(cur), 1.0) / 2.0
+        trunc = np.where(falling, cur / np.maximum(slope, 0.2), 0.0)
+    stop = np.concatenate([[w[0] == 0.0], (falling & (trunc < 1e-15)) | (cur == 0.0)])
+    hits = np.nonzero(stop)[0]
+    if hits.size == 0:
         raise QuadratureError("right tail of the optical SNR does not decay")
-    return u_lo, u_hi + 1.0, trunc + 1e-15
+    k = hits[0]
+    return left[low[0]], right[k] + 1.0, (trunc[k - 1] if k else 0.0) + 1e-15
 
 
 def _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi):
@@ -320,10 +311,9 @@ def _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi):
     return [p for p in pts if u_lo < p < u_hi]
 
 
-def flooring_gap_report(cfg: SystemConfig, q: OutageQuery,
-                        opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def flooring_gap_report(cfg: SystemConfig, q: OutageQuery) -> float:
     """|P_out(exact c) - P_out(floor c)| by quadrature, the cost of the
     integer rounding that the closed form requires."""
-    exact = outage_quadrature(cfg, q, floor_c=False, opts=opts)
-    floored = outage_quadrature(cfg, q, floor_c=True, opts=opts)
+    exact = outage_quadrature(cfg, q, floor_c=False)
+    floored = outage_quadrature(cfg, q, floor_c=True)
     return abs(exact.value - floored.value)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from rfuowc.channels import (
     uowc_budget,
     uowc_snr_cdf,
     uowc_snr_pdf,
+    _pdf_times_x,
 )
 from rfuowc.quadrature import adaptive_quad
+from rfuowc.specfun import MeijerGSpec, meijer_g
 from rfuowc.system import SystemConfig
 
 WEAK = PointingParams(a0=0.5076, xi=0.6079)
@@ -254,3 +257,108 @@ class TestOpticalSnrDistribution:
             PointingParams(a0=1.2, xi=1.0)
         with pytest.raises(ValueError):
             UowcLinkParams(eta=1.0, p2=1.0, n0=0.0, pr=1.0)
+
+
+PAIRS = [(key, name, pointing) for key in sorted(WATER_PRESETS)
+         for name, pointing in (("weak", WEAK), ("strong", STRONG))]
+PAIR_IDS = [f"{key}-{name}" for key, name, _ in PAIRS]
+
+
+def _mp_upper(mpmath, s, z):
+    """Gamma(s, z) in mpmath; for tiny z and non-integer s the first terms
+    of Gamma(s) - gamma(s, z), which mpmath's own route reaches slowly."""
+    if z < 1e-20 and s != int(s):
+        return mpmath.gamma(s) - z ** s / s + z ** (s + 1) / (s + 1)
+    return mpmath.gammainc(s, z)
+
+
+def _mp_optical(mpmath, ln_x, budget, egg, pointing):
+    """(x * pdf, cdf) of the optical SNR at x = exp(ln_x), in mpmath."""
+    mpf = mpmath.mpf
+    xi2, c, a, w = mpf(pointing.xi) ** 2, mpf(egg.c), mpf(egg.a), mpf(egg.w)
+    z1 = mpmath.exp(mpf(ln_x) - mpmath.log(mpf(egg.lam) * mpf(pointing.a0) * mpf(budget.rho)))
+    z2 = mpmath.exp(c * (mpf(ln_x) - mpmath.log(mpf(egg.b) * mpf(pointing.a0) * mpf(budget.rho))))
+    g1 = z1 ** xi2 * _mp_upper(mpmath, 1 - xi2, z1)
+    g2 = z2 ** (xi2 / c) * _mp_upper(mpmath, a - xi2 / c, z2) / mpmath.gamma(a)
+    if z2 > a + 1:
+        p2 = 1 - mpmath.gammainc(a, z2, regularized=True)
+    else:
+        p2 = mpmath.gammainc(a, 0, z2, regularized=True)
+    return (w * xi2 * g1 + (1 - w) * xi2 * g2,
+            w * (-mpmath.expm1(-z1) + g1) + (1 - w) * (p2 + g2))
+
+
+class TestOpticalAgainstMpmath:
+    """Incomplete-gamma pdf and CDF against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("key,name,pointing", PAIRS, ids=PAIR_IDS)
+    def test_pdf_and_cdf(self, key, name, pointing):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for xi in (pointing.xi, 0.5, 1.0, 2.0, 6.7):
+                cfg = grid_cfg(key, PointingParams(a0=pointing.a0, xi=xi))
+                for sys_ in (cfg, cfg.floored()):
+                    budget, egg, pt = sys_.budget, sys_.egg, sys_.pointing
+                    ln_x = math.log(budget.rho) + np.linspace(-40.0, 6.0, 16)
+                    pdf = _pdf_times_x(ln_x, budget, egg, pt)
+                    cdf = uowc_snr_cdf(np.exp(ln_x), budget, egg, pt)
+                    for i, u in enumerate(ln_x):
+                        ref_pdf, ref_cdf = _mp_optical(mpmath, u, budget, egg, pt)
+                        for got, ref in ((pdf[i], ref_pdf), (cdf[i], ref_cdf)):
+                            if ref > 1e-300:
+                                assert abs(got - ref) <= 1e-12 * ref, (xi, egg.c, u)
+
+    def test_cdf_formula_differentiates_to_pdf(self):
+        # the CDF comes from integrating the density by parts; check that
+        # d CDF / d ln x = x * pdf for the mpmath forms themselves.  A wrong
+        # term would be off at O(1); 1e-10 leaves room for differencing a
+        # CDF within 1e-27 of 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for key, _, pointing in PAIRS:
+                for xi in (pointing.xi, 2.0):
+                    cfg = grid_cfg(key, PointingParams(a0=pointing.a0, xi=xi))
+                    args = (cfg.budget, cfg.egg, cfg.pointing)
+                    for u in math.log(cfg.budget.rho) + np.array([-3.0, -0.5, 0.3]):
+                        slope = mpmath.diff(
+                            lambda v: _mp_optical(mpmath, v, *args)[1], mpmath.mpf(u))
+                        want = _mp_optical(mpmath, u, *args)[0]
+                        assert abs(slope - want) <= 1e-10 * want, (key, xi, u)
+
+
+class TestOpticalAgainstMeijerG:
+    """Each mixture branch on its own (w = 1, w = 0) against scalar meijer_g
+    of the G-function form the optical hop was once computed from.
+
+    The grid stops short of z = 400, where the pdf form's far-tail
+    saddle-point branch answers without an error estimate.
+    """
+
+    LN_Z = np.linspace(-12.0, math.log(399.0), 6)
+
+    def _check(self, cfg, branch, scale, c, a, norm):
+        xi2 = cfg.pointing.xi2
+        s = xi2 / c
+        spec_pdf = MeijerGSpec(m=2, n=0, a=(s + 1.0,), b=(a, s))
+        spec_cdf = MeijerGSpec(m=2, n=1, a=(1.0, s + 1.0), b=(a, s, 0.0))
+        ln_x = math.log(scale * cfg.pointing.a0 * cfg.budget.rho) + self.LN_Z / c
+        pdf = _pdf_times_x(ln_x, cfg.budget, branch, cfg.pointing)
+        cdf = uowc_snr_cdf(np.exp(ln_x), cfg.budget, branch, cfg.pointing)
+        for i, ln_z in enumerate(self.LN_Z):
+            z = math.exp(ln_z)
+            assert pdf[i] == pytest.approx(xi2 * meijer_g(spec_pdf, z) / norm,
+                                           rel=1e-9)
+            assert cdf[i] == pytest.approx(xi2 * meijer_g(spec_cdf, z) / (c * norm),
+                                           rel=1e-9)
+
+    @pytest.mark.parametrize("pointing", (WEAK, STRONG), ids=("weak", "strong"))
+    def test_exponential_branch(self, pointing):
+        cfg = grid_cfg("salty/4.7", pointing)
+        self._check(cfg, replace(cfg.egg, w=1.0), cfg.egg.lam, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("key,name,pointing", PAIRS, ids=PAIR_IDS)
+    def test_generalized_gamma_branch(self, key, name, pointing):
+        cfg = grid_cfg(key, pointing)
+        egg = cfg.egg
+        self._check(cfg, replace(egg, w=0.0), egg.b, egg.c, egg.a,
+                    math.gamma(egg.a))

@@ -103,6 +103,23 @@ class TestSweepCommand:
         assert manifest["seed"] == 123
         assert len(manifest["points"]) == len(rows)
         assert len(manifest["config_sha256"]) == 64
+        # every point says whether its value was clamped into [0, 1]
+        assert [p["clamped"] for p in manifest["points"]] == [False] * len(rows)
+
+    def test_manifest_reports_clamped_values(self, tmp_path, monkeypatch):
+        import rfuowc.cli as cli
+        from rfuowc.system import OutageResult
+
+        monkeypatch.setattr(cli, "outage_quadrature", lambda cfg, q: OutageResult(
+            value=1.0, method="quadrature", err_est=0.0, c_used=35.0, clamped=True))
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = str(tmp_path / "out.csv")
+        assert main(["sweep", cfg, "--out", out]) == 0
+        points = json.load(open(out + ".manifest.json"))["points"]
+        assert [(p["method"], p["clamped"]) for p in points] == [
+            ("quadrature", True), ("monte_carlo", False)] * 3
+        with open(out) as fh:
+            assert fh.readline().strip() == ",".join(cli.CSV_HEADER)
 
     def test_round_trip_precision(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)

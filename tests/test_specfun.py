@@ -17,8 +17,9 @@ from rfuowc.specfun import (
     ln_abs_gamma_signed,
     ln_gamma,
     ln_gamma_complex,
+    gamma_p,
+    ln_gamma_upper_scaled,
     meijer_g,
-    meijer_g_batch,
     meijer_g_log,
     meijer_g_mellin_barnes,
 )
@@ -104,8 +105,8 @@ class TestMeijerG:
         assert meijer_g(SPEC_PDF, 0.5) == pytest.approx(0.440750741753136, rel=1e-9)
 
     def test_pdf_kernel_nonnegative(self):
-        vals = meijer_g_batch(SPEC_PDF, np.log(np.geomspace(1e-6, 60.0, 120)))
-        assert np.all(vals >= 0.0)
+        vals = [meijer_g(SPEC_PDF, float(z)) for z in np.geomspace(1e-6, 60.0, 120)]
+        assert min(vals) >= 0.0
 
     def test_outage_kernel_perturbation_stability(self):
         # the (1, 0) lower-parameter pair is integer-separated by construction
@@ -127,8 +128,10 @@ class TestMeijerG:
         assert logabs < -1e100
 
     def test_batch_matches_scalar(self):
+        # the pdf kernel is z^xi2 Gamma(1 - xi2, z): the vectorized
+        # incomplete-gamma form must match scalar G evaluation
         ln_z = np.log(np.geomspace(1e-3, 40.0, 25))
-        batch = meijer_g_batch(SPEC_PDF, ln_z)
+        batch = np.exp(ln_z + ln_gamma_upper_scaled(1.0 - XI2, ln_z))
         single = np.array([meijer_g(SPEC_PDF, float(np.exp(l))) for l in ln_z])
         np.testing.assert_allclose(batch, single, rtol=1e-9)
 
@@ -268,3 +271,58 @@ def test_lgamma_pos_absolute_accuracy_matches_libm():
             err_mine = max(err_mine, float(abs(mpmath.mpf(float(a)) - ref)))
             err_libm = max(err_libm, float(abs(mpmath.mpf(b) - ref)))
     assert err_mine <= err_libm
+
+
+# s = 1 - xi^2 at xi = 6.7, 2, 1 and the weak pointing (0.63), the GG
+# exponents a - xi^2/c of fresh/16.5 and salty/16.5 (0.0058, 0.0116), the
+# edge s = -1/2 of the small-argument split, and s > 1/2 (1.24, 5.5)
+S_VALUES = (-43.89, -3.0, -0.5, 0.0, 0.0058, 0.0116, 0.63, 1.24, 5.5)
+# wide sweep plus points on both sides of the switch to the continued
+# fraction at z = max(1.5, s + 1)
+LN_Z = np.concatenate([np.linspace(-700.0, 700.0, 57), np.linspace(-4.0, 3.0, 29),
+                       np.log([1.4999, 1.5001, 2.2399, 2.2401, 6.4999, 6.5001])])
+
+
+class TestIncompleteGamma:
+    @pytest.mark.parametrize("s", S_VALUES)
+    def test_upper_matches_mpmath(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        got = s * LN_Z + ln_gamma_upper_scaled(s, LN_Z)
+        with mpmath.workdps(40):
+            for ln_z, g in zip(LN_Z, got):
+                ref = float(mpmath.log(mpmath.gammainc(s, mpmath.exp(ln_z))))
+                if -690.0 < ref < 690.0:  # the value itself is a float
+                    assert abs(math.expm1(g - ref)) <= 1e-12, (s, ln_z)
+                else:
+                    assert abs(g - ref) <= 1e-12 * abs(ref), (s, ln_z)
+
+    @pytest.mark.parametrize("a", (0.0075, 0.0161, 0.3935, 1.2526, 5.5))
+    def test_lower_regularized_matches_mpmath(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        got = gamma_p(a, LN_Z)
+        with mpmath.workdps(40):
+            for ln_z, g in zip(LN_Z, got):
+                ref = mpmath.gammainc(a, 0, mpmath.exp(ln_z), regularized=True)
+                if ref > 1e-300:
+                    assert abs(g - ref) <= 1e-12 * ref, (a, ln_z)
+
+    def test_overflowing_argument_gives_minus_inf(self):
+        ln_z = np.array([709.0, 710.0, 1e4])
+        for s in S_VALUES:
+            got = ln_gamma_upper_scaled(s, ln_z)
+            assert not np.any(np.isnan(got))
+            assert np.all(np.isneginf(got[1:]))
+        assert np.all(gamma_p(0.5, ln_z) == 1.0)
+
+    def test_tiny_argument_stays_finite(self):
+        # Gamma(s, z) -> Gamma(s) for s > 0 and -> z^s / |s| for s < 0
+        got = ln_gamma_upper_scaled(np.array([0.63, -43.89, -0.5]), -6e4)
+        np.testing.assert_allclose(
+            got, [math.lgamma(0.63) + 0.63 * 6e4, -math.log(43.89),
+                  -math.log(0.5)], rtol=1e-14)
+
+    def test_domain(self):
+        with pytest.raises(GammaDomainError):
+            gamma_p(0.0, 1.0)
+        assert ln_gamma_upper_scaled(0.5, 0.0) == pytest.approx(
+            math.log(math.sqrt(math.pi) * math.erfc(1.0)), rel=1e-14)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
-    get_preset, rf_snr_cdf
+    WATER_PRESETS, get_preset, rf_snr_cdf, uowc_snr_cdf
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import (
     OutageQuery,
     SystemConfig,
+    _bracket,
     end_to_end_snr,
     flooring_gap_report,
     outage_closed_form,
@@ -17,6 +18,7 @@ from rfuowc.system import (
 )
 
 WEAK = PointingParams(a0=0.5076, xi=0.6079)
+STRONG = PointingParams(a0=0.1641, xi=0.5244)
 
 
 def grid_cfg(key="salty/4.7", mu1=100.0, n=3, pointing=WEAK):
@@ -169,3 +171,16 @@ class TestFlooringGap:
         assert 0.0 <= gap <= 1.0
         # c = 35.7368 -> 35 visibly moves the mixture; gap is small but real
         assert gap > 1e-8
+
+
+class TestBracket:
+    @pytest.mark.parametrize("mu1", (1e2, 1e4))
+    @pytest.mark.parametrize("key", sorted(WATER_PRESETS))
+    @pytest.mark.parametrize("pointing", (WEAK, STRONG), ids=("weak", "strong"))
+    def test_window_leaves_out_no_more_than_it_claims(self, key, pointing, mu1):
+        cfg = grid_cfg(key, mu1=mu1, pointing=pointing)
+        for sys_ in (cfg, cfg.floored()):
+            args = (sys_.budget, sys_.egg, sys_.pointing)
+            u_lo, u_hi, trunc = _bracket(*args)
+            assert uowc_snr_cdf(math.exp(u_lo), *args) < 1e-15
+            assert 1.0 - uowc_snr_cdf(math.exp(u_hi), *args) <= trunc
