@@ -164,12 +164,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     seed = _resolve_seed(args.seed, None)
-    results = run_level(args.level, seed=seed)
-    n_fail = 0
-    for res in results:
-        print(res.line())
-        n_fail += 0 if res.ok else 1
-    print(f"\n{len(results) - n_fail}/{len(results)} checks passed "
+    n_checks = n_fail = 0
+    for suite, results, seconds in run_level(args.level, seed=seed):
+        for res in results:
+            print(res.line())
+            n_fail += 0 if res.ok else 1
+        n_checks += len(results)
+        print(f"time  {suite}: {seconds:.1f} s", flush=True)
+    print(f"\n{n_checks - n_fail}/{n_checks} checks passed "
           f"(level={args.level})")
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
 

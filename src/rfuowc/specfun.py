@@ -4,8 +4,9 @@ G-function evaluation.
 The optical-hop density and CDF reduce to upper incomplete gamma functions
 (ln_gamma_upper_scaled, gamma_p).  The G-function instances of the
 closed-form outage expression all have real parameters, a positive real
-argument, at most two upper parameters and lower-parameter counts up to a
-few hundred.  Within that family the function is evaluated by a residue
+argument, at most two upper parameters, and either up to a few hundred
+lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
+H-function).  Within that family the function is evaluated by a residue
 (Slater-type) series over the right pole ladders, computed entirely in log
 space with sign tracking.  When the series is ill-conditioned (heavy
 alternating cancellation, near-coincident pole ladders) evaluation switches
@@ -42,10 +43,10 @@ __all__ = [
     "meijer_g_mellin_barnes",
 ]
 
-# Largest integer generalized-gamma exponent accepted by the huge-order
-# G instances of the closed-form outage expression.  Above this the series
-# coefficients lose too many digits to log-space cancellation and callers
-# are expected to fall back to quadrature or Monte Carlo.
+# Largest integer generalized-gamma exponent accepted by the closed-form
+# outage expression, whose documented limit it is; callers above it fall
+# back to quadrature or Monte Carlo.  It also caps the order of a G instance,
+# counting a factor of scale B as the B factors it folds.
 MAX_INTEGER_C = 120
 
 _EPS = 1.1e-16
@@ -264,9 +265,10 @@ def ln_abs_gamma_signed(x):
         logabs[pos] = _lgamma_pos(w[pos])
     if neg.any():
         xn = w[neg]
-        # reflection: |Gamma(x)| = pi / (|sin(pi x)| * Gamma(1 - x))
-        r = np.mod(xn, 2.0)
-        sinabs = np.abs(np.sin(np.pi * r))
+        # reflection: |Gamma(x)| = pi / (|sin(pi x)| * Gamma(1 - x)); x less
+        # its nearest integer is exact, so sin keeps its relative accuracy
+        # near the poles, where mod(x, 2) would round the distance to them
+        sinabs = np.abs(np.sin(np.pi * (xn - np.round(xn))))
         logabs[neg] = _LOG_PI - np.log(sinabs) - _lgamma_pos(1.0 - xn)
         k = np.floor(xn)
         sign[neg] = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
@@ -409,13 +411,16 @@ class MeijerGSpec:
 
     a and b are the upper and lower parameter lists; the first m entries of b
     and the first n entries of a generate the pole ladders used by the
-    residue series.
+    residue series.  scales gives each of b[:m] an integer B_j >= 1, so that
+    its kernel factor is Gamma(b_j - B_j s) (a Fox H-function; Mathai, Saxena
+    & Haubold, The H-Function, ch. 1); empty means all 1, the plain G.
     """
 
     m: int
     n: int
     a: tuple
     b: tuple
+    scales: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
@@ -425,13 +430,21 @@ class MeijerGSpec:
         if not (0 <= self.m <= self.q and 0 <= self.n <= self.p):
             raise ValueError(f"invalid orders m={self.m}, n={self.n} "
                              f"for p={self.p}, q={self.q}")
-        if self.p > 2 or self.n > 1 or self.q > MAX_INTEGER_C + 99:
+        if self.p > 2 or self.n > 1:
             raise CapabilityError(
                 "instance outside the supported family (need p <= 2, n <= 1)")
         if self.p >= self.q:
             raise CapabilityError("supported family requires p < q")
         if self.m == 0:
             raise CapabilityError("need at least one right pole ladder (m >= 1)")
+        scales = tuple(self.scales) or (1,) * self.m
+        if (len(scales) != self.m or any(B != int(B) or B < 1 for B in scales)
+                or (self.n and max(scales) > 1)):
+            raise CapabilityError(
+                "scales must be m integers >= 1 on b[:m], and all 1 when n > 0")
+        if self.q - self.m + sum(scales) > MAX_INTEGER_C + 99:
+            raise CapabilityError("order outside the supported family")
+        object.__setattr__(self, "scales", tuple(int(B) for B in scales))
 
     @property
     def p(self):
@@ -440,6 +453,13 @@ class MeijerGSpec:
     @property
     def q(self):
         return len(self.b)
+
+    def reduced(self, ln_z: float):
+        """(mu, ln_z'): the order excess sum(B) - p of the kernel, at least 1,
+        and ln_z less sum(B ln B), the argument at which the kernel's growth
+        and decay match those of a plain G with q - p = mu."""
+        mu = sum(self.scales) + self.q - self.m - self.p
+        return max(1, mu), ln_z - sum(B * math.log(B) for B in self.scales)
 
 
 @dataclass(frozen=True)
@@ -478,19 +498,22 @@ def _nearest_int_dist(x):
 def _separate_ladders(spec: MeijerGSpec, eps: float):
     """Perturb parameters so that residue poles are simple.
 
-    Right ladders collide when two of b[:m] differ by an integer; a numerator
-    gamma of the series hits a pole when a[:n] exceeds some b[:m] by a
-    positive integer.  Offending parameters are shifted by multiples of eps.
-    Returns (a, b, perturbed).
+    Ladder j has poles at (b_j + k) / B_j, so ladders i and j collide when
+    (B_i b_j - B_j b_i) / gcd(B_i, B_j) is an integer (for unit scales: b_j
+    and b_i differ by an integer); a numerator gamma of the series hits a
+    pole when a[:n] exceeds some b[:m] by a positive integer.  Offending
+    parameters are shifted by multiples of eps.  Returns (a, b, perturbed).
     """
     a = list(spec.a)
     b = list(spec.b)
+    B = spec.scales
     perturbed = False
     for _ in range(6):
         clean = True
         for j in range(1, spec.m):
             for i in range(j):
-                if _nearest_int_dist(b[j] - b[i]) < 0.5 * eps:
+                gap = (B[i] * b[j] - B[j] * b[i]) / math.gcd(B[i], B[j])
+                if _nearest_int_dist(gap) < 0.5 * eps:
                     b[j] -= eps
                     perturbed = True
                     clean = False
@@ -510,39 +533,36 @@ def _separate_ladders(spec: MeijerGSpec, eps: float):
 
 
 class _SeriesTable:
-    """z-independent residue-series coefficients for one (spec, kmax)."""
+    """z-independent residue-series coefficients for one (spec, kmax).
+
+    Ladder h has poles at s = (b_h + k) / B_h with residue factor 1 / B_h,
+    and runs B_h * kmax terms, so that every ladder spans the same range of s.
+    """
 
     __slots__ = ("s", "logc", "sign", "logsize", "tail_idx", "degenerate")
 
-    def __init__(self, m, n, a, b, kmax):
+    def __init__(self, m, n, a, b, kmax, scales=None):
         q = len(b)
         p = len(a)
+        B = scales or (1,) * m
         ladders = []
+        num_pole = False
         for h in range(m):
-            k = np.arange(kmax, dtype=float)
-            s = b[h] + k
-            logc = -_lgamma_pos(k + 1.0)
-            sign = np.where(np.mod(np.arange(kmax), 2) == 0, 1.0, -1.0)
+            k = np.arange(B[h] * kmax, dtype=float)
+            s = (b[h] + k) / B[h]
+            logc = -_lgamma_pos(k + 1.0) - math.log(B[h])
+            sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
             logsize = np.abs(logc)
-            for j in range(m):
-                if j == h:
-                    continue
-                la, sg = ln_abs_gamma_signed(b[j] - s)
+            for x in ([b[j] - B[j] * s for j in range(m) if j != h]
+                      + [1.0 - a[l] + s for l in range(n)]):
+                la, sg = ln_abs_gamma_signed(x)
+                num_pole = num_pole or bool(np.any(sg == 0.0))
                 logc = logc + la
                 sign = sign * sg
                 logsize = logsize + np.abs(la)
-            for l in range(n):
-                la, sg = ln_abs_gamma_signed(1.0 - a[l] + s)
-                logc = logc + la
-                sign = sign * sg
-                logsize = logsize + np.abs(la)
-            for j in range(m, q):
-                la, sg = ln_abs_gamma_signed(1.0 - b[j] + s)
-                logc = logc - la
-                sign = sign * sg
-                logsize = logsize + np.abs(np.where(np.isfinite(la), la, 0.0))
-            for l in range(n, p):
-                la, sg = ln_abs_gamma_signed(a[l] - s)
+            for x in ([1.0 - b[j] + s for j in range(m, q)]
+                      + [a[l] - s for l in range(n, p)]):
+                la, sg = ln_abs_gamma_signed(x)
                 logc = logc - la
                 sign = sign * sg
                 logsize = logsize + np.abs(np.where(np.isfinite(la), la, 0.0))
@@ -552,11 +572,11 @@ class _SeriesTable:
         self.sign = np.concatenate([t[2] for t in ladders])
         self.logsize = np.concatenate([t[3] for t in ladders])
         # index of the last k of each ladder, for truncation checks
-        self.tail_idx = np.array([(h + 1) * kmax - 1 for h in range(m)])
-        # +inf coefficient with non-zero sign means a numerator pole survived
-        self.degenerate = bool(
-            np.any(np.isposinf(self.logc) & (self.sign != 0.0)))
-        # denominator poles null the term
+        self.tail_idx = np.cumsum([B[h] * kmax for h in range(m)]) - 1
+        # a numerator pole means two ladders meet: the pole is not simple
+        self.degenerate = num_pole
+        # denominator poles null the term (numerator ones too, but a
+        # degenerate table is never summed)
         zero = self.sign == 0.0
         if zero.any():
             self.logc = np.where(zero, -np.inf, self.logc)
@@ -566,13 +586,13 @@ _TABLE_CACHE: dict = {}
 _TABLE_LOCK = threading.Lock()
 
 
-def _series_table(m, n, a, b, kmax):
-    key = (m, n, a, b, kmax)
+def _series_table(m, n, a, b, kmax, scales):
+    key = (m, n, a, b, kmax, scales)
     with _TABLE_LOCK:
         tab = _TABLE_CACHE.get(key)
     if tab is not None:
         return tab
-    tab = _SeriesTable(m, n, a, b, kmax)
+    tab = _SeriesTable(m, n, a, b, kmax, scales)
     with _TABLE_LOCK:
         if len(_TABLE_CACHE) > 512:
             _TABLE_CACHE.clear()
@@ -587,8 +607,10 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
     """
     ll = tab.logc + tab.s * ln_z
     L = np.max(ll)
-    if not np.isfinite(L):
+    if L == -np.inf:  # every term vanishes: an exact zero
         return 0.0, -np.inf, 0.0, True
+    if not np.isfinite(L):  # a NaN or +inf term: no estimate at all
+        return 0.0, -np.inf, np.inf, True
     vals = tab.sign * np.exp(ll - L)
     total = math.fsum(vals.tolist())
     sum_abs = float(np.sum(np.abs(vals)))
@@ -608,7 +630,7 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
 
 
 def _kmax_guess(spec: MeijerGSpec, ln_z: float):
-    d = max(1, spec.q - spec.p)
+    d, ln_z = spec.reduced(ln_z)
     peak = math.exp(min(ln_z / d, 12.0)) if ln_z > 0 else 0.0
     return int(min(4096.0, 24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0)))
 
@@ -625,13 +647,13 @@ def _series_attempt(spec, ln_z, opts):
         return None
     # alternating-term cancellation grows like exp(d * z^(1/d)); skip the
     # series outright when that alone would eat the tolerance
-    d = max(1, spec.q - spec.p)
-    loss = d * math.exp(min(ln_z / d, 30.0))
+    d, ln_zr = spec.reduced(ln_z)
+    loss = d * math.exp(min(ln_zr / d, 30.0))
     if loss > -0.8 * math.log(opts.rel_tol):
         return None
     kmax = min(opts.max_terms, max(48, _kmax_guess(spec, ln_z)))
     while True:
-        tab = _series_table(spec.m, spec.n, a, b, kmax)
+        tab = _series_table(spec.m, spec.n, a, b, kmax, spec.scales)
         if tab.degenerate:
             return None
         sign, logabs, rel_err, tail_ok = _series_eval(tab, ln_z)
@@ -651,30 +673,40 @@ def _series_attempt(spec, ln_z, opts):
 # ---------------------------------------------------------------------------
 
 
-def _mb_log_kernel(a, b, m, n, s):
-    """log of the Mellin kernel at complex s (array)."""
-    q = len(b)
-    p = len(a)
+def _mb_log_kernel(spec: MeijerGSpec, s):
+    """log of the Mellin kernel at complex s (array).
+
+    A numerator Gamma(b_j - s) over a denominator Gamma(b_j + 1 - s) is
+    written as the pair's exact ratio 1 / (b_j - s): one log in place of two
+    log-gammas whose large values would cancel."""
+    a, b, m, n, B = spec.a, spec.b, spec.m, spec.n, spec.scales
+    pair = {}
+    for l in range(n, spec.p):
+        pair[l] = next((j for j in range(m) if B[j] == 1 and j not in pair.values()
+                        and abs(a[l] - 1.0 - b[j]) <= 4.0 * _EPS * abs(a[l])), None)
     out = np.zeros_like(s, dtype=complex)
     for j in range(m):
-        out += ln_gamma_complex(b[j] - s)
+        if j not in pair.values():
+            out += ln_gamma_complex(b[j] - B[j] * s)
     for l in range(n):
         out += ln_gamma_complex(1.0 - a[l] + s)
-    for j in range(m, q):
+    for j in range(m, spec.q):
         out -= ln_gamma_complex(1.0 - b[j] + s)
-    for l in range(n, p):
-        out -= ln_gamma_complex(a[l] - s)
+    for l, j in pair.items():
+        out -= ln_gamma_complex(a[l] - s) if j is None else np.log(b[j] - s)
     return out
 
 
 def _mb_decay_rate(spec: MeijerGSpec):
-    return (2 * spec.m + 2 * spec.n - spec.p - spec.q) * math.pi / 2.0
+    # |Gamma(b - B s)| falls like exp(-B pi |t| / 2) along Re(s) = sigma
+    return ((sum(spec.scales) + 2 * spec.n + spec.m - spec.p - spec.q)
+            * math.pi / 2.0)
 
 
 def _mb_sigma(spec: MeijerGSpec, ln_z: float):
     """Pick the contour abscissa by minimizing the t=0 integrand size."""
     a, b, m, n = spec.a, spec.b, spec.m, spec.n
-    hi = min(b[:m])
+    hi = min(bj / B for bj, B in zip(b, spec.scales))
     lo = max(a[:n]) - 1.0 if n else None
     # keep every candidate a relative 1e-7 inside the window: an abscissa
     # within an ulp of lo or hi sits on a pole of the kernel
@@ -686,17 +718,17 @@ def _mb_sigma(spec: MeijerGSpec, ln_z: float):
             raise ContourError(
                 f"no separating contour: max(a)-1={lo:.6g} is not below "
                 f"min(b)={hi:.6g} by the pole margins")
-    d = max(1, spec.q - spec.p)
+    d, ln_zr = spec.reduced(ln_z)
     # reach past the large-argument saddle at depth ~ exp(ln_z / d)
-    span = (40.0 + 4.0 * abs(ln_z) / d + 0.05 * sum(abs(v) for v in b)
-            + 1.3 * d * math.exp(min(ln_z / d, 14.0)))
+    span = (40.0 + 4.0 * abs(ln_zr) / d + 0.05 * sum(abs(v) for v in b)
+            + 1.3 * d * math.exp(min(ln_zr / d, 14.0)))
     if lo is None:
         cand = hi - np.geomspace(margin_hi, span, 200)
     else:
         cand = np.concatenate([
             hi - np.geomspace(margin_hi, min(span, width + margin_hi), 200),
             lo + np.geomspace(margin_lo, width + margin_lo, 100)])
-    phi = np.real(_mb_log_kernel(a, b, m, n, cand.astype(complex))) + cand * ln_z
+    phi = np.real(_mb_log_kernel(spec, cand.astype(complex))) + cand * ln_z
     return float(cand[np.argmin(phi)])
 
 
@@ -706,21 +738,23 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float, opts: EvalOptions):
     Returns (sign, log_abs, rel_err_est).  The error estimate combines node
     doubling with the conditioning of the oscillatory sum.
     """
-    a, b, m, n = spec.a, spec.b, spec.m, spec.n
     kappa = _mb_decay_rate(spec)
     if kappa <= 0.0:
         raise ContourError("contour integrand does not decay for this instance")
     sigma = _mb_sigma(spec, ln_z)
-    scale = float(np.real(_mb_log_kernel(a, b, m, n, np.array([sigma + 0j])))[0]
+    scale = float(np.real(_mb_log_kernel(spec, np.array([sigma + 0j])))[0]
                   + sigma * ln_z)
 
     def integrand(t):
         s = sigma + 1j * t
-        lg = _mb_log_kernel(a, b, m, n, s) + s * ln_z - scale
+        lg = _mb_log_kernel(spec, s) + s * ln_z - scale
         return np.exp(lg)
 
-    # truncation: kernel decays like exp(-kappa * t) with algebraic factors
-    T = (55.0 + 0.5 * abs(sum(b) - sum(a))) / kappa + 2.0
+    # truncation: kernel decays like exp(-kappa * t) with algebraic factors;
+    # a scaled Gamma(b - B s) counts as the B unit-scale factors its Gauss
+    # multiplication splits into, whose b add up to b + (B - 1) / 2
+    excess = sum(spec.b) + sum(B - 1 for B in spec.scales) / 2.0 - sum(spec.a)
+    T = (55.0 + 0.5 * abs(excess)) / kappa + 2.0
     f0 = integrand(np.array([0.0]))[0].real
     while True:
         ftail = np.abs(integrand(np.array([T, 1.25 * T])))
@@ -728,7 +762,7 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float, opts: EvalOptions):
             break
         T *= 1.6
 
-    nodes = max(64, int(T * (2.0 + 0.8 * abs(ln_z)) / 4.0))
+    nodes = max(64, int(T * (2.0 + 0.8 * abs(spec.reduced(ln_z)[1])) / 4.0))
     nodes = min(nodes, opts.contour_points // 8)
     prev = None
     prev_absum = None
@@ -795,7 +829,7 @@ def _asymptotic_log(spec: MeijerGSpec, ln_z: float):
     ~e^-400 before power prefactors) where the ~1/z^{1/d} relative error of
     the single-term expansion is inconsequential.
     """
-    if spec.n != 0 or spec.m != spec.q:
+    if spec.n != 0 or spec.m != spec.q or max(spec.scales) > 1:
         return None
     d = spec.q - spec.p
     r = math.exp(min(ln_z / d, 500.0))
@@ -814,7 +848,7 @@ def _left_expansion(spec: MeijerGSpec, ln_z: float, opts: EvalOptions):
     exponentially small in z^{1/(q-p)}.  Returns (sign, log_abs) or None when
     the regime does not apply.
     """
-    if spec.n == 0:
+    if spec.n == 0:  # scales need n == 0, so scaled specs stop here too
         return None
     d = spec.q - spec.p
     if d * math.exp(min(ln_z / d, 500.0)) < 60.0:

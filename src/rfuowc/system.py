@@ -36,8 +36,6 @@ __all__ = [
     "flooring_gap_report",
 ]
 
-_LOG_TWO_PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class OutageQuery:
@@ -211,11 +209,14 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
     gth = q.gamma_th
 
     spec1 = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
-    spec2 = MeijerGSpec(
-        m=2 + c_int, n=0, a=(xi2 / c_int + 1.0,),
-        b=tuple([egg.a, xi2 / c_int] + [j / c_int for j in range(c_int)]))
-    log_pre2 = (-0.5 * math.log(c_int) - 0.5 * (c_int - 1) * _LOG_TWO_PI
-                - ln_gamma(egg.a))
+    # G^{c+2,0}_{1,c+2}(z | xi2/c + 1; a, xi2/c, 0, 1/c, .., (c-1)/c) with its
+    # c factors folded by the Gauss multiplication formula,
+    # prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2) c^(1/2) c^(c s) Gamma(-c s):
+    # the constant cancels the expression's c^(-1/2) (2 pi)^((1-c)/2), and
+    # c^(c s) moves the argument to c^c z
+    spec2 = MeijerGSpec(m=3, n=0, a=(xi2 / c_int + 1.0,),
+                        b=(egg.a, xi2 / c_int, 0.0), scales=(1, 1, c_int))
+    log_pre2 = -ln_gamma(egg.a)
 
     terms = []
     mags = []
@@ -232,8 +233,7 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
             s1, lg1 = meijer_g_log(spec1, ln_z1, opts)
             bracket += w * xi2 * s1 * math.exp(lg1)
         if w < 1.0:
-            ln_z2 = c_int * (math.log(scale)
-                             - math.log(egg.b * pointing.a0 * c_int))
+            ln_z2 = c_int * (math.log(scale) - math.log(egg.b * pointing.a0))
             s2, lg2 = meijer_g_log(spec2, ln_z2, opts)
             if lg2 != -np.inf:
                 bracket += (1.0 - w) * xi2 * s2 * math.exp(log_pre2 + lg2)

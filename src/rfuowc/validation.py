@@ -7,6 +7,7 @@ returns CheckResult rows; a run passes when every row is ok.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -500,20 +501,30 @@ def check_determinism(seed: int = 31337) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def run_level(level: str, seed: int = 999) -> list[CheckResult]:
+def run_level(level: str, seed: int = 999):
+    """Run the suites of one level, yielding (suite, results, wall seconds)
+    as each one finishes."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     fast = level == "fast"
-    results = []
-    results += check_specfun(n_random=30 if fast else 100)
-    results += check_rf_identities()
-    results += check_moments(n_samples=100_000 if fast else 10_000_000)
-    results += check_normalization()
-    results += check_three_way(n_samples=100_000 if fast else 10_000_000,
-                               seed=seed, subset=6 if fast else None)
-    results += check_trends(mc_samples=0 if fast else 1_000_000, seed=seed)
-    results += check_flooring()
-    results += check_distribution(n_samples=200_000 if fast else 1_000_000,
-                                  presets=("salty/4.7",) if fast else None)
-    results += check_determinism()
-    return results
+    suites = (
+        ("specfun", lambda: check_specfun(n_random=30 if fast else 100)),
+        ("rf identities", check_rf_identities),
+        ("moments", lambda: check_moments(
+            n_samples=100_000 if fast else 10_000_000)),
+        ("normalization", check_normalization),
+        ("three-way", lambda: check_three_way(
+            n_samples=100_000 if fast else 10_000_000, seed=seed,
+            subset=6 if fast else None)),
+        ("trends", lambda: check_trends(mc_samples=0 if fast else 1_000_000,
+                                        seed=seed)),
+        ("flooring", check_flooring),
+        ("distribution", lambda: check_distribution(
+            n_samples=200_000 if fast else 1_000_000,
+            presets=("salty/4.7",) if fast else None)),
+        ("determinism", check_determinism),
+    )
+    for name, run in suites:
+        start = time.perf_counter()
+        results = run()
+        yield name, results, time.perf_counter() - start

@@ -188,6 +188,23 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+class TestValidateCommand:
+    def test_prints_one_timing_line_per_suite(self, monkeypatch, capsys):
+        import rfuowc.cli as cli
+        from rfuowc.validation import CheckResult
+
+        def fake_level(level, seed):
+            yield "specfun", [CheckResult("specfun", "one", True)], 1.25
+            yield "moments", [CheckResult("moments", "two", False, "why")], 0.5
+
+        monkeypatch.setattr(cli, "run_level", fake_level)
+        assert main(["validate", "--level", "fast"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["PASS  specfun: one", "time  specfun: 1.2 s",
+                             "FAIL  moments: two  (why)", "time  moments: 0.5 s"]
+        assert lines[-1] == "1/2 checks passed (level=fast)"
+
+
 class TestPlotCommand:
     def test_two_row_csv_single_polyline(self, tmp_path):
         path = tmp_path / "mini.csv"

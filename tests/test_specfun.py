@@ -326,3 +326,132 @@ class TestIncompleteGamma:
             gamma_p(0.0, 1.0)
         assert ln_gamma_upper_scaled(0.5, 0.0) == pytest.approx(
             math.log(math.sqrt(math.pi) * math.erfc(1.0)), rel=1e-14)
+
+
+class TestScaledLadders:
+    @pytest.mark.parametrize("B", (1, 3, 77))
+    def test_single_scaled_gamma_is_a_stretched_exponential(self, B):
+        # H^{1,0}_{0,1}(z | (0, B)) = (1/B) exp(-z^(1/B))
+        spec = MeijerGSpec(m=1, n=0, a=(), b=(0.0,), scales=(B,))
+        for x in np.geomspace(0.02, 30.0, 10):
+            z = float(x) ** B
+            want = math.exp(-x) / B
+            assert meijer_g(spec, z) == pytest.approx(want, rel=1e-12)
+            assert meijer_g_mellin_barnes(spec, z).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("c", (3, 5, 7))
+    def test_folded_closed_form_factor_matches_the_g_form(self, c):
+        # Gauss multiplication: prod_j Gamma(j/c - s) =
+        # (2 pi)^((c-1)/2) c^(1/2) c^(c s) Gamma(-c s)
+        a, x = 0.4079967256, 0.2155717582 / c
+        old = MeijerGSpec(m=c + 2, n=0, a=(x + 1.0,),
+                          b=tuple([a, x] + [j / c for j in range(c)]))
+        new = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(a, x, 0.0), scales=(1, 1, c))
+        log_gauss = 0.5 * (c - 1) * math.log(2.0 * math.pi) + 0.5 * math.log(c)
+        checked = 0
+        for ln_z in np.linspace(-12.0, 3.0, 31):
+            got = sf._series_attempt(old, ln_z, DEFAULT_OPTIONS)
+            if got is None:
+                continue
+            checked += 1
+            sign, logabs = meijer_g_log(new, ln_z + c * math.log(c))
+            assert sign == got[0]
+            # where the old series cancels, it is itself only as good as its
+            # estimate (up to 7e-11 off mpmath here), so the two may differ
+            # by their estimates; elsewhere they agree to 1e-12
+            new_est = sf._series_attempt(new, ln_z + c * math.log(c),
+                                         DEFAULT_OPTIONS)[2]
+            tol = max(1e-12, got[2] + new_est)
+            assert abs(math.expm1(logabs + log_gauss - got[1])) <= tol, ln_z
+        assert checked >= 10
+
+    def test_ladders_of_different_scales_meet_at_integer_xi2(self):
+        # Gamma(-c s) has a pole at s = xi2/c, where Gamma(xi2/c - s) has one
+        for xi2, meets in ((4.0, True), (1.0, True), (0.3695, False)):
+            spec = MeijerGSpec(m=3, n=0, a=(xi2 / 35 + 1.0,),
+                               b=(0.41, xi2 / 35, 0.0), scales=(1, 1, 35))
+            assert sf._separate_ladders(spec, 1e-7)[2] is meets
+
+    def test_scale_validation(self):
+        for scales in ((1, 2.5), (0, 1), (1,), (1, 2, 3)):
+            with pytest.raises(CapabilityError):
+                MeijerGSpec(m=2, n=0, a=(1.5,), b=(0.0, 0.5), scales=scales)
+        with pytest.raises(CapabilityError):
+            MeijerGSpec(m=2, n=1, a=(0.5, 1.5), b=(0.0, 0.5, 0.2), scales=(1, 2))
+        with pytest.raises(CapabilityError):  # as large as a q of 10^6
+            MeijerGSpec(m=1, n=0, a=(), b=(0.0,), scales=(10 ** 6,))
+        plain = MeijerGSpec(m=2, n=0, a=(1.5,), b=(0.0, 0.5))
+        assert plain.scales == (1, 1)
+        assert plain == MeijerGSpec(m=2, n=0, a=(1.5,), b=(0.0, 0.5), scales=(1, 1))
+
+    def test_scaled_specs_skip_the_unscaled_saddle_point_term(self):
+        spec = MeijerGSpec(m=1, n=0, a=(), b=(0.0,), scales=(3,))
+        assert sf._asymptotic_log(spec, 3.0 * math.log(500.0)) is None
+
+
+def test_numerator_pole_marks_the_table_degenerate():
+    # ladders 0 + k and 1 + k meet: every term but k = 0 of the first
+    # ladder sits on a pole of the other ladder's gamma
+    tab = sf._SeriesTable(2, 0, (), (0.0, 1.0), 8)
+    assert tab.degenerate
+
+
+def test_series_eval_reports_a_non_finite_peak_as_unknown():
+    tab = sf._SeriesTable(1, 0, (), (0.0,), 8)
+    zero, ln_z = tab.logc.copy(), 0.5
+    tab.logc = np.full_like(zero, -np.inf)
+    assert sf._series_eval(tab, ln_z) == (0.0, -np.inf, 0.0, True)
+    for bad in (np.nan, np.inf):
+        tab.logc = zero.copy()
+        tab.logc[3] = bad
+        assert sf._series_eval(tab, ln_z)[2] == np.inf
+
+
+# The closed form's folded GG factor at three sweep points whose G-form
+# series once shipped values beyond its error estimate: (EGG a, floored c,
+# ln of the H-form argument).  Built with the weak pointing, xi^2 = 0.6079^2
+# (salty/16.5, gamma_th = 1000, relay term 0; salty/16.5, gamma_th = 316,
+# term 1; fresh/7.1, gamma_th = 316, term 0).
+ESTIMATE_POINTS = (("salty/16.5", 1000.0, 0), ("salty/16.5", 316.22776601683796, 1),
+                   ("fresh/7.1", 316.22776601683796, 0))
+
+
+def _mpmath_residue_sum(spec, ln_z, kmax=60):
+    """The H-function's residue series summed at 60 digits (simple poles)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        z = mpmath.exp(mpmath.mpf(ln_z))
+        total = 0
+        for h, Bh in enumerate(spec.scales):
+            for k in range(Bh * kmax):
+                s = (mpmath.mpf(spec.b[h]) + k) / Bh
+                term = (-1) ** k / (mpmath.factorial(k) * Bh) * z ** s
+                for j, Bj in enumerate(spec.scales):
+                    if j != h:
+                        term *= mpmath.gamma(mpmath.mpf(spec.b[j]) - Bj * s)
+                for a in spec.a:
+                    term *= mpmath.rgamma(mpmath.mpf(a) - s)
+                total += term
+        return total
+
+
+@pytest.mark.parametrize("key,gamma_th,k", ESTIMATE_POINTS)
+def test_folded_series_estimate_bounds_its_error(key, gamma_th, k):
+    mpmath = pytest.importorskip("mpmath")
+    from rfuowc.channels import PointingParams, get_preset
+    from rfuowc.system import SystemConfig
+    pointing = PointingParams(a0=0.5076, xi=0.6079)
+    cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=get_preset(key).egg,
+                                       pointing=pointing, uowc_scale=100.0).floored()
+    egg, budget, c = cfg.egg, cfg.budget, int(cfg.egg.c)
+    scale = (k + 1) * gamma_th * budget.c_const / (budget.rho * budget.mu1)
+    ln_z = c * (math.log(scale) - math.log(egg.b * pointing.a0))
+    x = pointing.xi2 / c
+    spec = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(egg.a, x, 0.0), scales=(1, 1, c))
+    got = sf._series_attempt(spec, ln_z, DEFAULT_OPTIONS)
+    if got is None:
+        return  # refused: the contour answers, and its error is its own
+    sign, logabs, rel_est = got
+    ref = _mpmath_residue_sum(spec, ln_z)
+    real = float(abs(sign * mpmath.exp(logabs) / ref - 1))
+    assert real <= rel_est <= DEFAULT_OPTIONS.rel_tol

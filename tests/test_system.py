@@ -107,6 +107,17 @@ class TestOutage:
             p_q = outage_quadrature(cfg, q, floor_c=True).value
             assert p_cf == pytest.approx(p_q, rel=1e-6)
 
+    @pytest.mark.parametrize("xi", (1.0, 2.0))
+    def test_closed_form_matches_quadrature_at_integer_xi2(self, xi):
+        # integer xi^2 puts a pole of Gamma(xi^2/c - s) on the Gamma(-c s)
+        # ladder: the series must not drop it silently
+        cfg = grid_cfg(pointing=PointingParams(a0=0.8, xi=xi))
+        for gth in (1e-3, 1.0, 10.0):
+            q = OutageQuery(gth)
+            p_cf = outage_closed_form(cfg, q).value
+            p_q = outage_quadrature(cfg, q, floor_c=True).value
+            assert p_cf == pytest.approx(p_q, rel=1e-6)
+
     def test_golden_point(self):
         # frozen after three-way cross-validation (quadrature and 1e7-sample
         # Monte Carlo agree within their tolerances)
