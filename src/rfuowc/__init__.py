@@ -53,6 +53,7 @@ from .mc import (  # noqa: F401
     McConfig,
     McEstimate,
     mc_moment,
+    mc_moments,
     mc_outage,
     sample_egg_irradiance,
     sample_pointing,

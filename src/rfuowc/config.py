@@ -17,6 +17,7 @@ from .channels import (
     WATER_PRESETS,
     get_preset,
 )
+from .mc import McConfig
 from .system import SystemConfig
 
 __all__ = ["ConfigError", "SweepSpec", "parse_config", "load_sweep_spec",
@@ -284,7 +285,7 @@ def load_sweep_spec(cfg: dict) -> SweepSpec:
         gamma_th=gamma_th,
         mc_samples=int(cfg.get("mc.samples", 1_000_000)),
         mc_seed=int(cfg["mc.seed"]) if "mc.seed" in cfg else None,
-        mc_chunk=int(cfg.get("mc.chunk", 1 << 20)),
+        mc_chunk=int(cfg.get("mc.chunk", McConfig.chunk_size)),
     )
     if spec.mc_samples < 1:
         raise ConfigError("mc.samples must be >= 1")

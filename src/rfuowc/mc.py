@@ -2,14 +2,17 @@
 
 Sampling works from first principles (order statistics of exponentials,
 mixture turbulence, misalignment power transform) so estimates are fully
-independent of the analytic machinery.  Streams are counter-based: chunk i of
-a run is generated by Philox keyed with (seed, i), so results depend only on
-(seed, n_samples, chunk_size) and never on how chunks are scheduled.
+independent of the analytic machinery.  The best of N relays costs one uniform
+(inverse CDF), and each sample draws only the turbulence branch it uses.
+Streams are counter-based: chunk i of a run is generated by Philox keyed with
+(seed, i).  Chunks run on a thread pool and are combined in chunk order, so
+results depend only on (seed, n_samples, chunk_size), never on thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +31,13 @@ __all__ = [
     "sample_uowc_snr",
     "mc_outage",
     "mc_moment",
+    "mc_moments",
 ]
 
 # below this gamma shape the variate is built in log space to dodge underflow
 _SMALL_SHAPE = 0.1
+# largest double below one: U^(1/N) rounds up to 1.0 for U within N ulp of 1
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class McConfig:
 
     n_samples: int
     seed: int = 20240717
-    chunk_size: int = 1 << 20
+    chunk_size: int = 1 << 18
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -72,41 +78,40 @@ def chunk_stream(seed: int, chunk_index: int) -> Generator:
 
 
 def sample_rf_best_snr(stream: Generator, mu1: float, n_relays: int, size=None):
-    """Best-of-N first-hop SNR: the max of N exponentials of mean mu1."""
+    """Best-of-N first-hop SNR, the max of N exponentials of mean mu1, drawn
+    by inverting its CDF (1 - e^{-x/mu1})^N at one uniform: log1p keeps the
+    lower tail exact, and U^(1/N) is held below one so the draw is finite."""
     if mu1 <= 0 or n_relays < 1:
         raise ValueError("need mu1 > 0 and n_relays >= 1")
-    n = int(n_relays)
-    scalar = size is None
-    shape = (1,) if scalar else ((size,) if isinstance(size, int) else size)
-    best = stream.standard_exponential(size=shape)
-    for _ in range(n - 1):
-        np.maximum(best, stream.standard_exponential(size=shape), out=best)
-    out = mu1 * best
-    return float(out[0]) if scalar else out
+    root = np.minimum(stream.random(size=size) ** (1.0 / int(n_relays)), _BELOW_ONE)
+    out = -mu1 * np.log1p(-root)
+    return float(out) if size is None else out
 
 
 def sample_egg_irradiance(stream: Generator, egg: EggParams, size=None):
     """Turbulence irradiance: exponential branch with probability w, else a
-    power-transformed gamma variate (generalized gamma)."""
-    shape = (size,) if isinstance(size, int) else size
-    pick_exp = stream.random(size=shape) < egg.w
-    exp_draw = egg.lam * stream.standard_exponential(size=shape)
+    power-transformed gamma variate (generalized gamma).  Only the branch each
+    sample picks is drawn."""
+    pick_exp = np.asarray(stream.random(size=size) < egg.w)
+    n_exp = int(np.count_nonzero(pick_exp))
+    n_gg = pick_exp.size - n_exp
+    out = np.empty(pick_exp.shape)
+    out[pick_exp] = egg.lam * stream.standard_exponential(size=n_exp)
     if egg.a >= _SMALL_SHAPE:
-        gg_draw = egg.b * stream.standard_gamma(egg.a, size=shape) ** (1.0 / egg.c)
+        out[~pick_exp] = egg.b * stream.standard_gamma(egg.a, size=n_gg) ** (1.0 / egg.c)
     else:
         # boost the shape by one and fold the U^(1/a) factor in log space;
         # a plain gamma draw underflows to zero for tiny shapes
-        g1 = stream.standard_gamma(egg.a + 1.0, size=shape)
-        u = stream.random(size=shape)
-        ln_x = np.log(g1) + np.log1p(-u) / egg.a
-        gg_draw = egg.b * np.exp(ln_x / egg.c)
-    out = np.where(pick_exp, exp_draw, gg_draw)
+        g = stream.standard_gamma(egg.a + 1.0, size=n_gg)
+        u = stream.random(size=n_gg)
+        ln_x = np.log(g) + np.log1p(-u) / egg.a
+        out[~pick_exp] = egg.b * np.exp(ln_x / egg.c)
     return float(out) if size is None else out
 
 
 def sample_pointing(stream: Generator, pointing: PointingParams, size=None):
     """Misalignment factor a0 * U^(1/xi^2)."""
-    u = stream.random(size=(size,) if isinstance(size, int) else size)
+    u = stream.random(size=size)
     out = pointing.a0 * np.exp(np.log1p(-u) / pointing.xi2)
     return float(out) if size is None else out
 
@@ -116,6 +121,22 @@ def sample_uowc_snr(stream: Generator, cfg: SystemConfig, size=None):
     it = sample_egg_irradiance(stream, cfg.egg, size)
     ip = sample_pointing(stream, cfg.pointing, size)
     return cfg.budget.rho * it * ip
+
+
+def _map_chunks(fn, mc: McConfig) -> list:
+    """[fn(stream_i, size_i) for each chunk i] on a thread pool (numpy's
+    generators and ufuncs release the GIL), in chunk order."""
+    # imported here: it pulls in logging, which would slow `import rfuowc`
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = mc.chunks()
+    # the cores this process may run on; sched_getaffinity is Linux-only
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(len(sizes), cores)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda i, size: fn(chunk_stream(mc.seed, i), size),
+                             range(len(sizes)), sizes))
 
 
 def mc_outage(cfg: SystemConfig, q: OutageQuery, mc: McConfig,
@@ -131,39 +152,47 @@ def mc_outage(cfg: SystemConfig, q: OutageQuery, mc: McConfig,
     c_const = sys_e.budget.c_const
     n_relays = sys_e.rf.n_relays
     gth = q.gamma_th
-    hits = 0
-    for idx, size in enumerate(mc.chunks()):
-        rng = chunk_stream(mc.seed, idx)
+
+    def hits(rng, size):
         g1 = sample_rf_best_snr(rng, mu1, n_relays, size)
         g2 = sample_uowc_snr(rng, sys_e, size)
-        geq = g1 * (g2 / (g2 + c_const))
-        hits += int(np.count_nonzero(geq < gth))
+        return int(np.count_nonzero(g1 * (g2 / (g2 + c_const)) < gth))
+
     n = mc.n_samples
-    p = hits / n
+    p = sum(_map_chunks(hits, mc)) / n
     return McEstimate(mean=p, std_err=math.sqrt(p * (1.0 - p) / n), n=n)
+
+
+def mc_moments(orders, egg: EggParams, pointing: PointingParams,
+               mc: McConfig) -> list[McEstimate]:
+    """Empirical moments E[I^n] of the combined irradiance, one estimate per
+    order, all from one set of draws.  Order 0 is exact and draws nothing."""
+    if any(n < 0 or n != int(n) for n in orders):
+        raise ValueError("moment order must be a non-negative integer")
+    drawn = sorted({int(n) for n in orders if n != 0})
+
+    def power_sums(rng, size):
+        i = (sample_egg_irradiance(rng, egg, size)
+             * sample_pointing(rng, pointing, size))
+        # per-chunk numpy sums are deterministic; chunk subtotals are then
+        # combined exactly, so results do not depend on scheduling
+        sums = {}
+        for k in drawn:
+            ik = i ** k
+            sums[k] = (float(np.sum(ik)), float(np.sum(ik * ik)))
+        return sums
+
+    chunks = _map_chunks(power_sums, mc) if drawn else []
+    count = mc.n_samples
+    est = {0: McEstimate(mean=1.0, std_err=0.0, n=count)}
+    for k in drawn:
+        mean = math.fsum(c[k][0] for c in chunks) / count
+        var = max(math.fsum(c[k][1] for c in chunks) / count - mean * mean, 0.0)
+        est[k] = McEstimate(mean=mean, std_err=math.sqrt(var / count), n=count)
+    return [est[int(n)] for n in orders]
 
 
 def mc_moment(n: int, egg: EggParams, pointing: PointingParams,
               mc: McConfig) -> McEstimate:
     """Empirical n-th moment of the combined irradiance."""
-    if n < 0 or n != int(n):
-        raise ValueError("moment order must be a non-negative integer")
-    if n == 0:
-        return McEstimate(mean=1.0, std_err=0.0, n=mc.n_samples)
-    order = int(n)
-    sums = []
-    sq_sums = []
-    for idx, size in enumerate(mc.chunks()):
-        rng = chunk_stream(mc.seed, idx)
-        i = (sample_egg_irradiance(rng, egg, size)
-             * sample_pointing(rng, pointing, size)) ** order
-        # per-chunk numpy sums are deterministic; chunk subtotals are then
-        # combined exactly, so results do not depend on scheduling
-        sums.append(float(np.sum(i)))
-        sq_sums.append(float(np.sum(i * i)))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    count = mc.n_samples
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return McEstimate(mean=mean, std_err=math.sqrt(var / count), n=count)
+    return mc_moments((n,), egg, pointing, mc)[0]

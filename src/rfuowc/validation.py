@@ -15,7 +15,7 @@ import numpy as np
 
 from . import channels as ch
 from .channels import PointingParams, get_preset
-from .mc import McConfig, chunk_stream, mc_moment, mc_outage, sample_uowc_snr
+from .mc import McConfig, chunk_stream, mc_moments, mc_outage, sample_uowc_snr
 from .quadrature import adaptive_quad
 from .specfun import (
     CapabilityError,
@@ -218,8 +218,7 @@ def check_moments(n_samples: int, seed: int = 555) -> list[CheckResult]:
             if ch.egg_moment(0, egg, pointing) != 1.0:
                 out.append(CheckResult("moments", f"zeroth moment {key}", False,
                                        "analytic E[I^0] != 1"))
-            for order in (1, 2):
-                est = mc_moment(order, egg, pointing, mc)
+            for order, est in zip((1, 2), mc_moments((1, 2), egg, pointing, mc)):
                 ana = ch.egg_moment(order, egg, pointing)
                 z = abs(est.mean - ana) / max(est.std_err, 1e-300)
                 if z > worst_z:

@@ -7,6 +7,7 @@ import pytest
 from rfuowc.cli import main
 from rfuowc.config import ConfigError, db_to_linear, dbm_to_watts, \
     load_sweep_spec, parse_config
+from rfuowc.mc import McConfig
 from rfuowc.plotting import PlotError, render_svg
 
 BASE_CFG = """
@@ -61,6 +62,11 @@ class TestConfigParsing:
         assert spec.values == [1.0, 2.0, 3.0]
         cfg = parse_config(BASE_CFG.replace('values = "1:3"', 'values = "1,5,9"'))
         assert load_sweep_spec(cfg).values == [1.0, 5.0, 9.0]
+
+    def test_mc_chunk_defaults_to_the_sampler_default(self):
+        assert load_sweep_spec(parse_config(BASE_CFG)).mc_chunk == McConfig.chunk_size
+        cfg = parse_config(BASE_CFG + "mc.chunk = 4096\n")
+        assert load_sweep_spec(cfg).mc_chunk == 4096
 
     def test_decreasing_values_rejected(self):
         cfg = parse_config(BASE_CFG.replace('values = "1:3"', 'values = "3,1"'))

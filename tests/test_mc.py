@@ -9,6 +9,7 @@ from rfuowc.mc import (
     McConfig,
     chunk_stream,
     mc_moment,
+    mc_moments,
     mc_outage,
     sample_egg_irradiance,
     sample_pointing,
@@ -28,6 +29,24 @@ def grid_cfg(key="salty/4.7", mu1=100.0):
 
 def three_sigma(mean_hat, stderr, target):
     return abs(mean_hat - target) <= 3.0 * max(stderr, 1e-300)
+
+
+def ks_statistic(cdf_at_sorted):
+    """Kolmogorov-Smirnov distance of sorted samples, given F at each."""
+    n = cdf_at_sorted.size
+    idx = np.arange(1, n + 1)
+    return max(float(np.max(np.abs(cdf_at_sorted - idx / n))),
+               float(np.max(np.abs(cdf_at_sorted - (idx - 1) / n))))
+
+
+class FixedUniforms:
+    """Stand-in stream whose uniforms are given, to probe a sampler's formula."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return float(self.u[0]) if size is None else self.u.copy()
 
 
 class TestStreams:
@@ -124,6 +143,52 @@ class TestSamplers:
         rng = chunk_stream(21, 0)
         assert isinstance(sample_rf_best_snr(rng, 1.0, 3), float)
         assert isinstance(sample_pointing(rng, WEAK), float)
+        for key in ("salty/4.7", "fresh/16.5"):  # gamma shape above and below 0.1
+            assert isinstance(sample_egg_irradiance(rng, get_preset(key).egg), float)
+
+    def test_tiny_shape_branch_moments(self):
+        # per-branch draws keep the mixture: first two moments of the
+        # turbulence alone (no jitter, xi -> inf) at a = 0.0075
+        egg = get_preset("fresh/16.5").egg
+        no_jitter = PointingParams(a0=1.0, xi=1e6)
+        x = sample_egg_irradiance(chunk_stream(22, 0), egg, 1_000_000)
+        for order in (1, 2):
+            xk = x ** order
+            se = xk.std(ddof=1) / math.sqrt(x.size)
+            assert three_sigma(xk.mean(), se, egg_moment(order, egg, no_jitter))
+
+
+class TestBestOfN:
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_edge_uniforms_give_no_nan_or_negative(self, n):
+        u = np.array([0.0, 5e-324, 1.0 - 2.0 ** -53])
+        x = sample_rf_best_snr(FixedUniforms(u), 2.0, n, u.size)
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+        assert x[0] == 0.0 and x[1] > 0.0
+        scalar = sample_rf_best_snr(FixedUniforms(u[2:]), 2.0, n)
+        assert isinstance(scalar, float) and math.isfinite(scalar)
+
+    def test_ks_at_sixteen_relays(self):
+        mu1, n_relays, n = 3.0, 16, 400_000
+        x = np.sort(sample_rf_best_snr(chunk_stream(31, 0), mu1, n_relays, n))
+        d_stat = ks_statistic(rf_snr_cdf(x, mu1, n_relays))
+        assert d_stat < 1.6276 / math.sqrt(n)
+
+    def test_lower_tail_at_sixteen_relays(self):
+        mu1, n_relays = 3.0, 16
+        x = sample_rf_best_snr(chunk_stream(32, 0), mu1, n_relays, 400_000)
+        # samples below the 1% quantile follow F(x) / 0.01 (conditional KS)
+        q01 = -mu1 * math.log1p(-0.01 ** (1.0 / n_relays))
+        tail = np.sort(x[x <= q01])
+        assert tail.size > 3000
+        d_stat = ks_statistic(rf_snr_cdf(tail, mu1, n_relays) / 0.01)
+        assert d_stat < 1.6276 / math.sqrt(tail.size)
+        # x <= 0.05 mu1 has mass (1 - e^-0.05)^16 ~ 1e-21, which no sample
+        # reaches: there the inverse CDF must give back U itself
+        u = np.geomspace(1e-300, rf_snr_cdf(0.05 * mu1, mu1, n_relays), 200)
+        x = sample_rf_best_snr(FixedUniforms(u), mu1, n_relays, u.size)
+        assert np.all(x <= 0.05 * mu1 * (1 + 1e-12))
+        np.testing.assert_allclose(rf_snr_cdf(x, mu1, n_relays), u, rtol=1e-12)
 
 
 class TestMoments:
@@ -143,6 +208,53 @@ class TestMoments:
         with pytest.raises(ValueError):
             mc_moment(-1, get_preset("salty/4.7").egg, WEAK,
                       McConfig(n_samples=10, seed=1))
+        with pytest.raises(ValueError):
+            mc_moments((1, 1.5), get_preset("salty/4.7").egg, WEAK,
+                       McConfig(n_samples=10, seed=1))
+
+    def test_orders_share_one_set_of_draws(self):
+        egg = get_preset("fresh/16.5").egg
+        mc = McConfig(n_samples=200_000, seed=3, chunk_size=65_536)
+        both = mc_moments((2, 0, 1), egg, WEAK, mc)
+        assert both == [mc_moment(k, egg, WEAK, mc) for k in (2, 0, 1)]
+
+
+class TestChunkPool:
+    """Chunks run on a thread pool; results must equal a plain serial loop."""
+
+    # 300_000 / 65_536: four full chunks and a short one, an odd count
+    MC = McConfig(n_samples=300_000, seed=41, chunk_size=65_536)
+
+    def test_outage_equals_serial_loop(self):
+        cfg = grid_cfg("fresh/16.5")
+        gth = 10.0
+        hits = 0
+        for idx, size in enumerate(self.MC.chunks()):
+            rng = chunk_stream(self.MC.seed, idx)
+            g1 = sample_rf_best_snr(rng, cfg.budget.mu1, cfg.rf.n_relays, size)
+            g2 = sample_uowc_snr(rng, cfg, size)
+            geq = g1 * (g2 / (g2 + cfg.budget.c_const))
+            hits += int(np.count_nonzero(geq < gth))
+        est = mc_outage(cfg, OutageQuery(gth), self.MC)
+        assert len(self.MC.chunks()) == 5
+        assert est.mean == hits / self.MC.n_samples
+
+    def test_moments_equal_serial_loop(self):
+        egg = get_preset("salty/4.7").egg
+        sums = {1: ([], []), 2: ([], [])}
+        for idx, size in enumerate(self.MC.chunks()):
+            rng = chunk_stream(self.MC.seed, idx)
+            i = sample_egg_irradiance(rng, egg, size) * sample_pointing(rng, WEAK, size)
+            for k, (s1, s2) in sums.items():
+                ik = i ** k
+                s1.append(float(np.sum(ik)))
+                s2.append(float(np.sum(ik * ik)))
+        count = self.MC.n_samples
+        for k, est in zip((1, 2), mc_moments((1, 2), egg, WEAK, self.MC)):
+            mean = math.fsum(sums[k][0]) / count
+            var = max(math.fsum(sums[k][1]) / count - mean * mean, 0.0)
+            assert est.mean == mean
+            assert est.std_err == math.sqrt(var / count)
 
 
 class TestOutage:
@@ -198,10 +310,7 @@ class TestDistribution:
                                   math.log(g2[-1]) + 0.01, 800))
         f_grid = uowc_snr_cdf(grid, cfg.budget, cfg.egg, cfg.pointing)
         f_s = np.interp(np.log(g2), np.log(grid), f_grid)
-        idx = np.arange(1, n + 1)
-        d_stat = max(float(np.max(np.abs(f_s - idx / n))),
-                     float(np.max(np.abs(f_s - (idx - 1) / n))))
-        assert d_stat < 1.6276 / math.sqrt(n)
+        assert ks_statistic(f_s) < 1.6276 / math.sqrt(n)
 
     def test_chi_square_pdf_consistency(self):
         # histogram of samples vs integrated density, 1% level
