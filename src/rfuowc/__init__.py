@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .specfun import (  # noqa: F401
     CapabilityError,
     ContourError,
-    DegenerateParameterError,
     EvalOptions,
     GammaDomainError,
     MeijerGSpec,
@@ -52,7 +51,6 @@ from .system import (  # noqa: F401
 from .mc import (  # noqa: F401
     McConfig,
     McEstimate,
-    mc_moment,
     mc_moments,
     mc_outage,
     sample_egg_irradiance,

@@ -30,7 +30,6 @@ __all__ = [
     "sample_pointing",
     "sample_uowc_snr",
     "mc_outage",
-    "mc_moment",
     "mc_moments",
 ]
 
@@ -190,9 +189,3 @@ def mc_moments(orders, egg: EggParams, pointing: PointingParams,
         var = max(math.fsum(c[k][1] for c in chunks) / count - mean * mean, 0.0)
         est[k] = McEstimate(mean=mean, std_err=math.sqrt(var / count), n=count)
     return [est[int(n)] for n in orders]
-
-
-def mc_moment(n: int, egg: EggParams, pointing: PointingParams,
-              mc: McConfig) -> McEstimate:
-    """Empirical n-th moment of the combined irradiance."""
-    return mc_moments((n,), egg, pointing, mc)[0]

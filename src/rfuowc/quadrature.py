@@ -84,6 +84,9 @@ def adaptive_quad(f, a: float, b: float, epsabs: float = 1e-12,
     while True:
         total = math.fsum(item[3] for item in heap)
         toterr = math.fsum(item[4] for item in heap)
+        if not (math.isfinite(total) and math.isfinite(toterr)):
+            raise QuadratureError(
+                f"non-finite quadrature estimate {total!r} (error {toterr!r})")
         target = max(epsabs, epsrel * abs(total))
         if toterr <= target:
             return total, toterr
@@ -91,6 +94,8 @@ def adaptive_quad(f, a: float, b: float, epsabs: float = 1e-12,
             raise QuadratureError(
                 f"quadrature error {toterr:.3e} above target {target:.3e} "
                 f"after {n_panels} panels")
+        # the heap holds n_panels panels and toterr > target, so the worst
+        # panel is above target / n_panels: the split is never empty
         split = []
         while heap and len(split) < batch:
             item = heapq.heappop(heap)
@@ -99,11 +104,6 @@ def adaptive_quad(f, a: float, b: float, epsabs: float = 1e-12,
             else:
                 heapq.heappush(heap, item)
                 break
-        if not split:
-            # residual error is spread thinly; accept
-            total = math.fsum(item[3] for item in heap)
-            toterr = math.fsum(item[4] for item in heap)
-            return total, toterr
         lo = np.array([s[1] for s in split])
         hi = np.array([s[2] for s in split])
         mid = 0.5 * (lo + hi)

@@ -9,9 +9,11 @@ lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
 H-function).  Within that family the function is evaluated by a residue
 (Slater-type) series over the right pole ladders, computed entirely in log
 space with sign tracking.  When the series is ill-conditioned (heavy
-alternating cancellation, near-coincident pole ladders) evaluation switches
+alternating cancellation) or two of its poles coincide, evaluation switches
 to direct quadrature of the defining Mellin-Barnes contour integral, which
-is also exposed on its own as an independent cross-check oracle.
+is also exposed on its own as an independent cross-check oracle.  There is
+no third path: where the contour cannot reach the tolerance either (the far
+exponential tail), evaluation raises NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "SpecfunError",
     "GammaDomainError",
     "NonConvergenceError",
-    "DegenerateParameterError",
     "ContourError",
     "CapabilityError",
     "MeijerGSpec",
@@ -63,10 +64,6 @@ class GammaDomainError(SpecfunError, ValueError):
 class NonConvergenceError(SpecfunError):
     """Neither the residue series nor the contour quadrature reached the
     requested tolerance within the configured budgets."""
-
-
-class DegenerateParameterError(SpecfunError):
-    """Pole ladders remain coincident even after perturbation."""
 
 
 class ContourError(SpecfunError):
@@ -469,7 +466,6 @@ class EvalOptions:
     rel_tol: float = 1e-10
     max_terms: int = 768
     contour_points: int = 400_000
-    pole_perturb_eps: float = 1e-7
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -478,8 +474,6 @@ class EvalOptions:
             raise ValueError("max_terms too small")
         if self.contour_points < 256:
             raise ValueError("contour_points too small")
-        if not (0.0 < self.pole_perturb_eps < 1e-2):
-            raise ValueError("pole_perturb_eps out of range")
 
 
 DEFAULT_OPTIONS = EvalOptions()
@@ -491,45 +485,30 @@ class MellinBarnesResult:
     err_est: float
 
 
+# distance from an integer below which two poles count as one
+_MEET_TOL = 5e-8
+
+
 def _nearest_int_dist(x):
     return abs(x - round(x))
 
 
-def _separate_ladders(spec: MeijerGSpec, eps: float):
-    """Perturb parameters so that residue poles are simple.
+def _ladders_meet(spec: MeijerGSpec) -> bool:
+    """Whether two residue poles coincide, so that a pole is not simple.
 
     Ladder j has poles at (b_j + k) / B_j, so ladders i and j collide when
     (B_i b_j - B_j b_i) / gcd(B_i, B_j) is an integer (for unit scales: b_j
     and b_i differ by an integer); a numerator gamma of the series hits a
-    pole when a[:n] exceeds some b[:m] by a positive integer.  Offending
-    parameters are shifted by multiples of eps.  Returns (a, b, perturbed).
+    pole when a[:n] exceeds some b[:m] by a positive integer.
     """
-    a = list(spec.a)
-    b = list(spec.b)
-    B = spec.scales
-    perturbed = False
-    for _ in range(6):
-        clean = True
-        for j in range(1, spec.m):
-            for i in range(j):
-                gap = (B[i] * b[j] - B[j] * b[i]) / math.gcd(B[i], B[j])
-                if _nearest_int_dist(gap) < 0.5 * eps:
-                    b[j] -= eps
-                    perturbed = True
-                    clean = False
-        for l in range(spec.n):
-            for h in range(spec.m):
-                d = a[l] - b[h]
-                if d > 0.5 and _nearest_int_dist(d) < 0.5 * eps:
-                    a[l] += eps
-                    perturbed = True
-                    clean = False
-        if clean:
-            break
-    else:
-        raise DegenerateParameterError(
-            "pole ladders still coincident after perturbation")
-    return tuple(a), tuple(b), perturbed
+    a, b, B = spec.a, spec.b, spec.scales
+    for j in range(1, spec.m):
+        for i in range(j):
+            gap = (B[i] * b[j] - B[j] * b[i]) / math.gcd(B[i], B[j])
+            if _nearest_int_dist(gap) < _MEET_TOL:
+                return True
+    return any(d > 0.5 and _nearest_int_dist(d) < _MEET_TOL
+               for d in (a[l] - b[h] for l in range(spec.n) for h in range(spec.m)))
 
 
 class _SeriesTable:
@@ -641,9 +620,7 @@ def _series_attempt(spec, ln_z, opts):
     Returns (sign, log_abs, rel_err) or None when the series cannot reach
     opts.rel_tol.
     """
-    try:
-        a, b, perturbed = _separate_ladders(spec, opts.pole_perturb_eps)
-    except DegenerateParameterError:
+    if _ladders_meet(spec):
         return None
     # alternating-term cancellation grows like exp(d * z^(1/d)); skip the
     # series outright when that alone would eat the tolerance
@@ -653,13 +630,10 @@ def _series_attempt(spec, ln_z, opts):
         return None
     kmax = min(opts.max_terms, max(48, _kmax_guess(spec, ln_z)))
     while True:
-        tab = _series_table(spec.m, spec.n, a, b, kmax, spec.scales)
+        tab = _series_table(spec.m, spec.n, spec.a, spec.b, kmax, spec.scales)
         if tab.degenerate:
             return None
         sign, logabs, rel_err, tail_ok = _series_eval(tab, ln_z)
-        if perturbed:
-            # parameter-shift bias is first order in the perturbation
-            rel_err += 64.0 * opts.pole_perturb_eps
         if tail_ok and rel_err <= opts.rel_tol:
             return sign, logabs, rel_err
         if not tail_ok and kmax < opts.max_terms:
@@ -801,7 +775,8 @@ def meijer_g_log(spec: MeijerGSpec, ln_z: float, opts: EvalOptions = DEFAULT_OPT
     """(sign, log|G|) at argument exp(ln_z), to relative tolerance opts.rel_tol.
 
     Residue series first; contour quadrature when the series is cancellation
-    limited or its ladders are degenerate.
+    limited or its ladders meet.  Raises NonConvergenceError when the contour
+    cannot reach the tolerance either, as in the far exponential tail.
     """
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
@@ -809,114 +784,11 @@ def meijer_g_log(spec: MeijerGSpec, ln_z: float, opts: EvalOptions = DEFAULT_OPT
     got = _series_attempt(spec, ln_z, opts)
     if got is not None:
         return got[0], got[1]
-    asym = _asymptotic_log(spec, ln_z)
-    if asym is not None:
-        return 1.0, asym
-    left = _left_expansion(spec, ln_z, opts)
-    if left is not None:
-        return left
     sign, logabs, rel = _mb_eval(spec, ln_z, opts)
-    if rel > max(1000.0 * opts.rel_tol, 1e-6) and logabs > -300.0:
+    if rel > max(1000.0 * opts.rel_tol, 1e-6):
         raise NonConvergenceError(
             f"G evaluation reached rel err ~{rel:.2e} > tolerance {opts.rel_tol:.2e}")
     return sign, logabs
-
-
-def _asymptotic_log(spec: MeijerGSpec, ln_z: float):
-    """Leading saddle-point term of log G^{q,0}_{p,q}(z) for huge z.
-
-    Only used in the far exponential tail (d z^{1/d} >= 400, value below
-    ~e^-400 before power prefactors) where the ~1/z^{1/d} relative error of
-    the single-term expansion is inconsequential.
-    """
-    if spec.n != 0 or spec.m != spec.q or max(spec.scales) > 1:
-        return None
-    d = spec.q - spec.p
-    r = math.exp(min(ln_z / d, 500.0))
-    if d * r < 400.0:
-        return None
-    theta = (math.fsum(spec.b) - math.fsum(spec.a) + 0.5 * (1.0 - d)) / d
-    return (0.5 * (d - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(d)
-            + theta * ln_z - d * r)
-
-
-def _left_expansion(spec: MeijerGSpec, ln_z: float, opts: EvalOptions):
-    """Residue expansion over the left pole family, valid for huge z.
-
-    For n >= 1 and p < q the large-argument behavior is the algebraic series
-    over the poles of the Gamma(1 - a_l + s) factors plus a remainder that is
-    exponentially small in z^{1/(q-p)}.  Returns (sign, log_abs) or None when
-    the regime does not apply.
-    """
-    if spec.n == 0:  # scales need n == 0, so scaled specs stop here too
-        return None
-    d = spec.q - spec.p
-    if d * math.exp(min(ln_z / d, 500.0)) < 60.0:
-        return None
-    m, n, a, b, p, q = spec.m, spec.n, spec.a, spec.b, spec.p, spec.q
-
-    def one_term(l, k):
-        """(sign, log|term|) of the residue at s = a_l - 1 - k, or None for a
-        vanishing term; raises StopIteration on a numerator pole."""
-        s0 = a[l] - 1.0 - k
-        lg = -float(_lgamma_pos(np.array([k + 1.0]))[0]) + s0 * ln_z
-        sg = 1.0 if k % 2 == 0 else -1.0
-        for j in range(m):
-            la, s_ = ln_abs_gamma_signed(b[j] - s0)
-            if not np.isfinite(la):
-                raise StopIteration
-            lg += float(la)
-            sg *= float(s_)
-        for l2 in range(n):
-            if l2 == l:
-                continue
-            la, s_ = ln_abs_gamma_signed(1.0 - a[l2] + s0)
-            if not np.isfinite(la):
-                raise StopIteration
-            lg += float(la)
-            sg *= float(s_)
-        for arg in ([1.0 - b[j] + s0 for j in range(m, q)]
-                    + [a[l2] - s0 for l2 in range(n, p)]):
-            la, s_ = ln_abs_gamma_signed(arg)
-            if not np.isfinite(la) or s_ == 0.0:
-                return None
-            lg -= float(la)
-            sg *= float(s_)
-        return sg, lg
-
-    terms = []
-    prev_mag = None
-    empty_levels = 0
-    try:
-        for k in range(64):
-            level = []
-            for l in range(n):
-                t = one_term(l, k)
-                if t is not None:
-                    level.append(t)
-            if not level:
-                empty_levels += 1
-                if empty_levels >= 2:
-                    break
-                continue
-            empty_levels = 0
-            mag = max(t[1] for t in level)
-            if prev_mag is not None and mag > prev_mag:
-                return None  # not in the decaying asymptotic regime
-            prev_mag = mag
-            terms.extend(level)
-            top = max(t[1] for t in terms)
-            if mag < top + math.log(opts.rel_tol) - 8.0:
-                break
-    except StopIteration:
-        return None
-    if not terms:
-        return None
-    top = max(t[1] for t in terms)
-    total = math.fsum(sg * math.exp(lg - top) for sg, lg in terms)
-    if total == 0.0:
-        return None
-    return math.copysign(1.0, total), top + math.log(abs(total))
 
 
 def meijer_g(spec: MeijerGSpec, z: float, opts: EvalOptions = DEFAULT_OPTIONS) -> float:

@@ -330,8 +330,9 @@ class TestOpticalAgainstMeijerG:
     """Each mixture branch on its own (w = 1, w = 0) against scalar meijer_g
     of the G-function form the optical hop was once computed from.
 
-    The grid stops short of z = 400, where the pdf form's far-tail
-    saddle-point branch answers without an error estimate.
+    Past the residue series' reach these G values come from the contour,
+    which is slow at z = 399 (the most costly test of this module) and cannot
+    reach the far tail at all; the grid stops there.
     """
 
     LN_Z = np.linspace(-12.0, math.log(399.0), 6)

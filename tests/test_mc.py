@@ -8,7 +8,6 @@ from rfuowc.channels import EggParams, PointingParams, egg_moment, get_preset, \
 from rfuowc.mc import (
     McConfig,
     chunk_stream,
-    mc_moment,
     mc_moments,
     mc_outage,
     sample_egg_irradiance,
@@ -193,21 +192,21 @@ class TestBestOfN:
 
 class TestMoments:
     def test_zeroth_exact(self):
-        est = mc_moment(0, get_preset("salty/4.7").egg, WEAK,
-                        McConfig(n_samples=10, seed=1))
+        est = mc_moments((0,), get_preset("salty/4.7").egg, WEAK,
+                         McConfig(n_samples=10, seed=1))[0]
         assert est.mean == 1.0 and est.std_err == 0.0
 
     @pytest.mark.parametrize("key", ["salty/4.7", "fresh/7.1", "fresh/16.5"])
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_analytic(self, key, order):
         egg = get_preset(key).egg
-        est = mc_moment(order, egg, WEAK, McConfig(n_samples=1_000_000, seed=97))
+        est = mc_moments((order,), egg, WEAK, McConfig(n_samples=1_000_000, seed=97))[0]
         assert three_sigma(est.mean, est.std_err, egg_moment(order, egg, WEAK))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mc_moment(-1, get_preset("salty/4.7").egg, WEAK,
-                      McConfig(n_samples=10, seed=1))
+            mc_moments((-1,), get_preset("salty/4.7").egg, WEAK,
+                       McConfig(n_samples=10, seed=1))
         with pytest.raises(ValueError):
             mc_moments((1, 1.5), get_preset("salty/4.7").egg, WEAK,
                        McConfig(n_samples=10, seed=1))
@@ -216,7 +215,7 @@ class TestMoments:
         egg = get_preset("fresh/16.5").egg
         mc = McConfig(n_samples=200_000, seed=3, chunk_size=65_536)
         both = mc_moments((2, 0, 1), egg, WEAK, mc)
-        assert both == [mc_moment(k, egg, WEAK, mc) for k in (2, 0, 1)]
+        assert both == [mc_moments((k,), egg, WEAK, mc)[0] for k in (2, 0, 1)]
 
 
 class TestChunkPool:
