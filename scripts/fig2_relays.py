@@ -10,6 +10,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rfuowc.cli import run_sweep, _write_csv  # noqa: E402
 from rfuowc.config import load_sweep_spec  # noqa: E402
+from rfuowc.mc import McConfig  # noqa: E402
 from rfuowc.plotting import emit_plot  # noqa: E402
 
 
@@ -17,7 +18,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="results")
     ap.add_argument("--mc-samples", type=int, default=500_000)
-    ap.add_argument("--seed", type=int, default=20240717)
+    ap.add_argument("--seed", type=int, default=McConfig.seed)
     args = ap.parse_args()
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

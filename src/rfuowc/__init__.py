@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .specfun import (  # noqa: F401
     CapabilityError,
     ContourError,
-    EvalOptions,
     GammaDomainError,
     MeijerGSpec,
     NonConvergenceError,

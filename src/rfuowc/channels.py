@@ -35,12 +35,7 @@ __all__ = [
     "uowc_budget",
     "uowc_snr_pdf",
     "uowc_snr_cdf",
-    "GAIN_CONVENTIONS",
-    "RHO_CONVENTIONS",
 ]
-
-GAIN_CONVENTIONS = ("squared", "literal")
-RHO_CONVENTIONS = ("as-written", "mu2")
 
 MAX_RELAYS = 64
 
@@ -236,14 +231,15 @@ def rf_snr_cdf_sum(x, mu1: float, n_relays: int):
 
 
 def relay_constant_c(mu1: float, n_relays: int) -> float:
-    """Fixed-gain relay constant C = 1 + E[selected first-hop SNR]."""
+    """Fixed-gain relay constant C = 1 + E[selected first-hop SNR] = 1 + mu1 H_N.
+
+    The paper's alternating binomial sum for it is exact in rationals but
+    cancels in floating point (C(63, 31) = 9.2e17): at N = 64 it is negative.
+    """
     if mu1 <= 0:
         raise ValueError("mu1 must be positive")
     n = _check_n(n_relays)
-    terms = [
-        math.comb(n - 1, k) * (-1.0) ** k * mu1 / (k + 1) ** 2 for k in range(n)
-    ]
-    return 1.0 + n * math.fsum(terms)
+    return 1.0 + mu1 * math.fsum(1.0 / k for k in range(1, n + 1))
 
 
 def relay_gain_sq(uowc: UowcLinkParams, sigma1_sq: float, c_const: float,

@@ -47,7 +47,7 @@ def _resolve_seed(cli_seed, cfg_seed):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"RFUOWC_SEED must be an integer, got {env!r}") from exc
-    return 20240717
+    return McConfig.seed
 
 
 def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):

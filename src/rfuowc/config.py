@@ -165,7 +165,7 @@ class Scenario:
             raise ConfigError("axis 'avg_snr' needs mode = direct")
         rf_params = RfLinkParams(**rf)
         uowc_params = UowcLinkParams(**self.uowc)
-        return SystemConfig.from_params(
+        return SystemConfig(
             rf_params, uowc_params, self.egg, self.pointing,
             gain_convention=self.gain_convention,
             rho_convention=self.rho_convention)

@@ -18,27 +18,43 @@ class QuadratureError(Exception):
     pass
 
 
-# 15-point Kronrod nodes on [-1, 1] with Kronrod weights, plus the embedded
-# 7-point Gauss weights (zero where a node is Kronrod-only).
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
-    0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
-])
+# QUADPACK's qk15 constants to 33 digits, for the nodes x >= 0 in
+# decreasing order: Kronrod nodes and weights, then the weights of the
+# embedded 7-point Gauss rule on every other node.  Fewer than the 17 digits
+# a double holds would leave each panel's rule ~1e-15 off, as large as the
+# error floor in _panels.
+_XK_DIGITS = (
+    "0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+    "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+    "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+    "0.207784955007898467600689403773245", "0",
+)
+_WK_DIGITS = (
+    "0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+    "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+    "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+    "0.204432940075298892414161999234649", "0.209482141084727828012999174891714",
+)
+_WG_DIGITS = (
+    "0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+    "0.381830050505118944950369775488975", "0.417959183673469387755102040816327",
+)
+
+
+def _mirror(digits, sign=1.0):
+    """The values on [-1, 1] in increasing node order."""
+    half = np.array([float(v) for v in digits])
+    return np.concatenate([sign * half[:-1], half[::-1]])
+
+
+_XK = _mirror(_XK_DIGITS, -1.0)
+_WK = _mirror(_WK_DIGITS)
+_WG = np.zeros(15)  # zero on the Kronrod-only nodes
+_WG[1::2] = _mirror(_WG_DIGITS)
+
+# panel budget of one integral, and the most panels split per sweep
+_MAX_PANELS = 4096
+_BATCH = 64
 
 
 def _panels(f, lo, hi):
@@ -62,8 +78,7 @@ def _panels(f, lo, hi):
 
 
 def adaptive_quad(f, a: float, b: float, epsabs: float = 1e-12,
-                  epsrel: float = 1e-9, points=None, max_panels: int = 4096,
-                  batch: int = 64):
+                  epsrel: float = 1e-9, points=None):
     """Integrate f over [a, b] with vectorized adaptive bisection.
 
     points seeds extra initial breakpoints (values outside (a, b) are
@@ -90,14 +105,14 @@ def adaptive_quad(f, a: float, b: float, epsabs: float = 1e-12,
         target = max(epsabs, epsrel * abs(total))
         if toterr <= target:
             return total, toterr
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise QuadratureError(
                 f"quadrature error {toterr:.3e} above target {target:.3e} "
                 f"after {n_panels} panels")
         # the heap holds n_panels panels and toterr > target, so the worst
         # panel is above target / n_panels: the split is never empty
         split = []
-        while heap and len(split) < batch:
+        while heap and len(split) < _BATCH:
             item = heapq.heappop(heap)
             if item[4] > 0.25 * target / max(1, n_panels):
                 split.append(item)

@@ -9,7 +9,7 @@ mixing integral); the Monte Carlo path lives in rfuowc.mc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,10 +17,9 @@ from . import channels as ch
 from .channels import EggParams, LinkBudget, PointingParams, RfLinkParams, UowcLinkParams
 from .quadrature import QuadratureError, adaptive_quad
 from .specfun import (
-    DEFAULT_OPTIONS,
     CapabilityError,
-    EvalOptions,
     MAX_INTEGER_C,
+    REL_TOL,
     MeijerGSpec,
     ln_gamma,
     meijer_g_log,
@@ -59,24 +58,28 @@ class OutageResult:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full dual-hop scenario with its derived budget cached."""
+    """Full dual-hop scenario; budget is derived from the other fields."""
 
     rf: RfLinkParams
     uowc: UowcLinkParams
     egg: EggParams
     pointing: PointingParams
-    budget: LinkBudget
     gain_convention: str = "squared"
     rho_convention: str = "as-written"
+    budget: LinkBudget = field(init=False)
 
-    @classmethod
-    def from_params(cls, rf: RfLinkParams, uowc: UowcLinkParams, egg: EggParams,
-                    pointing: PointingParams, gain_convention: str = "squared",
-                    rho_convention: str = "as-written") -> "SystemConfig":
-        budget = build_budget(rf, uowc, egg, pointing, gain_convention,
-                              rho_convention)
-        return cls(rf=rf, uowc=uowc, egg=egg, pointing=pointing, budget=budget,
-                   gain_convention=gain_convention, rho_convention=rho_convention)
+    def __post_init__(self):
+        rf = self.rf
+        mu1 = ch.rf_avg_snr(rf)
+        c_const = ch.relay_constant_c(mu1, rf.n_relays)
+        g_relay_sq = ch.relay_gain_sq(self.uowc, rf.sigma1_sq, c_const,
+                                      self.gain_convention)
+        mean_i, mean_i2, mu2, avg_snr2, rho = ch.uowc_budget(
+            self.uowc, self.egg, self.pointing, g_relay_sq, self.rho_convention)
+        object.__setattr__(self, "budget", LinkBudget(
+            g1=ch.rf_avg_power_gain(rf), mu1=mu1, c_const=c_const,
+            g_relay_sq=g_relay_sq, mean_i=mean_i, mean_i2=mean_i2, mu2=mu2,
+            avg_snr2=avg_snr2, rho=rho))
 
     @classmethod
     def from_direct_snr(cls, mu1: float, n_relays: int, egg: EggParams,
@@ -103,50 +106,20 @@ class SystemConfig:
         if uowc_scale <= 0:
             raise ValueError("optical SNR scale must be positive")
         uowc = UowcLinkParams(eta=1.0, p2=1.0, n0=1.0, pr=uowc_scale * c_const)
-        return cls.from_params(rf, uowc, egg, pointing,
-                               gain_convention="squared",
-                               rho_convention=rho_convention)
+        return cls(rf, uowc, egg, pointing, rho_convention=rho_convention)
 
     def floored(self) -> "SystemConfig":
         """The same scenario with the generalized-gamma exponent rounded down.
 
-        All derived quantities (moments, SNR scales) are recomputed so the
-        three outage methods can be compared on one consistent distribution.
+        The budget (moments, SNR scales) is derived anew, so the three
+        outage methods can be compared on one consistent distribution.
         """
         c_int = math.floor(self.egg.c)
         if c_int < 1:
             raise ValueError("flooring the exponent would leave c < 1")
         if self.egg.c == c_int:
             return self
-        egg = replace(self.egg, c=float(c_int))
-        return SystemConfig.from_params(self.rf, self.uowc, egg, self.pointing,
-                                        self.gain_convention, self.rho_convention)
-
-    def budget_residual(self) -> float:
-        """Largest relative mismatch between the cached and recomputed budget."""
-        fresh = build_budget(self.rf, self.uowc, self.egg, self.pointing,
-                             self.gain_convention, self.rho_convention)
-        worst = 0.0
-        for name in ("g1", "mu1", "c_const", "g_relay_sq", "mean_i", "mean_i2",
-                     "mu2", "avg_snr2", "rho"):
-            have = getattr(self.budget, name)
-            want = getattr(fresh, name)
-            worst = max(worst, abs(have - want) / max(abs(want), 1e-300))
-        return worst
-
-
-def build_budget(rf: RfLinkParams, uowc: UowcLinkParams, egg: EggParams,
-                 pointing: PointingParams, gain_convention: str = "squared",
-                 rho_convention: str = "as-written") -> LinkBudget:
-    g1 = ch.rf_avg_power_gain(rf)
-    mu1 = ch.rf_avg_snr(rf)
-    c_const = ch.relay_constant_c(mu1, rf.n_relays)
-    g_relay_sq = ch.relay_gain_sq(uowc, rf.sigma1_sq, c_const, gain_convention)
-    mean_i, mean_i2, mu2, avg_snr2, rho = ch.uowc_budget(
-        uowc, egg, pointing, g_relay_sq, rho_convention)
-    return LinkBudget(g1=g1, mu1=mu1, c_const=c_const, g_relay_sq=g_relay_sq,
-                      mean_i=mean_i, mean_i2=mean_i2, mu2=mu2,
-                      avg_snr2=avg_snr2, rho=rho)
+        return replace(self, egg=replace(self.egg, c=float(c_int)))
 
 
 def end_to_end_snr(gamma1, gamma2, c_const):
@@ -184,8 +157,7 @@ def _finalize(value: float, method: str, err_est: float, c_used: float):
 # ---------------------------------------------------------------------------
 
 
-def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
-                       opts: EvalOptions = DEFAULT_OPTIONS) -> OutageResult:
+def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     """Outage probability from the G-function expression.
 
     The generalized-gamma exponent is rounded down to an integer (that is the
@@ -230,11 +202,11 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
         bracket = 0.0
         if w > 0.0:
             ln_z1 = math.log(scale) - math.log(egg.lam * pointing.a0)
-            s1, lg1 = meijer_g_log(spec1, ln_z1, opts)
+            s1, lg1 = meijer_g_log(spec1, ln_z1)
             bracket += w * xi2 * s1 * math.exp(lg1)
         if w < 1.0:
             ln_z2 = c_int * (math.log(scale) - math.log(egg.b * pointing.a0))
-            s2, lg2 = meijer_g_log(spec2, ln_z2, opts)
+            s2, lg2 = meijer_g_log(spec2, ln_z2)
             if lg2 != -np.inf:
                 bracket += (1.0 - w) * xi2 * s2 * math.exp(log_pre2 + lg2)
         terms.append(lead * bracket)
@@ -242,7 +214,7 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
     total = n * math.fsum(terms)
     value = 1.0 - total
     # tolerance of each G factor plus cancellation noise of the relay sum
-    err = opts.rel_tol * n * math.fsum(mags) + 1e-15 * (1.0 + n * math.fsum(mags))
+    err = REL_TOL * n * math.fsum(mags) + 1e-15 * (1.0 + n * math.fsum(mags))
     return _finalize(value, "closed_form", err, float(c_int))
 
 
@@ -250,15 +222,19 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery,
 # quadrature
 # ---------------------------------------------------------------------------
 
+# error target of the outage integral: max(_EPSABS, _EPSREL * |P_out|)
+_EPSABS = 1e-14
+_EPSREL = 3e-9
 
-def outage_quadrature(cfg: SystemConfig, q: OutageQuery, floor_c: bool = False,
-                      epsabs: float = 1e-14, epsrel: float = 3e-9) -> OutageResult:
+
+def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
+                      floor_c: bool = False) -> OutageResult:
     """Outage probability by integrating the first-hop CDF against the
     optical SNR density on a log axis."""
     sys_e = cfg.floored() if floor_c else cfg
     egg, pointing, budget = sys_e.egg, sys_e.pointing, sys_e.budget
     n = sys_e.rf.n_relays
-    mu1, c_const, rho = budget.mu1, budget.c_const, budget.rho
+    mu1, c_const = budget.mu1, budget.c_const
     gth = q.gamma_th
 
     def integrand(u):
@@ -267,9 +243,9 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery, floor_c: bool = False,
         return cdf1 * ch._pdf_times_x(u, budget, egg, pointing)
 
     u_lo, u_hi, trunc = _bracket(budget, egg, pointing)
-    knots = _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi)
-    value, err = adaptive_quad(integrand, u_lo, u_hi, epsabs=epsabs,
-                               epsrel=epsrel, points=knots)
+    knots = _knots(budget, egg, pointing, gth, u_lo, u_hi)
+    value, err = adaptive_quad(integrand, u_lo, u_hi, epsabs=_EPSABS,
+                               epsrel=_EPSREL, points=knots)
     return _finalize(value, "quadrature", err + trunc,
                      sys_e.egg.c)
 
@@ -299,7 +275,7 @@ def _bracket(budget, egg, pointing):
     return left[low[0]], right[k] + 1.0, (trunc[k - 1] if k else 0.0) + 1e-15
 
 
-def _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi):
+def _knots(budget, egg, pointing, gth, u_lo, u_hi):
     pts = []
     for anchor in (egg.lam, egg.b):
         ua = math.log(anchor * pointing.a0 * budget.rho)
@@ -307,7 +283,7 @@ def _knots(budget, egg, pointing, mu1, c_const, gth, u_lo, u_hi):
             pts.append(ua + t / max(1.0, egg.c / 4.0))
             pts.append(ua + t)
     # knee where the first-hop CDF argument doubles
-    pts.append(math.log(gth * c_const / max(mu1, 1e-300) + 1e-300))
+    pts.append(math.log(gth * budget.c_const / max(budget.mu1, 1e-300) + 1e-300))
     return [p for p in pts if u_lo < p < u_hi]
 
 

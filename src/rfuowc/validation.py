@@ -19,7 +19,7 @@ from .mc import McConfig, chunk_stream, mc_moments, mc_outage, sample_uowc_snr
 from .quadrature import adaptive_quad
 from .specfun import (
     CapabilityError,
-    DEFAULT_OPTIONS,
+    REL_TOL,
     MeijerGSpec,
     _series_attempt,
     meijer_g,
@@ -107,14 +107,14 @@ def check_specfun(n_random: int = 100, seed: int = 1234) -> list[CheckResult]:
     n_mb_fallback = 0
     for i in range(n_random):
         spec, z = _random_spec(rng)
-        got = _series_attempt(spec, math.log(z), DEFAULT_OPTIONS)
+        got = _series_attempt(spec, math.log(z))
         if got is None:
             n_mb_fallback += 1
             continue
         sign, logabs, rel_est = got
         series_val = sign * math.exp(logabs)
         mb = meijer_g_mellin_barnes(spec, z)
-        tol = (rel_est + DEFAULT_OPTIONS.rel_tol) * abs(series_val) \
+        tol = (rel_est + REL_TOL) * abs(series_val) \
             + mb.err_est + 1e-13 * abs(series_val)
         diff = abs(series_val - mb.value)
         worst_r = max(worst_r, diff / max(abs(mb.value), 1e-300))
@@ -185,14 +185,15 @@ def check_rf_identities() -> list[CheckResult]:
                            worst <= 1e-12, f"worst rel {worst:.2e}"))
 
     worst_c = 0.0
-    for n in range(1, 17):
+    for n in range(1, ch.MAX_RELAYS + 1):
         for mu1 in (0.25, 1.0, 7.5e3):
-            h_n = float(Fraction(sum(Fraction(1, k) for k in range(1, n + 1))))
-            ref = 1.0 + mu1 * h_n
+            ref = 1 + n * sum(Fraction(math.comb(n - 1, k) * (-1) ** k, (k + 1) ** 2)
+                              for k in range(n)) * Fraction(mu1)
             got = ch.relay_constant_c(mu1, n)
-            worst_c = max(worst_c, abs(got - ref) / ref)
-    out.append(CheckResult("rf", "relay constant equals 1 + mu1 * H_N",
-                           worst_c <= 1e-12, f"worst rel {worst_c:.2e}"))
+            worst_c = max(worst_c, float(abs(Fraction(got) - ref) / ref))
+    out.append(CheckResult("rf", f"relay constant equals the binomial sum, "
+                           f"N=1..{ch.MAX_RELAYS}",
+                           worst_c <= 1e-14, f"worst rel {worst_c:.2e}"))
 
     val, _ = adaptive_quad(lambda x: ch.rf_snr_pdf(x, 3.0, 5), 0.0, 3.0 * 120.0,
                            epsabs=1e-12, epsrel=1e-11)
@@ -377,36 +378,27 @@ def check_trends(mc_samples: int = 0, seed: int = 2024) -> list[CheckResult]:
     out.append(CheckResult("trends", "more relays help, then saturate",
                            mono_ok and sat_ok, "; ".join(detail)))
 
-    # (c) salinity ordering in the operating range, (d) pointing dominance
+    # (c) salinity ordering in the operating range, (d) pointing dominance,
+    # both read from one quadrature per grid point
+    grid = {(key, pair_name, mu1, gth): outage_quadrature(
+                grid_config(key, pointing, mu1), OutageQuery(gth),
+                floor_c=True).value
+            for key, pair_name, pointing, mu1, gth in grid_points()}
     sal_ok = True
     point_ok = True
     worst_sal = 0.0
-    for bl in ("4.7", "7.1", "16.5"):
-        for pair_name, pointing in POINTING_PAIRS:
-            for mu1 in GRID_MU1:
-                for gth in GRID_GAMMA_TH:
-                    q = OutageQuery(gth)
-                    p_salt = outage_quadrature(
-                        grid_config(f"salty/{bl}", pointing, mu1), q,
-                        floor_c=True).value
-                    p_fresh = outage_quadrature(
-                        grid_config(f"fresh/{bl}", pointing, mu1), q,
-                        floor_c=True).value
-                    # claim holds in the performance-relevant regime; near
-                    # saturation the mixture upper tails take over and the
-                    # ordering is genuinely not strict
-                    if max(p_salt, p_fresh) <= 0.5:
-                        worst_sal = min(worst_sal, p_salt - p_fresh)
-                        sal_ok &= p_salt >= p_fresh - 1e-9
-    for key in PRESET_KEYS:
-        for mu1 in GRID_MU1:
-            for gth in GRID_GAMMA_TH:
-                q = OutageQuery(gth)
-                p_weak = outage_quadrature(
-                    grid_config(key, WEAK_POINTING, mu1), q, floor_c=True).value
-                p_strong = outage_quadrature(
-                    grid_config(key, STRONG_POINTING, mu1), q, floor_c=True).value
-                point_ok &= p_strong >= p_weak - 1e-9
+    for (key, pair_name, mu1, gth), p_q in grid.items():
+        salinity, level = key.split("/")
+        if salinity == "salty":
+            p_fresh = grid[f"fresh/{level}", pair_name, mu1, gth]
+            # claim holds in the performance-relevant regime; near
+            # saturation the mixture upper tails take over and the
+            # ordering is genuinely not strict
+            if max(p_q, p_fresh) <= 0.5:
+                worst_sal = min(worst_sal, p_q - p_fresh)
+                sal_ok &= p_q >= p_fresh - 1e-9
+        if pair_name == "weak":
+            point_ok &= grid[key, "strong", mu1, gth] >= p_q - 1e-9
     out.append(CheckResult("trends",
                            "salty water at or above fresh (grid points with outage <= 0.5)",
                            sal_ok, f"min salty-fresh margin {worst_sal:.2e}"))
@@ -425,7 +417,7 @@ def check_trends(mc_samples: int = 0, seed: int = 2024) -> list[CheckResult]:
                               radius_r=v if vary == "radius" else 100.0,
                               height_l=v if vary == "height" else 20.0,
                               n_relays=3)
-            cfg_g = SystemConfig.from_params(rf, uowc, egg, WEAK_POINTING)
+            cfg_g = SystemConfig(rf, uowc, egg, WEAK_POINTING)
             p = outage_quadrature(cfg_g, OutageQuery(200.0)).value
             geo_ok &= p >= prev - 1e-15
             prev = p

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfuowc.channels import (
+    MAX_RELAYS,
     EggParams,
     PointingParams,
     RfLinkParams,
@@ -123,6 +125,17 @@ class TestRfHop:
         assert relay_constant_c(10.0, 1) == pytest.approx(11.0, rel=1e-14)
         assert relay_constant_c(10.0, 2) == pytest.approx(16.0, rel=1e-14)
         assert relay_constant_c(1.0, 4) == pytest.approx(1.0 + 25.0 / 12.0, rel=1e-13)
+
+    @pytest.mark.parametrize("mu1", (0.25, 100.0, 7.5e3))
+    def test_relay_constant_exact_up_to_max_relays(self, mu1):
+        # the alternating binomial sum lost 2.4e-7 at N = 40 and went
+        # negative at N = 64
+        h_n = Fraction(0)
+        for n in range(1, MAX_RELAYS + 1):
+            h_n += Fraction(1, n)
+            want = 1 + Fraction(mu1) * h_n
+            got = relay_constant_c(mu1, n)
+            assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 14) * want, n
 
     def test_relay_constant_is_one_plus_mean(self):
         mu1, n = 3.0, 5

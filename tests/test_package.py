@@ -1,13 +1,17 @@
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import rfuowc
 
+MODULES = [info.name for info in pkgutil.iter_modules(rfuowc.__path__)
+           if hasattr(importlib.import_module(f"rfuowc.{info.name}"), "__all__")]
 
-@pytest.mark.parametrize("name", ("specfun", "mc"))
+
+@pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_resolves(name):
     module = importlib.import_module(f"rfuowc.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
-    WATER_PRESETS, get_preset, rf_snr_cdf, uowc_snr_cdf
+    WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_snr_cdf, \
+    uowc_snr_cdf
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import (
     OutageQuery,
@@ -48,15 +49,27 @@ class TestEndToEndSnr:
 
 class TestSystemConfig:
     def test_budget_reproducible(self):
+        # uowc_scale = mu1: C = 1 + mu1 H_N and rho = mu1 E[I^2] / E[I]^2
         cfg = grid_cfg()
-        assert cfg.budget_residual() <= 1e-12
+        egg = get_preset("salty/4.7").egg
+        mean_i, mean_i2 = egg_moment(1, egg, WEAK), egg_moment(2, egg, WEAK)
+        assert cfg.budget.c_const == pytest.approx(1.0 + 100.0 * 11.0 / 6.0, rel=1e-15)
+        assert cfg.budget.rho == pytest.approx(100.0 * mean_i2 / mean_i ** 2, rel=1e-14)
 
     def test_physical_budget_reproducible(self):
         rf = RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
                           height_l=20.0, n_relays=4)
         uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
-        cfg = SystemConfig.from_params(rf, uowc, get_preset("fresh/7.1").egg, WEAK)
-        assert cfg.budget_residual() <= 1e-12
+        cfg = SystemConfig(rf, uowc, get_preset("fresh/7.1").egg, WEAK)
+        g1 = 1e-3 / (100.0 ** 2 + 20.0 ** 2)
+        assert cfg.budget.g1 == pytest.approx(g1, rel=1e-15)
+        assert cfg.budget.mu1 == pytest.approx(0.1 * g1 / 1e-12, rel=1e-15)
+        assert cfg.budget.c_const == relay_constant_c(cfg.budget.mu1, 4)
+
+    def test_budget_is_not_a_constructor_argument(self):
+        cfg = grid_cfg()
+        with pytest.raises(TypeError):
+            SystemConfig(cfg.rf, cfg.uowc, cfg.egg, cfg.pointing, budget=cfg.budget)
 
     def test_direct_snr_pins_mu_values(self):
         cfg = SystemConfig.from_direct_snr(mu1=250.0, n_relays=2,
@@ -78,7 +91,7 @@ class TestSystemConfig:
         cfg = grid_cfg("salty/16.5")
         flo = cfg.floored()
         assert flo.egg.c == 82.0
-        assert flo.budget_residual() <= 1e-12
+        assert flo.budget.mean_i == egg_moment(1, flo.egg, flo.pointing)
         assert flo.budget.rho != cfg.budget.rho
 
     def test_query_validation(self):
