@@ -8,9 +8,10 @@ argument, at most two upper parameters, and either up to a few hundred
 lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
 H-function).  Within that family the function is evaluated by a residue
 (Slater-type) series over the right pole ladders, computed entirely in log
-space with sign tracking.  When the series is ill-conditioned (heavy
-alternating cancellation) or two of its poles coincide, evaluation switches
-to direct quadrature of the defining Mellin-Barnes contour integral, which
+space with sign tracking; where poles coincide, their residues are
+polynomials in ln z (the logarithmic case).  When the series is
+ill-conditioned (heavy alternating cancellation), evaluation switches to
+direct quadrature of the defining Mellin-Barnes contour integral, which
 is also exposed on its own as an independent cross-check oracle.  There is
 no third path: where the contour cannot reach the tolerance either (the far
 exponential tail), evaluation raises NonConvergenceError.
@@ -283,6 +284,38 @@ def ln_abs_gamma_signed(x):
     return logabs.reshape(shape), sign.reshape(shape)
 
 
+def _psi01(x):
+    """(psi(x), psi'(x)) for a float array x of non-poles.
+
+    psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) + 1/x^2 lift x to
+    12, where the derivatives of Stirling's series take over (DLMF 5.11.2,
+    5.15.8); x < 0 is reflected first (DLMF 5.5.4, 5.15.6).
+    """
+    neg = x < 0.0
+    w = np.where(neg, 1.0 - x, x)
+    psi, tri = np.zeros_like(w), np.zeros_like(w)
+    low = w < _STIRLING_MIN
+    while low.any():
+        inv = np.where(low, 1.0 / w, 0.0)
+        psi -= inv
+        tri += inv * inv
+        w = w + low
+        low = w < _STIRLING_MIN
+    r2 = 1.0 / (w * w)
+    s1 = s2 = 0.0
+    # _STIRLING[k - 1] = B_2k / (2k (2k - 1))
+    for k in range(len(_STIRLING), 0, -1):
+        s1 = s1 * r2 + (2 * k - 1) * _STIRLING[k - 1]
+        s2 = s2 * r2 + 2 * k * (2 * k - 1) * _STIRLING[k - 1]
+    psi += np.log(w) - 0.5 / w - s1 * r2
+    tri += (1.0 + 0.5 / w + s2 * r2) / w
+    if neg.any():
+        t = np.pi * (x[neg] - np.round(x[neg]))
+        psi[neg] -= np.pi / np.tan(t)
+        tri[neg] = (np.pi / np.sin(t)) ** 2 - tri[neg]
+    return psi, tri
+
+
 # ---------------------------------------------------------------------------
 # incomplete gamma
 # ---------------------------------------------------------------------------
@@ -472,80 +505,94 @@ class MellinBarnesResult:
     err_est: float
 
 
-# distance from an integer below which two poles count as one
-_MEET_TOL = 5e-8
-
-
-def _nearest_int_dist(x):
-    return abs(x - round(x))
-
-
-def _ladders_meet(spec: MeijerGSpec) -> bool:
-    """Whether two residue poles coincide, so that a pole is not simple.
-
-    Ladder j has poles at (b_j + k) / B_j, so ladders i and j collide when
-    (B_i b_j - B_j b_i) / gcd(B_i, B_j) is an integer (for unit scales: b_j
-    and b_i differ by an integer); a numerator gamma of the series hits a
-    pole when a[:n] exceeds some b[:m] by a positive integer.
-    """
-    a, b, B = spec.a, spec.b, spec.scales
-    for j in range(1, spec.m):
-        for i in range(j):
-            gap = (B[i] * b[j] - B[j] * b[i]) / math.gcd(B[i], B[j])
-            if _nearest_int_dist(gap) < _MEET_TOL:
-                return True
-    return any(d > 0.5 and _nearest_int_dist(d) < _MEET_TOL
-               for d in (a[l] - b[h] for l in range(spec.n) for h in range(spec.m)))
-
-
 class _SeriesTable:
     """z-independent residue-series coefficients for one (spec, kmax).
 
-    Ladder h has poles at s = (b_h + k) / B_h with residue factor 1 / B_h,
-    and runs B_h * kmax terms, so that every ladder spans the same range of s.
+    Ladder h has poles at s = (b_h + k) / B_h and runs B_h * kmax terms, so
+    that every ladder spans the same range of s.  Where the poles of several
+    kernel factors coincide, the pole has order r = (numerator gammas at a
+    pole) - (denominator gammas at a pole), is kept on the first ladder that
+    holds it, and r <= 0 nulls it.  Its residue is c z^s P(ln z), P the
+    e^(r-1) coefficient of e^r K(s + e) z^e / c in powers of ln z: the
+    columns of poly (polyabs: the moduli summed into each), by power series
+    in e (Luke, The Special Functions and Their Approximations, vol. 1, 5.2).
     """
 
-    __slots__ = ("s", "logc", "sign", "logsize", "tail_idx", "degenerate")
+    __slots__ = ("s", "logc", "sign", "logsize", "poly", "polyabs", "tail_idx",
+                 "degenerate")
 
     def __init__(self, m, n, a, b, kmax, scales=None):
-        q = len(b)
-        p = len(a)
         B = scales or (1,) * m
+        # the kernel as factors Gamma(alpha + beta s) ** power
+        factors = ([(b[j], -B[j], 1) for j in range(m)]
+                   + [(1.0 - a[l], 1, 1) for l in range(n)]
+                   + [(1.0 - b[j], 1, -1) for j in range(m, len(b))]
+                   + [(a[l], -1, -1) for l in range(n, len(a))])
         ladders = []
-        num_pole = False
+        self.degenerate = False
         for h in range(m):
             k = np.arange(B[h] * kmax, dtype=float)
             s = (b[h] + k) / B[h]
-            logc = -_lgamma_pos(k + 1.0) - math.log(B[h])
-            sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
-            logsize = np.abs(logc)
-            for x in ([b[j] - B[j] * s for j in range(m) if j != h]
-                      + [1.0 - a[l] + s for l in range(n)]):
-                la, sg = ln_abs_gamma_signed(x)
-                num_pole = num_pole or bool(np.any(sg == 0.0))
-                logc = logc + la
+            # the contour runs clockwise round the right poles
+            logc, sign = np.zeros_like(s), -np.ones_like(s)
+            logsize, order = np.zeros_like(s), np.zeros_like(s)
+            keep = np.ones(s.shape, dtype=bool)
+            expansions = []
+            for f in [h] + [f for f in range(len(factors)) if f != h]:
+                alpha, beta, power = factors[f]
+                # the factor's poles meet the ladder's exactly when this gap
+                # is an integer, up to the rounding of its two products
+                gap = B[h] * alpha + beta * b[h]
+                meet = abs(gap - round(gap)) <= 8.0 * _EPS * (
+                    1.0 + abs(B[h] * alpha) + abs(beta * b[h]))
+                x = (round(gap) + beta * k) / B[h] if meet else alpha + beta * s
+                pole = meet & (x <= 0.0) & (x == np.floor(x))
+                # Gamma(-n + beta e) = (-1)^n / (n! beta e) (1 + O(e))
+                la, sg = ln_abs_gamma_signed(np.where(pole, 1.0 - x, x))
+                la = np.where(pole, -la - math.log(abs(beta)), la)
+                sg = np.where(pole, np.where(np.mod(x, 2.0) == 0.0, 1.0, -1.0)
+                              * math.copysign(1.0, beta), sg)
+                logc = logc + power * la
                 sign = sign * sg
                 logsize = logsize + np.abs(la)
-            for x in ([1.0 - b[j] + s for j in range(m, q)]
-                      + [a[l] - s for l in range(n, p)]):
-                la, sg = ln_abs_gamma_signed(x)
-                logc = logc - la
-                sign = sign * sg
-                logsize = logsize + np.abs(np.where(np.isfinite(la), la, 0.0))
-            ladders.append((s, logc, sign, logsize))
-        self.s = np.concatenate([t[0] for t in ladders])
-        self.logc = np.concatenate([t[1] for t in ladders])
-        self.sign = np.concatenate([t[2] for t in ladders])
-        self.logsize = np.concatenate([t[3] for t in ladders])
+                order = order + power * pole
+                if f < h:  # the pole is the lower ladder's if it runs that far
+                    keep &= ~(pole & (-x < B[f] * kmax))
+                if m <= f < m + n and pole.any():
+                    # a left pole on a right one: no contour separates them
+                    self.degenerate = True
+                expansions.append((x, pole, beta * power, beta * beta * power))
+            order = np.where(keep, order, 0.0)
+            logc = np.where(order > 0.0, logc, -np.inf)
+            poly = np.tile([1.0, 0.0, 0.0], (s.size, 1))
+            polyabs = poly.copy()
+            multi = order >= 2.0
+            if multi.any():
+                # log of the regular part: sum of beta psi(x) e
+                # + beta^2 psi'(x) e^2 / 2, where at a pole x = -n
+                # psi(n + 1) e and (pi^2 / 3 - psi'(n + 1)) e^2 / 2 replace them
+                d1 = d1abs = d2 = d2abs = 0.0
+                for x, pole, c1, c2 in expansions:
+                    xm, pm = x[multi], pole[multi]
+                    psi, tri = _psi01(np.where(pm, 1.0 - xm, xm))
+                    t1 = c1 * psi
+                    t2 = 0.5 * c2 * np.where(pm, np.pi ** 2 / 3.0 - tri, tri)
+                    d1, d1abs = d1 + t1, d1abs + np.abs(t1)
+                    d2, d2abs = d2 + t2, d2abs + np.abs(t2)
+                # e^(r-1) coefficient of exp((d1 + ln z) e + d2 e^2)
+                r3 = order[multi] == 3.0
+                for cols, u1, u2 in ((poly, d1, d2), (polyabs, d1abs, d2abs)):
+                    cols[multi] = np.column_stack([np.where(r3, 0.5 * u1 * u1 + u2, u1),
+                                                   np.where(r3, u1, 1.0), 0.5 * r3])
+            # beyond order 3 the expansion would need higher polygammas
+            self.degenerate = self.degenerate or bool(np.any(order > 3.0))
+            ladders.append((s, logc, sign, logsize, order, poly, polyabs))
+        self.s, self.logc, self.sign, self.logsize, order, poly, polyabs = (
+            np.concatenate(col) for col in zip(*ladders))
+        r = int(order.max(initial=1.0))
+        self.poly, self.polyabs = poly[:, :r], polyabs[:, :r]
         # index of the last k of each ladder, for truncation checks
         self.tail_idx = np.cumsum([B[h] * kmax for h in range(m)]) - 1
-        # a numerator pole means two ladders meet: the pole is not simple
-        self.degenerate = num_pole
-        # denominator poles null the term (numerator ones too, but a
-        # degenerate table is never summed)
-        zero = self.sign == 0.0
-        if zero.any():
-            self.logc = np.where(zero, -np.inf, self.logc)
 
 
 @functools.lru_cache(maxsize=512)
@@ -564,17 +611,22 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
         return 0.0, -np.inf, 0.0, True
     if not np.isfinite(L):  # a NaN or +inf term: no estimate at all
         return 0.0, -np.inf, np.inf, True
-    vals = tab.sign * np.exp(ll - L)
+    powers = ln_z ** np.arange(tab.poly.shape[1])
+    poly = tab.poly @ powers
+    polyabs = tab.polyabs @ np.abs(powers)
+    w = np.exp(ll - L)
+    vals = tab.sign * w * poly
     total = math.fsum(vals.tolist())
     sum_abs = float(np.sum(np.abs(vals)))
-    tail_max = float(np.max(ll[tab.tail_idx]))
+    tail_max = float(np.max(ll[tab.tail_idx] + np.log(polyabs[tab.tail_idx])))
     tail_ok = tail_max < L - 42.0
     if total == 0.0:
         return 0.0, -np.inf, np.inf, tail_ok
     cancel = sum_abs / abs(total)
     # rounding carried by each term is ~eps * (sum of |log factors|),
-    # including the argument power
-    wlog = float(np.sum((tab.logsize + np.abs(tab.s * ln_z)) * np.abs(vals)))
+    # including the argument power, plus the cancellation inside P(ln z)
+    wlog = float(np.sum((tab.logsize + np.abs(tab.s * ln_z)) * np.abs(vals)
+                        + w * (polyabs - np.abs(poly))))
     wlog /= abs(total)
     rel_err = _EPS * (wlog + 8.0 * cancel)
     if not tail_ok:
@@ -594,15 +646,14 @@ def _series_attempt(spec, ln_z):
     Returns (sign, log_abs, rel_err) or None when the series cannot reach
     REL_TOL.
     """
-    if _ladders_meet(spec):
-        return None
     # alternating-term cancellation grows like exp(d * z^(1/d)); skip the
     # series outright when that alone would eat the tolerance
     d, ln_zr = spec.reduced(ln_z)
     loss = d * math.exp(min(ln_zr / d, 30.0))
     if loss > -0.8 * math.log(REL_TOL):
         return None
-    kmax = min(_MAX_TERMS, max(48, _kmax_guess(spec, ln_z)))
+    # whole multiples of 16, so that calls at nearby arguments share a table
+    kmax = min(_MAX_TERMS, 16 * -(-max(48, _kmax_guess(spec, ln_z)) // 16))
     while True:
         tab = _series_table(spec.m, spec.n, spec.a, spec.b, kmax, spec.scales)
         if tab.degenerate:
@@ -622,7 +673,8 @@ def _series_attempt(spec, ln_z):
 
 
 def _mb_log_kernel(spec: MeijerGSpec, s):
-    """log of the Mellin kernel at complex s (array).
+    """(log of the Mellin kernel, a bound on its rounding / eps) at complex s
+    (array).
 
     A numerator Gamma(b_j - s) over a denominator Gamma(b_j + 1 - s) is
     written as the pair's exact ratio 1 / (b_j - s): one log in place of two
@@ -632,17 +684,21 @@ def _mb_log_kernel(spec: MeijerGSpec, s):
     for l in range(n, spec.p):
         pair[l] = next((j for j in range(m) if B[j] == 1 and j not in pair.values()
                         and abs(a[l] - 1.0 - b[j]) <= 4.0 * _EPS * abs(a[l])), None)
-    out = np.zeros_like(s, dtype=complex)
-    for j in range(m):
-        if j not in pair.values():
-            out += ln_gamma_complex(b[j] - B[j] * s)
-    for l in range(n):
-        out += ln_gamma_complex(1.0 - a[l] + s)
-    for j in range(m, spec.q):
-        out -= ln_gamma_complex(1.0 - b[j] + s)
-    for l, j in pair.items():
-        out -= ln_gamma_complex(a[l] - s) if j is None else np.log(b[j] - s)
-    return out
+    # (sign, argument, whether the log is of a gamma or of the argument)
+    terms = ([(1.0, b[j] - B[j] * s, True) for j in range(m) if j not in pair.values()]
+             + [(1.0, 1.0 - a[l] + s, True) for l in range(n)]
+             + [(-1.0, 1.0 - b[j] + s, True) for j in range(m, spec.q)]
+             + [(-1.0, a[l] - s, True) if j is None else (-1.0, b[j] - s, False)
+                for l, j in pair.items()])
+    out, size = np.zeros_like(s, dtype=complex), np.zeros(s.shape)
+    for sign, x, gamma in terms:
+        lg = ln_gamma_complex(x) if gamma else np.log(x)
+        out += sign * lg
+        # ln_gamma_complex adds up at most r logs of modulus below about
+        # ln r + pi, and Stirling's (x - 1/2) ln x - x, about as large again
+        r = np.abs(x) + 13.0
+        size += 3.0 * r * (np.log(r) + np.pi) if gamma else np.abs(lg)
+    return out, size
 
 
 def _mb_decay_rate(spec: MeijerGSpec):
@@ -676,7 +732,7 @@ def _mb_sigma(spec: MeijerGSpec, ln_z: float):
         cand = np.concatenate([
             hi - np.geomspace(margin_hi, min(span, width + margin_hi), 200),
             lo + np.geomspace(margin_lo, width + margin_lo, 100)])
-    phi = np.real(_mb_log_kernel(spec, cand.astype(complex))) + cand * ln_z
+    phi = np.real(_mb_log_kernel(spec, cand.astype(complex))[0]) + cand * ln_z
     return float(cand[np.argmin(phi)])
 
 
@@ -684,28 +740,30 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
     """Trapezoid quadrature of the contour integral along Re(s)=sigma.
 
     Returns (sign, log_abs, rel_err_est).  The error estimate combines node
-    doubling with the conditioning of the oscillatory sum.
+    doubling with the conditioning of the oscillatory sum and the rounding
+    of each node's log-integrand.
     """
     kappa = _mb_decay_rate(spec)
     if kappa <= 0.0:
         raise ContourError("contour integrand does not decay for this instance")
     sigma = _mb_sigma(spec, ln_z)
-    scale = float(np.real(_mb_log_kernel(spec, np.array([sigma + 0j])))[0]
+    scale = float(np.real(_mb_log_kernel(spec, np.array([sigma + 0j]))[0])[0]
                   + sigma * ln_z)
 
     def integrand(t):
+        """Integrand values and the size of their logs' rounding / eps."""
         s = sigma + 1j * t
-        lg = _mb_log_kernel(spec, s) + s * ln_z - scale
-        return np.exp(lg)
+        lg, size = _mb_log_kernel(spec, s)
+        return np.exp(lg + s * ln_z - scale), size + np.abs(s * ln_z) + abs(scale)
 
     # truncation: kernel decays like exp(-kappa * t) with algebraic factors;
     # a scaled Gamma(b - B s) counts as the B unit-scale factors its Gauss
     # multiplication splits into, whose b add up to b + (B - 1) / 2
     excess = sum(spec.b) + sum(B - 1 for B in spec.scales) / 2.0 - sum(spec.a)
     T = (55.0 + 0.5 * abs(excess)) / kappa + 2.0
-    f0 = integrand(np.array([0.0]))[0].real
+    f0 = integrand(np.array([0.0]))[0][0].real
     while True:
-        ftail = np.abs(integrand(np.array([T, 1.25 * T])))
+        ftail = np.abs(integrand(np.array([T, 1.25 * T]))[0])
         if max(ftail) < 1e-20 * max(1.0, abs(f0)) or T > 1e7:
             break
         T *= 1.6
@@ -718,7 +776,7 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
     # _CONTOUR_POINTS, where the loop returns
     while True:
         t = np.linspace(0.0, T, nodes + 1)
-        f = integrand(t)
+        f, size = integrand(t)
         h = T / nodes
         ssum = 0.5 * f[0].real + float(np.sum(f[1:].real))
         absum = 0.5 * abs(f[0].real) + float(np.sum(np.abs(f[1:].real)))
@@ -726,7 +784,9 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
         if prev is not None:
             diff = abs(val - prev)
             cond = (prev_absum + absum) / max(abs(val), 1e-300)
-            rel = diff / max(abs(val), 1e-300) + _EPS * cond
+            wlog = 0.5 * abs(f[0]) * size[0] + float(np.sum(np.abs(f[1:]) * size[1:]))
+            wlog *= h / math.pi / max(abs(val), 1e-300)
+            rel = diff / max(abs(val), 1e-300) + _EPS * (cond + wlog)
             if diff <= 0.25 * REL_TOL * abs(val) or nodes >= _CONTOUR_POINTS:
                 if abs(val) == 0.0:
                     return 0.0, -np.inf, rel
@@ -746,9 +806,9 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 def meijer_g_log(spec: MeijerGSpec, ln_z: float):
     """(sign, log|G|) at argument exp(ln_z), to relative tolerance REL_TOL.
 
-    Residue series first; contour quadrature when the series is cancellation
-    limited or its ladders meet.  Raises NonConvergenceError when the contour
-    cannot reach the tolerance either, as in the far exponential tail.
+    Residue series first, coincident poles included; contour quadrature when
+    the series is cancellation limited.  Raises NonConvergenceError when the
+    contour cannot reach the tolerance either, as in the far exponential tail.
     """
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
@@ -777,7 +837,7 @@ def meijer_g_mellin_barnes(spec: MeijerGSpec, z: float) -> MellinBarnesResult:
     """Independent contour-quadrature evaluation of G at real z > 0.
 
     Cross-check oracle for meijer_g; never preferred on the hot path.
-    The error estimate comes from node-count doubling.
+    The error estimate counts node doubling and the rounding of the sum.
     """
     if not (z > 0.0) or not math.isfinite(z):
         raise ValueError(f"argument must be positive and finite, got {z!r}")

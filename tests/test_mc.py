@@ -313,7 +313,7 @@ class TestDistribution:
 
     def test_chi_square_pdf_consistency(self):
         # histogram of samples vs integrated density, 1% level
-        from scipy.stats import chi2
+        chi2 = pytest.importorskip("scipy.stats").chi2
         cfg = grid_cfg("salty/7.1")
         n = 1_000_000
         g2 = sample_uowc_snr(chunk_stream(88, 0), cfg, n)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import kv
 
 import rfuowc.specfun as sf
 from rfuowc.specfun import (
@@ -94,6 +93,7 @@ class TestMeijerG:
             assert got == pytest.approx(math.exp(-z), rel=1e-10)
 
     def test_bessel_reduction(self):
+        kv = pytest.importorskip("scipy.special").kv
         assert meijer_g(SPEC_BESSEL, 1.0) == pytest.approx(0.2277877454990668, rel=1e-8)
         for z in np.geomspace(0.01, 30.0, 10):
             want = 2.0 * kv(0, 2.0 * math.sqrt(z))
@@ -108,12 +108,15 @@ class TestMeijerG:
         assert min(vals) >= 0.0
 
     def test_outage_kernel_matches_mpmath(self):
-        # the (1, 0) lower-parameter pair meets in double poles, so the
-        # contour answers, out to ln z = 11 (mpmath takes seconds beyond)
+        # the (1, 0) lower-parameter pair meets in double poles: the log-case
+        # series answers at small arguments, the contour where it cancels
+        # (mpmath takes seconds beyond ln z = 11)
         for ln_z in (-3.9, -0.36, 1.39, 10.6, 11.0):
             ref = _mpmath_g(SPEC_OUTAGE, math.exp(ln_z))
             got = meijer_g(SPEC_OUTAGE, math.exp(ln_z))
             assert abs(got - ref) <= 1e-10 * abs(ref), ln_z
+            if ln_z < 2.0:
+                assert sf._series_attempt(SPEC_OUTAGE, ln_z) is not None, ln_z
 
     def test_cdf_kernel_saturates(self):
         lo = meijer_g(SPEC_CDF, 1e-9)
@@ -161,6 +164,7 @@ class TestMellinBarnes:
         assert res.err_est < 1e-10
 
     def test_bessel(self):
+        kv = pytest.importorskip("scipy.special").kv
         res = meijer_g_mellin_barnes(SPEC_BESSEL, 0.25)
         assert res.value == pytest.approx(2.0 * kv(0, 1.0), rel=1e-10)
 
@@ -235,6 +239,13 @@ class TestCriterion5Draws:
         res = meijer_g_mellin_barnes(spec, z)
         assert abs(res.value - ref) <= res.err_est + 1e-10 * abs(ref)
 
+    @pytest.mark.parametrize("spec,z", CONTOUR_DRAWS + [CANCELLING_DRAW],
+                             ids=CONTOUR_IDS + ["draw71"])
+    def test_contour_estimate_bounds_its_error(self, spec, z):
+        ref = _mpmath_g(spec, z)
+        res = meijer_g_mellin_barnes(spec, z)
+        assert abs(res.value - ref) <= res.err_est
+
     def test_cancelling_series_matches_mpmath(self):
         spec, z = CANCELLING_DRAW
         ref = _mpmath_g(spec, z)
@@ -247,6 +258,20 @@ class TestCriterion5Draws:
         if got is not None:
             sign, logabs, rel_est = got
             assert abs(sign * math.exp(logabs) - ref) <= rel_est * abs(ref)
+
+
+def test_digamma_and_trigamma_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.geomspace(1e-3, 1e5, 120),
+                         -np.geomspace(1e-2, 60.0, 80) + 0.37])
+    xs = xs[np.abs(xs - np.round(xs)) > 1e-2]
+    psi, tri = sf._psi01(xs)
+    with mpmath.workdps(40):
+        for x, p, t in zip(xs, psi, tri):
+            ref_p = mpmath.digamma(mpmath.mpf(float(x)))
+            ref_t = mpmath.psi(1, mpmath.mpf(float(x)))
+            assert abs(p - ref_p) <= 4e-15 * (1 + abs(ref_p)), x
+            assert abs(t - ref_t) <= 4e-15 * abs(ref_t), x
 
 
 def test_lgamma_pos_absolute_accuracy_matches_libm():
@@ -356,11 +381,16 @@ class TestScaledLadders:
         assert checked >= 10
 
     def test_ladders_of_different_scales_meet_at_integer_xi2(self):
-        # Gamma(-c s) has a pole at s = xi2/c, where Gamma(xi2/c - s) has one
+        # Gamma(-c s) has a pole at s = xi2/c, where Gamma(xi2/c - s) has
+        # one: a double pole there, and nowhere else, since further up the
+        # denominator Gamma(xi2/c + 1 - s) cancels one of the two
         for xi2, meets in ((4.0, True), (1.0, True), (0.3695, False)):
-            spec = MeijerGSpec(m=3, n=0, a=(xi2 / 35 + 1.0,),
-                               b=(0.41, xi2 / 35, 0.0), scales=(1, 1, 35))
-            assert sf._ladders_meet(spec) is meets
+            tab = sf._SeriesTable(3, 0, (xi2 / 35 + 1.0,), (0.41, xi2 / 35, 0.0),
+                                  8, (1, 1, 35))
+            assert tab.poly.shape[1] == (2 if meets else 1)
+            if meets:
+                double = tab.s[(tab.poly[:, 1] != 0.0) & np.isfinite(tab.logc)]
+                np.testing.assert_array_equal(double, [xi2 / 35])
 
     def test_scale_validation(self):
         for scales in ((1, 2.5), (0, 1), (1,), (1, 2, 3)):
@@ -376,10 +406,75 @@ class TestScaledLadders:
 
 
 def test_numerator_pole_marks_the_table_degenerate():
-    # ladders 0 + k and 1 + k meet: every term but k = 0 of the first
-    # ladder sits on a pole of the other ladder's gamma
-    tab = sf._SeriesTable(2, 0, (), (0.0, 1.0), 8)
+    # a - b = 1: the left poles of Gamma(1 - a + s) fall on the right
+    # ladder's, and no contour separates the two families
+    tab = sf._SeriesTable(1, 1, (1.5,), (0.5, 0.0), 8)
     assert tab.degenerate
+
+
+def test_coincident_ladders_give_bessel_k1():
+    # ladders 0 + k and 1 + k meet in double poles at s = 1, 2, ...:
+    # G^{2,0}_{0,2}(z | 0, 1) = 2 sqrt(z) K_1(2 sqrt(z)); the terms cancel
+    # by up to ~1e5 at z = 10, which the estimate must count
+    mpmath = pytest.importorskip("mpmath")
+    spec = MeijerGSpec(m=2, n=0, a=(), b=(0.0, 1.0))
+    for ln_z in np.linspace(-6.0, 2.3, 12):
+        with mpmath.workdps(40):
+            x = 2 * mpmath.sqrt(mpmath.exp(mpmath.mpf(ln_z)))
+            ref = x * mpmath.besselk(1, x)
+        got = sf._series_attempt(spec, ln_z)
+        assert got is not None, ln_z
+        real = float(abs(got[0] * mpmath.exp(got[1]) / ref - 1))
+        assert real <= got[2] <= REL_TOL, ln_z
+        if ln_z <= 0.0:
+            assert real <= 1e-12, ln_z
+
+
+@pytest.mark.parametrize("xi", (0.6079, 1.0, 2.0, 6.7))
+def test_exponential_factor_matches_mpmath(xi):
+    # the closed form's G^{3,0}_{1,3}(z | xi^2 + 1; 1, xi^2, 0): double poles
+    # at s = 1, 2, ..., and a triple one at s = xi^2 when xi^2 is an integer
+    mpmath = pytest.importorskip("mpmath")
+    xi2 = xi * xi
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    served = 0
+    for ln_z in np.linspace(-6.0, 2.3, 23):
+        ref = _mpmath_g(spec, math.exp(ln_z))
+        got = sf._series_attempt(spec, ln_z)
+        rel_err = 0.0
+        if got is not None:
+            served += 1
+            rel_err = got[2]
+            real = abs(got[0] * math.exp(got[1]) / ref - 1.0)
+            assert real <= rel_err, ln_z
+        # beyond z ~ 3 the terms cancel by 1e2 to 1e3, and the series is
+        # then held to its own estimate
+        tol = max(1e-12, rel_err)
+        assert abs(meijer_g(spec, math.exp(ln_z)) / ref - 1.0) <= tol, ln_z
+    assert served >= 20
+    if xi == 2.0:
+        tab = sf._series_table(3, 0, spec.a, spec.b, 48, spec.scales)
+        assert tab.poly.shape[1] == 3
+
+
+@pytest.mark.parametrize("xi2", (1.0, 4.0))
+def test_integer_xi2_folded_factor_is_served_by_the_series(xi2):
+    # G^{c+2,0}_{1,c+2} folded to Gamma(a - s) Gamma(x - s) Gamma(-c s) /
+    # Gamma(x + 1 - s), x = xi2 / c: a double pole at s = x.  The reference
+    # is the simple-pole residue sum with x moved by +-1e-20, averaged
+    mpmath = pytest.importorskip("mpmath")
+    c, x = 35, xi2 / 35
+    spec = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(0.5307, x, 0.0), scales=(1, 1, c))
+    for ln_z in (-100.0, 0.0, 30.0):
+        got = sf._series_attempt(spec, ln_z)
+        assert got is not None, ln_z
+        with mpmath.workdps(60):
+            delta = mpmath.mpf("1e-20")
+            ref = (_mpmath_residue_sum(spec, ln_z, shift=delta)
+                   + _mpmath_residue_sum(spec, ln_z, shift=-delta)) / 2
+            real = float(abs(got[0] * mpmath.exp(got[1]) / ref - 1))
+        assert real <= got[2], ln_z
+        assert real <= 1e-12, ln_z
 
 
 def test_series_eval_reports_a_non_finite_peak_as_unknown():
@@ -402,21 +497,26 @@ ESTIMATE_POINTS = (("salty/16.5", 1000.0, 0), ("salty/16.5", 316.22776601683796,
                    ("fresh/7.1", 316.22776601683796, 0))
 
 
-def _mpmath_residue_sum(spec, ln_z, kmax=60):
-    """The H-function's residue series summed at 60 digits (simple poles)."""
+def _mpmath_residue_sum(spec, ln_z, kmax=60, shift=0):
+    """The H-function's residue series summed at 60 digits (simple poles),
+    with b[1] and a[0] moved by shift."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         z = mpmath.exp(mpmath.mpf(ln_z))
+        b = [mpmath.mpf(v) for v in spec.b]
+        a = [mpmath.mpf(v) for v in spec.a]
+        b[1] += shift
+        a[0] += shift
         total = 0
         for h, Bh in enumerate(spec.scales):
             for k in range(Bh * kmax):
-                s = (mpmath.mpf(spec.b[h]) + k) / Bh
+                s = (b[h] + k) / Bh
                 term = (-1) ** k / (mpmath.factorial(k) * Bh) * z ** s
                 for j, Bj in enumerate(spec.scales):
                     if j != h:
-                        term *= mpmath.gamma(mpmath.mpf(spec.b[j]) - Bj * s)
-                for a in spec.a:
-                    term *= mpmath.rgamma(mpmath.mpf(a) - s)
+                        term *= mpmath.gamma(b[j] - Bj * s)
+                for av in a:
+                    term *= mpmath.rgamma(av - s)
                 total += term
         return total
 
