@@ -3,11 +3,14 @@
 Sampling works from first principles (order statistics of exponentials,
 mixture turbulence, misalignment power transform) so estimates are fully
 independent of the analytic machinery.  The best of N relays costs one uniform
-(inverse CDF), and each sample draws only the turbulence branch it uses.
+(inverse CDF).  The turbulence takes its exponential-branch count from one
+binomial draw and builds every generalized-gamma variate from a shape-boosted
+gamma, Gamma(a) = Gamma(a + 1) * U^(1/a), in log space.
 Streams are counter-based: chunk i of a run is generated by Philox keyed with
-(seed, i).  Chunks run on a thread pool and are combined in chunk order, so
-results depend only on (seed, n_samples, chunk_size), never on thread count.
-"""
+(seed, i), in consecutive blocks of 2^14 samples whose temporaries stay in
+cache (whole 2^18-sample chunks page-faulted their buffers in on every call).
+Chunks run on a thread pool and are combined in chunk order, so results
+depend only on (seed, n_samples, chunk_size), never on thread count."""
 
 from __future__ import annotations
 
@@ -33,8 +36,9 @@ __all__ = [
     "mc_moments",
 ]
 
-# below this gamma shape the variate is built in log space to dodge underflow
-_SMALL_SHAPE = 0.1
+# samples drawn at once inside a chunk: a block's temporaries stay in cache
+# and are reused instead of being returned to the OS and faulted in again
+_BLOCK = 1 << 14
 # largest double below one: U^(1/N) rounds up to 1.0 for U within N ulp of 1
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
@@ -89,23 +93,22 @@ def sample_rf_best_snr(stream: Generator, mu1: float, n_relays: int, size=None):
 
 def sample_egg_irradiance(stream: Generator, egg: EggParams, size=None):
     """Turbulence irradiance: exponential branch with probability w, else a
-    power-transformed gamma variate (generalized gamma).  Only the branch each
-    sample picks is drawn."""
-    pick_exp = np.asarray(stream.random(size=size) < egg.w)
-    n_exp = int(np.count_nonzero(pick_exp))
-    n_gg = pick_exp.size - n_exp
-    out = np.empty(pick_exp.shape)
-    out[pick_exp] = egg.lam * stream.standard_exponential(size=n_exp)
-    if egg.a >= _SMALL_SHAPE:
-        out[~pick_exp] = egg.b * stream.standard_gamma(egg.a, size=n_gg) ** (1.0 / egg.c)
-    else:
-        # boost the shape by one and fold the U^(1/a) factor in log space;
-        # a plain gamma draw underflows to zero for tiny shapes
-        g = stream.standard_gamma(egg.a + 1.0, size=n_gg)
-        u = stream.random(size=n_gg)
-        ln_x = np.log(g) + np.log1p(-u) / egg.a
-        out[~pick_exp] = egg.b * np.exp(ln_x / egg.c)
-    return float(out) if size is None else out
+    power-transformed gamma variate (generalized gamma).
+
+    The exponential-branch count is one Binomial(size, w) draw, and the output
+    is grouped by branch: exponential draws first, then generalized gamma.  So
+    callers may take only order-free statistics of it (sums, counts, sorts),
+    or combine it elementwise with independent draws."""
+    n = 1 if size is None else size
+    n_exp = int(stream.binomial(n, egg.w))
+    out = np.empty(n)
+    out[:n_exp] = egg.lam * stream.standard_exponential(size=n_exp)
+    # Gamma(a) = Gamma(a + 1) * U^(1/a), folded in log space: a plain gamma
+    # draw underflows to zero for tiny shapes
+    g = stream.standard_gamma(egg.a + 1.0, size=n - n_exp)
+    ln_x = np.log(g) + np.log1p(-stream.random(size=n - n_exp)) / egg.a
+    out[n_exp:] = egg.b * np.exp(ln_x / egg.c)
+    return float(out[0]) if size is None else out
 
 
 def sample_pointing(stream: Generator, pointing: PointingParams, size=None):
@@ -120,6 +123,11 @@ def sample_uowc_snr(stream: Generator, cfg: SystemConfig, size=None):
     it = sample_egg_irradiance(stream, cfg.egg, size)
     ip = sample_pointing(stream, cfg.pointing, size)
     return cfg.budget.rho * it * ip
+
+
+def _blocks(size: int):
+    """Sizes of the consecutive blocks one chunk of `size` samples is drawn in."""
+    return [min(_BLOCK, size - start) for start in range(0, size, _BLOCK)]
 
 
 def _map_chunks(fn, mc: McConfig) -> list:
@@ -153,9 +161,12 @@ def mc_outage(cfg: SystemConfig, q: OutageQuery, mc: McConfig,
     gth = q.gamma_th
 
     def hits(rng, size):
-        g1 = sample_rf_best_snr(rng, mu1, n_relays, size)
-        g2 = sample_uowc_snr(rng, sys_e, size)
-        return int(np.count_nonzero(g1 * (g2 / (g2 + c_const)) < gth))
+        count = 0
+        for n in _blocks(size):
+            g1 = sample_rf_best_snr(rng, mu1, n_relays, n)
+            g2 = sample_uowc_snr(rng, sys_e, n)
+            count += int(np.count_nonzero(g1 * (g2 / (g2 + c_const)) < gth))
+        return count
 
     n = mc.n_samples
     p = sum(_map_chunks(hits, mc)) / n
@@ -171,21 +182,23 @@ def mc_moments(orders, egg: EggParams, pointing: PointingParams,
     drawn = sorted({int(n) for n in orders if n != 0})
 
     def power_sums(rng, size):
-        i = (sample_egg_irradiance(rng, egg, size)
-             * sample_pointing(rng, pointing, size))
-        # per-chunk numpy sums are deterministic; chunk subtotals are then
+        # per-block numpy sums are deterministic; block subtotals are then
         # combined exactly, so results do not depend on scheduling
-        sums = {}
-        for k in drawn:
-            ik = i ** k
-            sums[k] = (float(np.sum(ik)), float(np.sum(ik * ik)))
+        sums = []
+        for n in _blocks(size):
+            i = sample_egg_irradiance(rng, egg, n) * sample_pointing(rng, pointing, n)
+            block = {}
+            for k in drawn:
+                ik = i ** k
+                block[k] = (float(np.sum(ik)), float(np.sum(ik * ik)))
+            sums.append(block)
         return sums
 
-    chunks = _map_chunks(power_sums, mc) if drawn else []
+    blocks = [b for c in _map_chunks(power_sums, mc) for b in c] if drawn else []
     count = mc.n_samples
     est = {0: McEstimate(mean=1.0, std_err=0.0, n=count)}
     for k in drawn:
-        mean = math.fsum(c[k][0] for c in chunks) / count
-        var = max(math.fsum(c[k][1] for c in chunks) / count - mean * mean, 0.0)
+        mean = math.fsum(b[k][0] for b in blocks) / count
+        var = max(math.fsum(b[k][1] for b in blocks) / count - mean * mean, 0.0)
         est[k] = McEstimate(mean=mean, std_err=math.sqrt(var / count), n=count)
     return [est[int(n)] for n in orders]

@@ -783,7 +783,7 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
         val = ssum * h / math.pi
         if prev is not None:
             diff = abs(val - prev)
-            cond = (prev_absum + absum) / max(abs(val), 1e-300)
+            cond = (prev_absum + absum * h / math.pi) / max(abs(val), 1e-300)
             wlog = 0.5 * abs(f[0]) * size[0] + float(np.sum(np.abs(f[1:]) * size[1:]))
             wlog *= h / math.pi / max(abs(val), 1e-300)
             rel = diff / max(abs(val), 1e-300) + _EPS * (cond + wlog)

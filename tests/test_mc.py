@@ -5,6 +5,7 @@ import pytest
 
 from rfuowc.channels import EggParams, PointingParams, egg_moment, get_preset, \
     rf_snr_cdf, uowc_snr_cdf
+from rfuowc import mc as mc_module
 from rfuowc.mc import (
     McConfig,
     chunk_stream,
@@ -142,19 +143,23 @@ class TestSamplers:
         rng = chunk_stream(21, 0)
         assert isinstance(sample_rf_best_snr(rng, 1.0, 3), float)
         assert isinstance(sample_pointing(rng, WEAK), float)
-        for key in ("salty/4.7", "fresh/16.5"):  # gamma shape above and below 0.1
+        for key in ("salty/4.7", "fresh/16.5"):  # gamma shapes 0.53 and 0.0075
             assert isinstance(sample_egg_irradiance(rng, get_preset(key).egg), float)
 
     def test_tiny_shape_branch_moments(self):
         # per-branch draws keep the mixture: first two moments of the
-        # turbulence alone (no jitter, xi -> inf) at a = 0.0075
-        egg = get_preset("fresh/16.5").egg
+        # turbulence alone (no jitter, xi -> inf) at a = 0.0075, and at
+        # a = 0.53 and a = 1.25 (the one preset with a >= 1), which share the
+        # same boosted-gamma path
         no_jitter = PointingParams(a0=1.0, xi=1e6)
-        x = sample_egg_irradiance(chunk_stream(22, 0), egg, 1_000_000)
-        for order in (1, 2):
-            xk = x ** order
-            se = xk.std(ddof=1) / math.sqrt(x.size)
-            assert three_sigma(xk.mean(), se, egg_moment(order, egg, no_jitter))
+        for key in ("fresh/16.5", "salty/4.7", "fresh/4.7"):
+            egg = get_preset(key).egg
+            x = sample_egg_irradiance(chunk_stream(22, 0), egg, 1_000_000)
+            for order in (1, 2):
+                xk = x ** order
+                se = xk.std(ddof=1) / math.sqrt(x.size)
+                assert three_sigma(xk.mean(), se,
+                                   egg_moment(order, egg, no_jitter)), (key, order)
 
 
 class TestBestOfN:
@@ -218,42 +223,58 @@ class TestMoments:
         assert both == [mc_moments((k,), egg, WEAK, mc)[0] for k in (2, 0, 1)]
 
 
-class TestChunkPool:
-    """Chunks run on a thread pool; results must equal a plain serial loop."""
+def block_sizes(size):
+    """The blocks a chunk is drawn in, spelled out for the reference loops."""
+    return [min(mc_module._BLOCK, size - start)
+            for start in range(0, size, mc_module._BLOCK)]
 
-    # 300_000 / 65_536: four full chunks and a short one, an odd count
-    MC = McConfig(n_samples=300_000, seed=41, chunk_size=65_536)
+
+class TestChunkPool:
+    """Chunks run on a thread pool; results must equal a plain serial loop
+    that draws each chunk in the same blocks."""
+
+    # 300_000 / 65_536: four full chunks and a short one, an odd count, each a
+    # whole number of blocks; 300_000 / 77_777 (as `validation` uses): every
+    # chunk ends in a short block, and the last chunk is short too
+    CONFIGS = (McConfig(n_samples=300_000, seed=41, chunk_size=65_536),
+               McConfig(n_samples=300_000, seed=41, chunk_size=77_777))
 
     def test_outage_equals_serial_loop(self):
         cfg = grid_cfg("fresh/16.5")
         gth = 10.0
-        hits = 0
-        for idx, size in enumerate(self.MC.chunks()):
-            rng = chunk_stream(self.MC.seed, idx)
-            g1 = sample_rf_best_snr(rng, cfg.budget.mu1, cfg.rf.n_relays, size)
-            g2 = sample_uowc_snr(rng, cfg, size)
-            geq = g1 * (g2 / (g2 + cfg.budget.c_const))
-            hits += int(np.count_nonzero(geq < gth))
-        est = mc_outage(cfg, OutageQuery(gth), self.MC)
-        assert len(self.MC.chunks()) == 5
-        assert est.mean == hits / self.MC.n_samples
+        for mc in self.CONFIGS:
+            hits = 0
+            for idx, size in enumerate(mc.chunks()):
+                rng = chunk_stream(mc.seed, idx)
+                for n in block_sizes(size):
+                    g1 = sample_rf_best_snr(rng, cfg.budget.mu1, cfg.rf.n_relays, n)
+                    g2 = sample_uowc_snr(rng, cfg, n)
+                    geq = g1 * (g2 / (g2 + cfg.budget.c_const))
+                    hits += int(np.count_nonzero(geq < gth))
+            est = mc_outage(cfg, OutageQuery(gth), mc)
+            assert est.mean == hits / mc.n_samples, mc.chunk_size
+        assert [len(mc.chunks()) for mc in self.CONFIGS] == [5, 4]
+        assert 77_777 % mc_module._BLOCK != 0
 
     def test_moments_equal_serial_loop(self):
         egg = get_preset("salty/4.7").egg
-        sums = {1: ([], []), 2: ([], [])}
-        for idx, size in enumerate(self.MC.chunks()):
-            rng = chunk_stream(self.MC.seed, idx)
-            i = sample_egg_irradiance(rng, egg, size) * sample_pointing(rng, WEAK, size)
-            for k, (s1, s2) in sums.items():
-                ik = i ** k
-                s1.append(float(np.sum(ik)))
-                s2.append(float(np.sum(ik * ik)))
-        count = self.MC.n_samples
-        for k, est in zip((1, 2), mc_moments((1, 2), egg, WEAK, self.MC)):
-            mean = math.fsum(sums[k][0]) / count
-            var = max(math.fsum(sums[k][1]) / count - mean * mean, 0.0)
-            assert est.mean == mean
-            assert est.std_err == math.sqrt(var / count)
+        for mc in self.CONFIGS:
+            sums = {1: ([], []), 2: ([], [])}
+            for idx, size in enumerate(mc.chunks()):
+                rng = chunk_stream(mc.seed, idx)
+                for n in block_sizes(size):
+                    i = (sample_egg_irradiance(rng, egg, n)
+                         * sample_pointing(rng, WEAK, n))
+                    for k, (s1, s2) in sums.items():
+                        ik = i ** k
+                        s1.append(float(np.sum(ik)))
+                        s2.append(float(np.sum(ik * ik)))
+            count = mc.n_samples
+            for k, est in zip((1, 2), mc_moments((1, 2), egg, WEAK, mc)):
+                mean = math.fsum(sums[k][0]) / count
+                var = max(math.fsum(sums[k][1]) / count - mean * mean, 0.0)
+                assert est.mean == mean, mc.chunk_size
+                assert est.std_err == math.sqrt(var / count), mc.chunk_size
 
 
 class TestOutage:

@@ -246,6 +246,12 @@ class TestCriterion5Draws:
         res = meijer_g_mellin_barnes(spec, z)
         assert abs(res.value - ref) <= res.err_est
 
+    def test_contour_conditioning_is_scaled_by_the_step(self):
+        # both passes' absolute sums enter the conditioning scaled by h/pi;
+        # with the last pass's sum unscaled, draw 71's estimate read 1.2106e-13
+        spec, z = CANCELLING_DRAW
+        assert sf._mb_eval(spec, math.log(z))[2] < 1.19e-13
+
     def test_cancelling_series_matches_mpmath(self):
         spec, z = CANCELLING_DRAW
         ref = _mpmath_g(spec, z)
