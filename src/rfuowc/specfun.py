@@ -219,39 +219,31 @@ def _log_sin_complex(w):
 def ln_gamma_complex(z):
     """Principal-ish branch of log Gamma for complex z, vectorized.
 
-    Branch offsets of 2*pi*i are possible after reflection; callers that
-    exponentiate the result (as the contour quadrature does) are unaffected.
+    Stirling's series at w + n, n = ceil(12 - Re w) or 0, less the sum of
+    ln(w + k), k < n (their product could overflow at large |Im w|); w = 1 - z
+    by reflection below Re z = -20.  Branch offsets of 2*pi*i are possible
+    after reflection; callers that exponentiate the result (as the contour
+    quadrature does) are unaffected.
     """
-    w = np.array(z, dtype=complex, copy=True, ndmin=1)
-    out = np.empty_like(w)
-    refl = w.real < -20.0
+    x = np.array(z, dtype=complex, ndmin=1)
+    refl = x.real < -20.0
+    w = np.where(refl, 1.0 - x, x)
+    n = np.where(w.real < _STIRLING_MIN, np.ceil(_STIRLING_MIN - w.real), 0.0)
+    # the factor nearest zero is w + k at the k nearest -Re w
+    if np.any(np.abs(w + np.clip(np.round(-w.real), 0.0, n)) < 1e-12):
+        raise GammaDomainError("log-gamma evaluated at a pole")
+    steps = n.max(initial=0.0)
+    if steps > 100:
+        raise GammaDomainError("log-gamma shift did not terminate")
+    acc = np.zeros_like(w)
+    for k in range(int(steps)):
+        acc += np.log(np.where(k < n, w + k, 1.0))
+    out = _stirling_series(w + n) - acc
     if refl.any():
-        zr = w[refl]
-        out[refl] = _LOG_PI - _log_sin_complex(np.pi * zr) - _ln_gamma_c_shift(1.0 - zr)
-    rest = ~refl
-    if rest.any():
-        out[rest] = _ln_gamma_c_shift(w[rest])
+        out[refl] = _LOG_PI - _log_sin_complex(np.pi * x[refl]) - out[refl]
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(out[0])
     return out.reshape(np.asarray(z).shape)
-
-
-def _ln_gamma_c_shift(w):
-    w = np.array(w, dtype=complex, copy=True)
-    acc = np.zeros_like(w)
-    mask = w.real < _STIRLING_MIN
-    guard = 0
-    while mask.any():
-        bad = np.abs(w[mask]) < 1e-12
-        if bad.any():
-            raise GammaDomainError("log-gamma evaluated at a pole")
-        acc[mask] += np.log(w[mask])
-        w[mask] += 1.0
-        mask = w.real < _STIRLING_MIN
-        guard += 1
-        if guard > 100:
-            raise GammaDomainError("log-gamma shift did not terminate")
-    return _stirling_series(w) - acc
 
 
 def ln_abs_gamma_signed(x):
@@ -322,39 +314,44 @@ def _psi01(x):
 
 
 def _upper_cf(s, z):
-    """ln(z^-s Gamma(s, z)) by the Legendre continued fraction (modified Lentz)."""
-    out = np.full_like(z, -np.inf)
-    idx = np.nonzero(np.isfinite(z))[0]
-    s, z = s[idx], z[idx]
-    b = z + 1.0 - s
-    c = np.full_like(b, 1e300)
-    d = h = 1.0 / b
-    for i in range(1, 401):
-        an = -i * (i - s)
-        b = b + 2.0
+    """ln(z^-s Gamma(s, z)) by Legendre's fraction, bottom-up, two terms deeper
+    than forward (modified Lentz) needs at the smallest z, where it is slowest."""
+    b = float(z.min(initial=np.inf)) + 1.0 - s
+    c, d = 1e300, 1.0 / b
+    for depth in range(1, 401):
+        an = -depth * (depth - s)
+        b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
-        h = h * (c * d)
-        # stop at about one ulp: a tighter test may never fire
-        done = np.abs(c * d - 1.0) < 3e-16
-        if done.any():
-            out[idx[done]] = np.log(h[done]) - z[done]
-            idx, s, z, b, c, d, h = (v[~done] for v in (idx, s, z, b, c, d, h))
-        if idx.size == 0:
-            return out
-    raise NonConvergenceError("incomplete-gamma continued fraction did not converge")
+        # stop at about one ulp (a tighter test may never fire); d = 0 at z = inf
+        if abs(c * d - 1.0) < 3e-16 or d == 0.0:
+            break
+    else:
+        raise NonConvergenceError("incomplete-gamma continued fraction did not converge")
+    t = np.zeros_like(z)
+    for i in range(depth + 2, 0, -1):
+        t += z
+        t += 2 * i + 1.0 - s
+        np.divide(-i * (i - s), t, out=t)
+    return -np.log(t + z + (1.0 - s)) - z
 
 
 def _ln_lower_series(a, ln_z, lg_a):
-    """ln P(a, z) by its power series, given lg_a = ln Gamma(a)."""
+    """ln P(a, z), lg_a = ln Gamma(a): power series, as long as the largest z needs."""
     z = np.exp(ln_z)
-    term = total = np.ones_like(z)
-    for k in range(1, 401):
-        term = term * z / (a + k)
-        total = total + term
-        if np.all(term < 1e-17 * total):
-            return a * ln_z - z - lg_a - np.log(a) + np.log(total)
-    raise NonConvergenceError("incomplete-gamma power series did not converge")
+    z_hi, n, term, total = float(z.max(initial=0.0)), 0, 1.0, 1.0
+    while term >= 1e-17 * total:
+        if n == 400:
+            raise NonConvergenceError("incomplete-gamma power series did not converge")
+        n += 1
+        term = term * z_hi / (a + n)
+        total += term
+    total = np.ones_like(z)
+    for k in range(n, 0, -1):
+        total *= z
+        total /= a + k
+        total += 1.0
+    return a * ln_z - z - lg_a - math.log(a) + np.log(total)
 
 
 def _upper_small_z(s, ln_z):
@@ -366,75 +363,78 @@ def _upper_small_z(s, ln_z):
     It keeps the cancellation of Gamma(s0) against z^s0/s0 inside expm1 and
     never overflows; at s0 = 0 it is E1(z) = -gamma_E - ln z - S.  Then n
     steps of Gamma(s, z) = (Gamma(s+1, z) - z^s e^-z) / s (DLMF 8.8.2).
+    S takes the terms the largest z needs (at most 26 for z <= 1.5).
     """
-    n = np.maximum(0.0, np.ceil(-s - 0.5))
+    n = max(0, math.ceil(-s - 0.5))
     s0 = s + n
     z = np.exp(ln_z)
-    term = np.ones_like(z)
+    z_hi, term, terms = float(z.max(initial=0.0)), 1.0, 0
+    while abs(term) >= 1e-17:
+        terms += 1
+        term *= -z_hi / terms
     sigma = np.zeros_like(z)
-    for k in range(1, 40):  # z <= 1.5: the terms fall below 1e-17 by k = 26
-        term = term * (-z / k)
-        sigma += term / (s0 + k)
-        if np.max(np.abs(term), initial=0.0) < 1e-17:
-            break
+    for k in range(terms, 0, -1):  # Horner form
+        sigma += 1.0 / (s0 + k)
+        sigma *= z / -k
     # ln Gamma(1 + s0) = ln Gamma(2 + s0) - log1p(s0), from the Taylor series
     g = _LGAMMA2_TAYLOR[-1]
     for coef in _LGAMMA2_TAYLOR[-2::-1]:
         g = g * s0 + coef
-    g = g - np.where(s0 == 0.0, 1.0, np.log1p(s0) / np.where(s0 == 0.0, 1.0, s0))
+    g -= math.log1p(s0) / s0 if s0 else 1.0
     A = s0 * (g - ln_z)
     mag = np.maximum(np.abs(A), 1e-300)
     B = np.maximum(A, 0.0)
     ln_s = B + np.log(-np.expm1(-mag) / mag * (g - ln_z) - np.exp(-B) * sigma)
-    for j in range(1, int(n.max(initial=0.0)) + 1):
-        step = n >= j
-        t = np.exp(ln_z[step] + z[step] + ln_s[step])
-        ln_s[step] = np.log1p(-t) - z[step] - np.log(j - s0[step])
+    for j in range(1, n + 1):
+        ln_s = np.log1p(-np.exp(ln_z + z + ln_s)) - z - math.log(j - s0)
     return ln_s
 
 
 def _incomplete_args(s, ln_z):
-    """Broadcast shape, flat (s, ln_z, z) and the mask z > max(1.5, s + 1)."""
-    s, ln_z = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                  np.asarray(ln_z, dtype=float))
-    shape, s, ln_z = s.shape, s.ravel(), ln_z.ravel()
+    """Float shape, float arrays ln_z and z, and the mask z > max(1.5, s + 1)."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise GammaDomainError(f"incomplete gamma requires a finite shape, got {s!r}")
+    ln_z = np.asarray(ln_z, dtype=float)
+    if np.isnan(ln_z).any():
+        raise ValueError("incomplete gamma: ln_z contains NaN")
     with np.errstate(over="ignore"):
         z = np.exp(ln_z)
-    return shape, s, ln_z, z, z > np.maximum(1.5, s + 1.0)
+    return s, ln_z, z, z > max(1.5, s + 1.0)
 
 
 def ln_gamma_upper_scaled(s, ln_z):
-    """ln(z^-s Gamma(s, z)) for real s and z = exp(ln_z) > 0, vectorized.
+    """ln(z^-s Gamma(s, z)) for one real shape s and z = exp(ln_z) > 0.
 
     The power factor is taken out so that a caller multiplying by z^p adds
     p * ln_z to a log of moderate size instead of cancelling two large ones.
-    Legendre continued fraction above z = max(1.5, s + 1), below it
-    Gamma(s) (1 - P(s, z)) for s > 1/2, else _upper_small_z (Gil, Segura &
-    Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the
-    float range gives -inf.
+    Legendre continued fraction above z = max(1.5, s + 1), at the depth the
+    smallest z needs; below it Gamma(s) (1 - P(s, z)) for s > 1/2, else
+    _upper_small_z, series as long as the largest z needs (Gil, Segura &
+    Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the float
+    range gives -inf.  A non-finite s raises GammaDomainError, a NaN ln_z
+    ValueError.
     """
-    shape, s, ln_z, z, cf = _incomplete_args(s, ln_z)
+    s, ln_z, z, cf = _incomplete_args(s, ln_z)
     out = np.empty_like(z)
-    out[cf] = _upper_cf(s[cf], z[cf])
-    ser = ~cf & (s > 0.5)
-    sv, lz = s[ser], ln_z[ser]
-    lg = _lgamma_pos(sv)
-    out[ser] = lg + np.log1p(-np.exp(_ln_lower_series(sv, lz, lg))) - sv * lz
-    small = ~cf & ~ser
-    out[small] = _upper_small_z(s[small], ln_z[small])
-    return out.reshape(shape)
+    out[cf] = _upper_cf(s, z[cf])
+    lz = ln_z[~cf]
+    if s > 0.5:
+        lg = ln_gamma(s)
+        out[~cf] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) - s * lz
+    else:
+        out[~cf] = _upper_small_z(s, lz)
+    return out
 
 
 def gamma_p(a, ln_z):
-    """Regularized lower incomplete gamma P(a, z) for a > 0, z = exp(ln_z)."""
-    shape, a, ln_z, z, cf = _incomplete_args(a, ln_z)
-    if np.any(a <= 0.0):
-        raise GammaDomainError("gamma_p requires a > 0")
+    """Regularized lower incomplete gamma P(a, z), one real shape a > 0."""
+    a, ln_z, z, cf = _incomplete_args(a, ln_z)
+    lg = ln_gamma(a)  # GammaDomainError unless a > 0
     out = np.empty_like(z)
-    lg = _lgamma_pos(a)
-    out[cf] = -np.expm1(_upper_cf(a[cf], z[cf]) + a[cf] * ln_z[cf] - lg[cf])
-    out[~cf] = np.exp(_ln_lower_series(a[~cf], ln_z[~cf], lg[~cf]))
-    return out.reshape(shape)
+    out[cf] = -np.expm1(_upper_cf(a, z[cf]) + a * ln_z[cf] - lg)
+    out[~cf] = np.exp(_ln_lower_series(a, ln_z[~cf], lg))
+    return out
 
 
 # ---------------------------------------------------------------------------

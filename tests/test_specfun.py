@@ -299,10 +299,12 @@ def test_lgamma_pos_absolute_accuracy_matches_libm():
 # exponents a - xi^2/c of fresh/16.5 and salty/16.5 (0.0058, 0.0116), the
 # edge s = -1/2 of the small-argument split, and s > 1/2 (1.24, 5.5)
 S_VALUES = (-43.89, -3.0, -0.5, 0.0, 0.0058, 0.0116, 0.63, 1.24, 5.5)
-# wide sweep plus points on both sides of the switch to the continued
-# fraction at z = max(1.5, s + 1)
+# wide sweep, points on both sides of the switch to the continued fraction
+# at z = max(1.5, s + 1), and the fraction's slow region 1.5 < z < 60, where
+# its depth is set by the smallest z of the call
 LN_Z = np.concatenate([np.linspace(-700.0, 700.0, 57), np.linspace(-4.0, 3.0, 29),
-                       np.log([1.4999, 1.5001, 2.2399, 2.2401, 6.4999, 6.5001])])
+                       np.log([1.4999, 1.5001, 2.2399, 2.2401, 6.4999, 6.5001]),
+                       np.linspace(math.log(1.5), math.log(60.0), 30)])
 
 
 class TestIncompleteGamma:
@@ -338,14 +340,34 @@ class TestIncompleteGamma:
 
     def test_tiny_argument_stays_finite(self):
         # Gamma(s, z) -> Gamma(s) for s > 0 and -> z^s / |s| for s < 0
-        got = ln_gamma_upper_scaled(np.array([0.63, -43.89, -0.5]), -6e4)
-        np.testing.assert_allclose(
-            got, [math.lgamma(0.63) + 0.63 * 6e4, -math.log(43.89),
-                  -math.log(0.5)], rtol=1e-14)
+        for s, want in ((0.63, math.lgamma(0.63) + 0.63 * 6e4),
+                        (-43.89, -math.log(43.89)), (-0.5, -math.log(0.5))):
+            np.testing.assert_allclose(ln_gamma_upper_scaled(s, -6e4), want,
+                                       rtol=1e-14)
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    def test_one_call_serves_mixed_arguments(self, s):
+        # the fraction's depth is set by the smallest z of a call and the
+        # series' lengths by the largest: each element of a mixed call must
+        # equal its own one-element call
+        ln_z = np.append(np.log([1.5001, abs(s) + 1.0001, 5.0, 40.0, 1e3]), 710.0)
+        for f, shape in ((ln_gamma_upper_scaled, s), (gamma_p, abs(s) + 0.01)):
+            for l, g in zip(ln_z, f(shape, ln_z)):
+                one = f(shape, np.array([l]))[0]
+                assert g == one or abs(g - one) <= 1e-15 * abs(one), (s, l)
+        assert np.isneginf(ln_gamma_upper_scaled(s, ln_z)[-1])
 
     def test_domain(self):
         with pytest.raises(GammaDomainError):
             gamma_p(0.0, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GammaDomainError):
+                ln_gamma_upper_scaled(bad, np.array([0.5, 2.0]))
+            with pytest.raises(GammaDomainError):
+                gamma_p(bad, np.array([0.5, 2.0]))
+        for f in (ln_gamma_upper_scaled, gamma_p):
+            with pytest.raises(ValueError, match="ln_z"):
+                f(0.63, np.array([0.5, math.nan, 2.0]))
         assert ln_gamma_upper_scaled(0.5, 0.0) == pytest.approx(
             math.log(math.sqrt(math.pi) * math.erfc(1.0)), rel=1e-14)
 
