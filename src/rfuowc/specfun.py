@@ -7,12 +7,12 @@ closed-form outage expression all have real parameters, a positive real
 argument, at most two upper parameters, and either up to a few hundred
 lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
 H-function).  Within that family the function is evaluated by a residue
-(Slater-type) series over the right pole ladders, computed entirely in log
-space with sign tracking; where poles coincide, their residues are
-polynomials in ln z (the logarithmic case).  When the series is
-ill-conditioned (heavy alternating cancellation), evaluation switches to
-direct quadrature of the defining Mellin-Barnes contour integral, which
-is also exposed on its own as an independent cross-check oracle.  There is
+(Slater-type) series over the right poles in log space with sign tracking,
+coincident poles giving residues polynomial in ln z (the logarithmic case);
+when it is ill-conditioned (heavy alternating cancellation), by quadrature
+of the defining Mellin-Barnes contour integral, also exposed on its own as
+an independent oracle.  Both read one list of kernel factors, where a pair
+Gamma(b - s) / Gamma(b + 1 - s) is the rational pole 1 / (b - s).  There is
 no third path: where the contour cannot reach the tolerance either (the far
 exponential tail), evaluation raises NonConvergenceError.
 """
@@ -412,18 +412,19 @@ def ln_gamma_upper_scaled(s, ln_z):
     smallest z needs; below it Gamma(s) (1 - P(s, z)) for s > 1/2, else
     _upper_small_z, series as long as the largest z needs (Gil, Segura &
     Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the float
-    range gives -inf.  A non-finite s raises GammaDomainError, a NaN ln_z
-    ValueError.
+    range gives -inf, and z = 0 the limit: -ln(-s) for s < 0, else +inf.  A
+    non-finite s raises GammaDomainError, a NaN ln_z ValueError.
     """
     s, ln_z, z, cf = _incomplete_args(s, ln_z)
-    out = np.empty_like(z)
+    out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
     out[cf] = _upper_cf(s, z[cf])
-    lz = ln_z[~cf]
+    series = ~cf & (ln_z > -np.inf)
+    lz = ln_z[series]
     if s > 0.5:
         lg = ln_gamma(s)
-        out[~cf] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) - s * lz
+        out[series] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) - s * lz
     else:
-        out[~cf] = _upper_small_z(s, lz)
+        out[series] = _upper_small_z(s, lz)
     return out
 
 
@@ -505,78 +506,105 @@ class MellinBarnesResult:
     err_est: float
 
 
+def _kernel_factors(spec: MeijerGSpec):
+    """The Mellin kernel of spec as factors (alpha, beta, power, gamma):
+    Gamma(alpha + beta s) ** power if gamma, else (alpha + beta s) ** power,
+    right ladders Gamma(b_j - B_j s) first.  A pair Gamma(b_j - s) /
+    Gamma(b_j + 1 - s) is its exact ratio 1 / (b_j - s): one simple pole, and
+    one log in place of two log-gammas whose large values would cancel."""
+    a, b, m, n, B = spec.a, spec.b, spec.m, spec.n, spec.scales
+    pair = {}
+    for l in range(n, spec.p):
+        pair[l] = next((j for j in range(m) if B[j] == 1 and j not in pair.values()
+                        and abs(a[l] - 1.0 - b[j]) <= 4.0 * _EPS * abs(a[l])), None)
+    return ([(b[j], -B[j], 1, True) for j in range(m) if j not in pair.values()]
+            + [(1.0 - a[l], 1, 1, True) for l in range(n)]
+            + [(1.0 - b[j], 1, -1, True) for j in range(m, spec.q)]
+            + [(a[l], -1, -1, True) if j is None else (b[j], -1, -1, False)
+               for l, j in pair.items()])
+
+
 class _SeriesTable:
     """z-independent residue-series coefficients for one (spec, kmax).
 
-    Ladder h has poles at s = (b_h + k) / B_h and runs B_h * kmax terms, so
-    that every ladder spans the same range of s.  Where the poles of several
-    kernel factors coincide, the pole has order r = (numerator gammas at a
-    pole) - (denominator gammas at a pole), is kept on the first ladder that
-    holds it, and r <= 0 nulls it.  Its residue is c z^s P(ln z), P the
-    e^(r-1) coefficient of e^r K(s + e) z^e / c in powers of ln z: the
-    columns of poly (polyabs: the moduli summed into each), by power series
-    in e (Luke, The Special Functions and Their Approximations, vol. 1, 5.2).
-    """
+    Ladder Gamma(b - B s) of _kernel_factors has poles at s = (b + k) / B and
+    runs B * kmax terms, so that every ladder spans the same range of s; a
+    rational factor 1 / (b - s) has one, at s = b.  A pole where r numerator
+    factors and r' denominator gammas have one has order r - r', is kept on
+    the first factor that holds it, and is null at order <= 0.  Its residue
+    is c z^s P(ln z), P the coefficient of e^-1 in K(s + e) z^e / c in powers
+    of ln z: the columns of poly (polyabs: the moduli summed into each), by
+    power series in e (Luke, The Special Functions and Their Approximations,
+    vol. 1, 5.2)."""
 
     __slots__ = ("s", "logc", "sign", "logsize", "poly", "polyabs", "tail_idx",
                  "degenerate")
 
-    def __init__(self, m, n, a, b, kmax, scales=None):
-        B = scales or (1,) * m
-        # the kernel as factors Gamma(alpha + beta s) ** power
-        factors = ([(b[j], -B[j], 1) for j in range(m)]
-                   + [(1.0 - a[l], 1, 1) for l in range(n)]
-                   + [(1.0 - b[j], 1, -1) for j in range(m, len(b))]
-                   + [(a[l], -1, -1) for l in range(n, len(a))])
-        ladders = []
+    def __init__(self, spec: MeijerGSpec, kmax: int):
+        factors = _kernel_factors(spec)
+        # the factors with right poles, and how many of them each one runs
+        runs = {f: -beta * kmax if gamma else 1
+                for f, (_, beta, power, gamma) in enumerate(factors)
+                if power > 0 and beta < 0 or not gamma}
+        poles = []
         self.degenerate = False
-        for h in range(m):
-            k = np.arange(B[h] * kmax, dtype=float)
-            s = (b[h] + k) / B[h]
+        for h, size in runs.items():
+            b_h, B_h = factors[h][0], -factors[h][1]
+            k = np.arange(size, dtype=float)
+            s = (b_h + k) / B_h
             # the contour runs clockwise round the right poles
             logc, sign = np.zeros_like(s), -np.ones_like(s)
             logsize, order = np.zeros_like(s), np.zeros_like(s)
             keep = np.ones(s.shape, dtype=bool)
             expansions = []
             for f in [h] + [f for f in range(len(factors)) if f != h]:
-                alpha, beta, power = factors[f]
+                alpha, beta, power, gamma = factors[f]
                 # the factor's poles meet the ladder's exactly when this gap
                 # is an integer, up to the rounding of its two products
-                gap = B[h] * alpha + beta * b[h]
+                gap = B_h * alpha + beta * b_h
                 meet = abs(gap - round(gap)) <= 8.0 * _EPS * (
-                    1.0 + abs(B[h] * alpha) + abs(beta * b[h]))
-                x = (round(gap) + beta * k) / B[h] if meet else alpha + beta * s
-                pole = meet & (x <= 0.0) & (x == np.floor(x))
-                # Gamma(-n + beta e) = (-1)^n / (n! beta e) (1 + O(e))
-                la, sg = ln_abs_gamma_signed(np.where(pole, 1.0 - x, x))
-                la = np.where(pole, -la - math.log(abs(beta)), la)
-                sg = np.where(pole, np.where(np.mod(x, 2.0) == 0.0, 1.0, -1.0)
-                              * math.copysign(1.0, beta), sg)
+                    1.0 + abs(B_h * alpha) + abs(beta * b_h))
+                x = (round(gap) + beta * k) / B_h if meet else alpha + beta * s
+                # Gamma(-n + beta e) = (-1)^n / (n! beta e) (1 + O(e)), and a
+                # rational factor is (beta e)^power at its zero
+                pole = meet & ((x <= 0.0) & (x == np.floor(x)) if gamma else x == 0.0)
+                if gamma:
+                    la, sg = ln_abs_gamma_signed(np.where(pole, 1.0 - x, x))
+                    la = np.where(pole, -la - math.log(abs(beta)), la)
+                    sg = np.where(pole, np.where(np.mod(x, 2.0) == 0.0, 1.0, -1.0)
+                                  * math.copysign(1.0, beta), sg)
+                else:
+                    v = np.where(pole, beta, x)
+                    la, sg = np.log(np.abs(v)), np.sign(v)
+                order = order + (power if gamma else -power) * pole
                 logc = logc + power * la
                 sign = sign * sg
                 logsize = logsize + np.abs(la)
-                order = order + power * pole
-                if f < h:  # the pole is the lower ladder's if it runs that far
-                    keep &= ~(pole & (-x < B[f] * kmax))
-                if m <= f < m + n and pole.any():
-                    # a left pole on a right one: no contour separates them
-                    self.degenerate = True
-                expansions.append((x, pole, beta * power, beta * beta * power))
+                if f < h and f in runs:  # an earlier factor's pole, if it runs that far
+                    keep &= ~(pole & (-x < runs[f]))
+                # a left pole on a right one: no contour separates them
+                self.degenerate |= bool(gamma and power > 0 and beta > 0 and pole.any())
+                expansions.append((x, pole, beta * power, beta * beta * power, gamma))
             order = np.where(keep, order, 0.0)
             logc = np.where(order > 0.0, logc, -np.inf)
             poly = np.tile([1.0, 0.0, 0.0], (s.size, 1))
             polyabs = poly.copy()
             multi = order >= 2.0
             if multi.any():
-                # log of the regular part: sum of beta psi(x) e
-                # + beta^2 psi'(x) e^2 / 2, where at a pole x = -n
-                # psi(n + 1) e and (pi^2 / 3 - psi'(n + 1)) e^2 / 2 replace them
+                # log of the regular part: sum of beta psi(x) e + beta^2 psi'(x)
+                # e^2 / 2, where at a gamma's pole x = -n psi(n + 1) and
+                # pi^2 / 3 - psi'(n + 1) replace psi and psi', and a rational
+                # factor has 1 / x and -1 / x^2, and nothing at its pole
                 d1 = d1abs = d2 = d2abs = 0.0
-                for x, pole, c1, c2 in expansions:
+                for x, pole, c1, c2, gamma in expansions:
                     xm, pm = x[multi], pole[multi]
-                    psi, tri = _psi01(np.where(pm, 1.0 - xm, xm))
-                    t1 = c1 * psi
-                    t2 = 0.5 * c2 * np.where(pm, np.pi ** 2 / 3.0 - tri, tri)
+                    if gamma:
+                        g1, tri = _psi01(np.where(pm, 1.0 - xm, xm))
+                        g2 = np.where(pm, np.pi ** 2 / 3.0 - tri, tri)
+                    else:
+                        g1 = np.divide(1.0, xm, out=np.zeros_like(xm), where=~pm)
+                        g2 = -g1 * g1
+                    t1, t2 = c1 * g1, 0.5 * c2 * g2
                     d1, d1abs = d1 + t1, d1abs + np.abs(t1)
                     d2, d2abs = d2 + t2, d2abs + np.abs(t2)
                 # e^(r-1) coefficient of exp((d1 + ln z) e + d2 e^2)
@@ -585,26 +613,24 @@ class _SeriesTable:
                     cols[multi] = np.column_stack([np.where(r3, 0.5 * u1 * u1 + u2, u1),
                                                    np.where(r3, u1, 1.0), 0.5 * r3])
             # beyond order 3 the expansion would need higher polygammas
-            self.degenerate = self.degenerate or bool(np.any(order > 3.0))
-            ladders.append((s, logc, sign, logsize, order, poly, polyabs))
+            self.degenerate |= bool(np.any(order > 3.0))
+            poles.append((s, logc, sign, logsize, order, poly, polyabs))
         self.s, self.logc, self.sign, self.logsize, order, poly, polyabs = (
-            np.concatenate(col) for col in zip(*ladders))
+            np.concatenate(col) for col in zip(*poles))
         r = int(order.max(initial=1.0))
         self.poly, self.polyabs = poly[:, :r], polyabs[:, :r]
-        # index of the last k of each ladder, for truncation checks
-        self.tail_idx = np.cumsum([B[h] * kmax for h in range(m)]) - 1
+        # index of the last k of each ladder (they precede the rational
+        # factors' poles), for truncation checks
+        self.tail_idx = np.cumsum([n for f, n in runs.items() if factors[f][3]], dtype=int) - 1
 
 
 @functools.lru_cache(maxsize=512)
-def _series_table(m, n, a, b, kmax, scales):
-    return _SeriesTable(m, n, a, b, kmax, scales)
+def _series_table(spec: MeijerGSpec, kmax: int):
+    return _SeriesTable(spec, kmax)
 
 
 def _series_eval(tab: _SeriesTable, ln_z: float):
-    """Evaluate the residue series at log-argument ln_z.
-
-    Returns (sign, log_abs, rel_err_est, tail_ok).
-    """
+    """(sign, log_abs, rel_err_est, tail_ok) of the residue series at ln_z."""
     ll = tab.logc + tab.s * ln_z
     L = np.max(ll)
     if L == -np.inf:  # every term vanishes: an exact zero
@@ -618,7 +644,7 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
     vals = tab.sign * w * poly
     total = math.fsum(vals.tolist())
     sum_abs = float(np.sum(np.abs(vals)))
-    tail_max = float(np.max(ll[tab.tail_idx] + np.log(polyabs[tab.tail_idx])))
+    tail_max = float(np.max(ll[tab.tail_idx] + np.log(polyabs[tab.tail_idx]), initial=-np.inf))
     tail_ok = tail_max < L - 42.0
     if total == 0.0:
         return 0.0, -np.inf, np.inf, tail_ok
@@ -634,37 +660,30 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
     return math.copysign(1.0, total), L + math.log(abs(total)), rel_err, tail_ok
 
 
-def _kmax_guess(spec: MeijerGSpec, ln_z: float):
-    d, ln_z = spec.reduced(ln_z)
-    peak = math.exp(min(ln_z / d, 12.0)) if ln_z > 0 else 0.0
-    return int(min(4096.0, 24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0)))
-
-
 def _series_attempt(spec, ln_z):
-    """Residue-series evaluation with adaptive term count.
-
-    Returns (sign, log_abs, rel_err) or None when the series cannot reach
-    REL_TOL.
-    """
+    """(sign, log_abs, rel_err) of the residue series, with adaptive term
+    count, or None when it cannot reach REL_TOL."""
     # alternating-term cancellation grows like exp(d * z^(1/d)); skip the
     # series outright when that alone would eat the tolerance
     d, ln_zr = spec.reduced(ln_z)
     loss = d * math.exp(min(ln_zr / d, 30.0))
     if loss > -0.8 * math.log(REL_TOL):
         return None
-    # whole multiples of 16, so that calls at nearby arguments share a table
-    kmax = min(_MAX_TERMS, 16 * -(-max(48, _kmax_guess(spec, ln_z)) // 16))
+    # past the terms' peak, in whole multiples of 16, so that calls at nearby
+    # arguments share a table
+    peak = math.exp(min(ln_zr / d, 12.0)) if ln_zr > 0 else 0.0
+    guess = int(24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0))
+    kmax = min(_MAX_TERMS, 16 * -(-max(48, guess) // 16))
     while True:
-        tab = _series_table(spec.m, spec.n, spec.a, spec.b, kmax, spec.scales)
+        tab = _series_table(spec, kmax)
         if tab.degenerate:
             return None
         sign, logabs, rel_err, tail_ok = _series_eval(tab, ln_z)
         if tail_ok and rel_err <= REL_TOL:
             return sign, logabs, rel_err
-        if not tail_ok and kmax < _MAX_TERMS:
-            kmax = min(_MAX_TERMS, kmax * 2)
-            continue
-        return None
+        if tail_ok or kmax >= _MAX_TERMS:
+            return None
+        kmax = min(_MAX_TERMS, kmax * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -674,37 +693,17 @@ def _series_attempt(spec, ln_z):
 
 def _mb_log_kernel(spec: MeijerGSpec, s):
     """(log of the Mellin kernel, a bound on its rounding / eps) at complex s
-    (array).
-
-    A numerator Gamma(b_j - s) over a denominator Gamma(b_j + 1 - s) is
-    written as the pair's exact ratio 1 / (b_j - s): one log in place of two
-    log-gammas whose large values would cancel."""
-    a, b, m, n, B = spec.a, spec.b, spec.m, spec.n, spec.scales
-    pair = {}
-    for l in range(n, spec.p):
-        pair[l] = next((j for j in range(m) if B[j] == 1 and j not in pair.values()
-                        and abs(a[l] - 1.0 - b[j]) <= 4.0 * _EPS * abs(a[l])), None)
-    # (sign, argument, whether the log is of a gamma or of the argument)
-    terms = ([(1.0, b[j] - B[j] * s, True) for j in range(m) if j not in pair.values()]
-             + [(1.0, 1.0 - a[l] + s, True) for l in range(n)]
-             + [(-1.0, 1.0 - b[j] + s, True) for j in range(m, spec.q)]
-             + [(-1.0, a[l] - s, True) if j is None else (-1.0, b[j] - s, False)
-                for l, j in pair.items()])
+    (array), summed over the factors of _kernel_factors."""
     out, size = np.zeros_like(s, dtype=complex), np.zeros(s.shape)
-    for sign, x, gamma in terms:
+    for alpha, beta, power, gamma in _kernel_factors(spec):
+        x = alpha + beta * s
         lg = ln_gamma_complex(x) if gamma else np.log(x)
-        out += sign * lg
+        out += power * lg
         # ln_gamma_complex adds up at most r logs of modulus below about
         # ln r + pi, and Stirling's (x - 1/2) ln x - x, about as large again
         r = np.abs(x) + 13.0
         size += 3.0 * r * (np.log(r) + np.pi) if gamma else np.abs(lg)
     return out, size
-
-
-def _mb_decay_rate(spec: MeijerGSpec):
-    # |Gamma(b - B s)| falls like exp(-B pi |t| / 2) along Re(s) = sigma
-    return ((sum(spec.scales) + 2 * spec.n + spec.m - spec.p - spec.q)
-            * math.pi / 2.0)
 
 
 def _mb_sigma(spec: MeijerGSpec, ln_z: float):
@@ -743,7 +742,9 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
     doubling with the conditioning of the oscillatory sum and the rounding
     of each node's log-integrand.
     """
-    kappa = _mb_decay_rate(spec)
+    # |Gamma(alpha + beta s)| falls like exp(-|beta| pi |t| / 2) along Re(s) = sigma
+    kappa = math.pi / 2.0 * sum(abs(beta) * power for _, beta, power, gamma
+                                in _kernel_factors(spec) if gamma)
     if kappa <= 0.0:
         raise ContourError("contour integrand does not decay for this instance")
     sigma = _mb_sigma(spec, ln_z)
@@ -761,17 +762,16 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
     # multiplication splits into, whose b add up to b + (B - 1) / 2
     excess = sum(spec.b) + sum(B - 1 for B in spec.scales) / 2.0 - sum(spec.a)
     T = (55.0 + 0.5 * abs(excess)) / kappa + 2.0
-    f0 = integrand(np.array([0.0]))[0][0].real
     while True:
+        # the integrand is scaled to modulus 1 at t = 0
         ftail = np.abs(integrand(np.array([T, 1.25 * T]))[0])
-        if max(ftail) < 1e-20 * max(1.0, abs(f0)) or T > 1e7:
+        if max(ftail) < 1e-20 or T > 1e7:
             break
         T *= 1.6
 
     nodes = max(64, int(T * (2.0 + 0.8 * abs(spec.reduced(ln_z)[1])) / 4.0))
     nodes = min(nodes, _CONTOUR_POINTS // 8)
-    prev = None
-    prev_absum = None
+    prev = prev_absum = None
     # nodes start at most _CONTOUR_POINTS / 8 and double until they reach
     # _CONTOUR_POINTS, where the loop returns
     while True:

@@ -344,6 +344,11 @@ class TestIncompleteGamma:
                         (-43.89, -math.log(43.89)), (-0.5, -math.log(0.5))):
             np.testing.assert_allclose(ln_gamma_upper_scaled(s, -6e4), want,
                                        rtol=1e-14)
+        # at z = 0 itself, the limits: z^-s Gamma(s, z) -> 1 / -s for s < 0,
+        # and +inf from s = 0 up (E1(0) = inf at s = 0)
+        for s in (-43.89, -3.0, -0.5, 0.0, 0.0058, 0.3, 0.5, 0.63, 5.5):
+            got = ln_gamma_upper_scaled(s, np.array([-np.inf, 0.0]))[0]
+            assert got == (-math.log(-s) if s < 0.0 else np.inf), s
 
     @pytest.mark.parametrize("s", S_VALUES)
     def test_one_call_serves_mixed_arguments(self, s):
@@ -409,12 +414,15 @@ class TestScaledLadders:
         assert checked >= 10
 
     def test_ladders_of_different_scales_meet_at_integer_xi2(self):
-        # Gamma(-c s) has a pole at s = xi2/c, where Gamma(xi2/c - s) has
-        # one: a double pole there, and nowhere else, since further up the
-        # denominator Gamma(xi2/c + 1 - s) cancels one of the two
+        # Gamma(-c s) has a pole at s = xi2/c, where the rational factor
+        # Gamma(xi2/c - s) / Gamma(xi2/c + 1 - s) = 1 / (xi2/c - s) has its
+        # one: a double pole there, and nowhere else
         for xi2, meets in ((4.0, True), (1.0, True), (0.3695, False)):
-            tab = sf._SeriesTable(3, 0, (xi2 / 35 + 1.0,), (0.41, xi2 / 35, 0.0),
-                                  8, (1, 1, 35))
+            spec = MeijerGSpec(m=3, n=0, a=(xi2 / 35 + 1.0,), b=(0.41, xi2 / 35, 0.0),
+                               scales=(1, 1, 35))
+            tab = sf._SeriesTable(spec, 8)
+            # the ladders of Gamma(0.41 - s) and Gamma(-35 s), and one pole
+            assert tab.s.size == 8 + 35 * 8 + 1
             assert tab.poly.shape[1] == (2 if meets else 1)
             if meets:
                 double = tab.s[(tab.poly[:, 1] != 0.0) & np.isfinite(tab.logc)]
@@ -436,8 +444,18 @@ class TestScaledLadders:
 def test_numerator_pole_marks_the_table_degenerate():
     # a - b = 1: the left poles of Gamma(1 - a + s) fall on the right
     # ladder's, and no contour separates the two families
-    tab = sf._SeriesTable(1, 1, (1.5,), (0.5, 0.0), 8)
+    tab = sf._SeriesTable(MeijerGSpec(m=1, n=1, a=(1.5,), b=(0.5, 0.0)), 8)
     assert tab.degenerate
+
+
+def test_kernel_left_with_one_rational_pole():
+    # G^{1,0}_{1,2}(z | 1.5; 0.5, 0.2): its only ladder pairs off into
+    # 1 / (0.5 - s), so the table holds one pole and no ladder to truncate
+    spec = MeijerGSpec(m=1, n=0, a=(1.5,), b=(0.5, 0.2))
+    tab = sf._series_table(spec, 48)
+    assert tab.s.size == 1 and tab.tail_idx.size == 0
+    for z in (0.1, 1.0, 5.0):
+        assert meijer_g(spec, z) == pytest.approx(_mpmath_g(spec, z), rel=1e-14)
 
 
 def test_coincident_ladders_give_bessel_k1():
@@ -460,9 +478,10 @@ def test_coincident_ladders_give_bessel_k1():
 
 @pytest.mark.parametrize("xi", (0.6079, 1.0, 2.0, 6.7))
 def test_exponential_factor_matches_mpmath(xi):
-    # the closed form's G^{3,0}_{1,3}(z | xi^2 + 1; 1, xi^2, 0): double poles
-    # at s = 1, 2, ..., and a triple one at s = xi^2 when xi^2 is an integer
-    mpmath = pytest.importorskip("mpmath")
+    # the closed form's G^{3,0}_{1,3}(z | xi^2 + 1; 1, xi^2, 0): its kernel
+    # Gamma(1 - s) Gamma(-s) / (xi^2 - s) has double poles at s = 1, 2, ...,
+    # and a triple one at s = xi^2 when xi^2 is an integer
+    pytest.importorskip("mpmath")
     xi2 = xi * xi
     spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
     served = 0
@@ -480,9 +499,19 @@ def test_exponential_factor_matches_mpmath(xi):
         tol = max(1e-12, rel_err)
         assert abs(meijer_g(spec, math.exp(ln_z)) / ref - 1.0) <= tol, ln_z
     assert served >= 20
-    if xi == 2.0:
-        tab = sf._series_table(3, 0, spec.a, spec.b, 48, spec.scales)
-        assert tab.poly.shape[1] == 3
+    # below that, 1e-12 wherever the series serves, up to z ~ 5 at xi = 6.7:
+    # the xi^2 pair enters as 1 / (xi^2 - s), with none of the rounding of
+    # two log-gammas of about 64
+    top = 1.6 if xi == 6.7 else 1.3
+    for ln_z in np.linspace(-6.0, top, round(10 * (top + 6.0)) + 1):
+        got = sf._series_attempt(spec, ln_z)
+        if got is not None:
+            real = abs(got[0] * math.exp(got[1]) / _mpmath_g(spec, math.exp(ln_z)) - 1.0)
+            assert real <= 1e-12, ln_z
+    # the ladders of Gamma(1 - s) and Gamma(-s), and the one pole of 1 / (xi^2 - s)
+    tab = sf._series_table(spec, 48)
+    assert tab.s.size == 2 * 48 + 1
+    assert tab.poly.shape[1] == (3 if xi2 in (1.0, 4.0) else 2)
 
 
 @pytest.mark.parametrize("xi2", (1.0, 4.0))
@@ -506,7 +535,7 @@ def test_integer_xi2_folded_factor_is_served_by_the_series(xi2):
 
 
 def test_series_eval_reports_a_non_finite_peak_as_unknown():
-    tab = sf._SeriesTable(1, 0, (), (0.0,), 8)
+    tab = sf._SeriesTable(SPEC_EXP, 8)
     zero, ln_z = tab.logc.copy(), 0.5
     tab.logc = np.full_like(zero, -np.inf)
     assert sf._series_eval(tab, ln_z) == (0.0, -np.inf, 0.0, True)
