@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gamma_p, ln_gamma, ln_gamma_upper_scaled
+from .specfun import gamma_p, ln_gamma_upper_scaled
 
 __all__ = [
     "RfLinkParams",
@@ -75,6 +75,8 @@ class EggParams:
     c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.w, self.lam, self.a, self.b, self.c))):
+            raise ValueError("turbulence parameters must be finite")
         if not (0.0 <= self.w <= 1.0):
             raise ValueError(f"mixture weight must lie in [0, 1], got {self.w}")
         if min(self.lam, self.a, self.b, self.c) <= 0:
@@ -89,6 +91,8 @@ class PointingParams:
     xi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a0) and math.isfinite(self.xi)):
+            raise ValueError("pointing parameters must be finite")
         if not (0.0 < self.a0 <= 1.0):
             raise ValueError(f"a0 must lie in (0, 1], got {self.a0}")
         if self.xi <= 0:
@@ -280,7 +284,7 @@ def egg_moment(n: int, egg: EggParams, pointing: PointingParams) -> float:
     point = xi2 / (n + xi2)
     exp_part = egg.w * (egg.lam * pointing.a0) ** n * math.factorial(n)
     gg_part = ((1.0 - egg.w) * (egg.b * pointing.a0) ** n
-               * math.exp(ln_gamma(egg.a + n / egg.c) - ln_gamma(egg.a)))
+               * math.exp(math.lgamma(egg.a + n / egg.c) - math.lgamma(egg.a)))
     return (exp_part + gg_part) * point
 
 

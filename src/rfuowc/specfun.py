@@ -157,7 +157,9 @@ def _lgamma_pos(x):
     absolute error on 0 < x < 12 stays within about one ulp of the result:
     at most ~3e-15 (near x = 12, where ln Gamma ~ 17), ~1e-17 near the
     zeros at x = 1 and x = 2; libm's lgamma reaches ~6e-15 on the same
-    range.  From 12 up, Stirling's series has relative error ~1e-15.
+    range.  From 12 up, Stirling's series has relative error ~1e-15.  On one
+    float nearly all of its cost is array overhead, about a thousand times
+    that of math.lgamma, so scalar shape constants come from math.lgamma.
     """
     x = np.array(x, dtype=float, ndmin=1)
     out = np.empty_like(x)
@@ -183,11 +185,14 @@ def _lgamma_pos(x):
 
 
 def ln_gamma(x):
-    """Natural log of Gamma(x) for real x > 0.
+    """Natural log of Gamma(x) for real x > 0, the array evaluator.
 
-    Accepts scalars or arrays.  Raises GammaDomainError if any entry is
-    not strictly positive (use ln_abs_gamma_signed for negative arguments,
-    ln_gamma_complex for complex ones).
+    Accepts scalars or arrays and rounds a scalar as it rounds the same value
+    in an array.  Raises GammaDomainError if any entry is not strictly
+    positive (use ln_abs_gamma_signed for negative arguments,
+    ln_gamma_complex for complex ones).  The scalar shape constants of the
+    incomplete gamma, the irradiance moments and the closed-form prefactor
+    come from libm's math.lgamma instead (see _lgamma_pos).
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -417,11 +422,14 @@ def ln_gamma_upper_scaled(s, ln_z):
     """
     s, ln_z, z, cf = _incomplete_args(s, ln_z)
     out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
-    out[cf] = _upper_cf(s, z[cf])
+    if cf.any():
+        out[cf] = _upper_cf(s, z[cf])
     series = ~cf & (ln_z > -np.inf)
+    if not series.any():
+        return out
     lz = ln_z[series]
     if s > 0.5:
-        lg = ln_gamma(s)
+        lg = math.lgamma(s)
         out[series] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) - s * lz
     else:
         out[series] = _upper_small_z(s, lz)
@@ -429,12 +437,17 @@ def ln_gamma_upper_scaled(s, ln_z):
 
 
 def gamma_p(a, ln_z):
-    """Regularized lower incomplete gamma P(a, z), one real shape a > 0."""
+    """Regularized lower incomplete gamma P(a, z), one real shape a > 0; any
+    other shape raises GammaDomainError."""
     a, ln_z, z, cf = _incomplete_args(a, ln_z)
-    lg = ln_gamma(a)  # GammaDomainError unless a > 0
+    if a <= 0.0:
+        raise GammaDomainError(f"gamma_p requires a > 0, got {a!r}")
+    lg = math.lgamma(a)
     out = np.empty_like(z)
-    out[cf] = -np.expm1(_upper_cf(a, z[cf]) + a * ln_z[cf] - lg)
-    out[~cf] = np.exp(_ln_lower_series(a, ln_z[~cf], lg))
+    if cf.any():
+        out[cf] = -np.expm1(_upper_cf(a, z[cf]) + a * ln_z[cf] - lg)
+    if not cf.all():
+        out[~cf] = np.exp(_ln_lower_series(a, ln_z[~cf], lg))
     return out
 
 

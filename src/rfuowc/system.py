@@ -21,7 +21,6 @@ from .specfun import (
     MAX_INTEGER_C,
     REL_TOL,
     MeijerGSpec,
-    ln_gamma,
     meijer_g_log,
 )
 
@@ -188,7 +187,7 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     # c^(c s) moves the argument to c^c z
     spec2 = MeijerGSpec(m=3, n=0, a=(xi2 / c_int + 1.0,),
                         b=(egg.a, xi2 / c_int, 0.0), scales=(1, 1, c_int))
-    log_pre2 = -ln_gamma(egg.a)
+    log_pre2 = -math.lgamma(egg.a)
 
     terms = []
     mags = []

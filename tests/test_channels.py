@@ -271,6 +271,16 @@ class TestOpticalSnrDistribution:
         with pytest.raises(ValueError):
             UowcLinkParams(eta=1.0, p2=1.0, n0=0.0, pr=1.0)
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_params(self, bad):
+        egg = get_preset("salty/4.7").egg
+        for field in ("w", "lam", "a", "b", "c"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(egg, **{field: bad})
+        for field in ("a0", "xi"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(WEAK, **{field: bad})
+
 
 PAIRS = [(key, name, pointing) for key in sorted(WATER_PRESETS)
          for name, pointing in (("weak", WEAK), ("strong", STRONG))]

@@ -363,8 +363,10 @@ class TestIncompleteGamma:
         assert np.isneginf(ln_gamma_upper_scaled(s, ln_z)[-1])
 
     def test_domain(self):
-        with pytest.raises(GammaDomainError):
-            gamma_p(0.0, 1.0)
+        # libm's lgamma is finite at negative non-integers: gamma_p checks a
+        for a in (0.0, -0.5, -2.0):
+            with pytest.raises(GammaDomainError):
+                gamma_p(a, 1.0)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(GammaDomainError):
                 ln_gamma_upper_scaled(bad, np.array([0.5, 2.0]))
@@ -375,6 +377,22 @@ class TestIncompleteGamma:
                 f(0.63, np.array([0.5, math.nan, 2.0]))
         assert ln_gamma_upper_scaled(0.5, 0.0) == pytest.approx(
             math.log(math.sqrt(math.pi) * math.erfc(1.0)), rel=1e-14)
+
+    def test_empty_branches_are_skipped(self, monkeypatch):
+        calls = []
+        for name in ("_upper_cf", "_ln_lower_series", "_upper_small_z"):
+            def stub(s, arr, *rest, name=name):
+                calls.append(name)
+                return np.full_like(arr, -1.0)
+            monkeypatch.setattr(sf, name, stub)
+        # in each call one branch's mask alone is non-empty, or none is
+        ln_gamma_upper_scaled(0.3, np.log([2.0, 40.0]))
+        ln_gamma_upper_scaled(0.3, np.log([0.5, 1.0]))
+        ln_gamma_upper_scaled(5.5, np.array([-np.inf, -np.inf]))
+        gamma_p(5.5, np.log([0.5, 2.0]))
+        gamma_p(0.3, np.log([2.0, 40.0]))
+        assert calls == ["_upper_cf", "_upper_small_z", "_ln_lower_series",
+                         "_upper_cf"]
 
 
 class TestScaledLadders:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
     WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_snr_cdf, \
     uowc_snr_cdf
+import rfuowc.specfun as sf
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import (
     OutageQuery,
@@ -178,6 +179,20 @@ class TestOutage:
         assert res.err_est >= 0.0
         assert res.c_used == cfg.egg.c
         assert not res.clamped
+
+
+class TestShapeConstants:
+    def test_quadrature_path_skips_the_array_log_gamma(self, monkeypatch):
+        # scalar shape constants come from math.lgamma; the array evaluator
+        # costs a thousand times as much on one float
+        calls = []
+        monkeypatch.setattr(sf, "_lgamma_pos",
+                            lambda x: calls.append(x) or np.zeros(1))
+        cfg = grid_cfg("salty/4.7", pointing=STRONG)
+        assert calls == []
+        res = outage_quadrature(cfg, OutageQuery(10.0), floor_c=True)
+        assert calls == []
+        assert 0.0 < res.value < 1.0
 
 
 class TestFlooringGap:
