@@ -31,13 +31,13 @@ def main():
                 "axis": "radius",
                 "values": "25,50,100,150,200,300,400,500",
                 "methods": "quadrature",
-                "gamma_th_db": 23.0,
+                "gamma_th": 10.0,
                 "preset": "salty/16.5",
                 "pointing.a0": 0.5076,
                 "pointing.xi": 0.6079,
                 "rf.p1": 0.1,
-                "rf.noise_dbm": -90.0,
-                "rf.g0_db": -30.0,
+                "rf.noise": 1e-12,  # -90 dBm
+                "rf.g0": 1e-3,  # -30 dB
                 "rf.height": height,
                 "rf.n_relays": n,
                 "uowc.eta": 0.8,

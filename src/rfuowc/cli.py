@@ -24,7 +24,7 @@ from .mc import McConfig, mc_outage
 from .plotting import PlotError, emit_plot
 from .quadrature import QuadratureError
 from .specfun import CapabilityError, SpecfunError
-from .system import OutageQuery, outage_closed_form, outage_quadrature
+from .system import outage_closed_form, outage_quadrature
 from .validation import run_level
 
 EXIT_OK = 0
@@ -52,9 +52,7 @@ def _resolve_seed(cli_seed, cfg_seed):
 
 def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
     """One (axis value, method) cell: (p_out, err_est, c_used, clamped, ms)."""
-    cfg = spec.scenario.build(spec.axis, value)
-    gth = value if spec.axis == "gamma_th" else spec.gamma_th
-    q = OutageQuery(gth)
+    cfg, q = spec.point(value)
     t0 = time.perf_counter()
     if method == "closed_form":
         try:
@@ -67,12 +65,10 @@ def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
     elif method == "quadrature":
         res = outage_quadrature(cfg, q)
         out = (res.value, res.err_est, res.c_used, res.clamped)
-    elif method == "monte_carlo":
+    else:
         est = mc_outage(cfg, q, McConfig(n_samples=spec.mc_samples, seed=seed,
                                          chunk_size=spec.mc_chunk))
         out = (est.mean, est.std_err, cfg.egg.c, False)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
     ms = (time.perf_counter() - t0) * 1e3
     return (*out, ms)
 
@@ -100,7 +96,7 @@ def run_sweep(spec: SweepSpec, seed: int, jobs: int = 1):
             "err_est": repr(float(err)),
             "c_used": repr(float(c_used)),
             "elapsed_ms": format(ms, ".3f"),
-            "scenario": spec.scenario.label,
+            "scenario": spec.label,
             "clamped": bool(clamped),
         })
     return rows
@@ -142,8 +138,8 @@ def _cmd_sweep(args) -> int:
         if args.methods:
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
             spec = dataclasses.replace(spec, methods=methods)
-        if args.mc_samples:
-            spec = dataclasses.replace(spec, mc_samples=int(args.mc_samples))
+        if args.mc_samples is not None:
+            spec = dataclasses.replace(spec, mc_samples=args.mc_samples)
         seed = _resolve_seed(args.seed, spec.mc_seed)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -153,9 +149,6 @@ def _cmd_sweep(args) -> int:
     except (SpecfunError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     _write_csv(rows, args.out)
     manifest = _write_manifest(args.out, config_bytes, seed, args.jobs, rows)
     print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest})")
@@ -232,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 
 One scenario per file.  Dotted keys address sections (rf.*, uowc.*,
 pointing.*, egg.*, direct.*, mc.*).  Keys ending in _db or _dbm are converted
-to linear or watts on parse, with the suffix stripped.
+to linear or watts on parse, with the suffix stripped.  A sweep may set only
+the keys of KEYS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channels import (
     EggParams,
@@ -15,15 +16,13 @@ from .channels import (
     RfLinkParams,
     UowcLinkParams,
     WATER_PRESETS,
-    get_preset,
 )
 from .mc import McConfig
-from .system import SystemConfig
+from .system import OutageQuery, SystemConfig
 
-__all__ = ["ConfigError", "SweepSpec", "parse_config", "load_sweep_spec",
+__all__ = ["ConfigError", "SweepSpec", "KEYS", "parse_config", "load_sweep_spec",
            "db_to_linear", "dbm_to_watts"]
 
-AXES = ("n_relays", "gamma_th", "avg_snr", "radius", "height")
 METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 
@@ -117,74 +116,109 @@ def _values_list(raw) -> list[float]:
     return vals
 
 
-@dataclass
-class Scenario:
-    """Everything needed to build a SystemConfig at one sweep point."""
-
-    mode: str
-    label: str
-    egg: EggParams
-    pointing: PointingParams
-    rho_convention: str
-    gain_convention: str
+# Every key a sweep config may set (unit suffixes already stripped), with its
+# default.  None means unset.  Any other key is rejected.
+KEYS = {
+    "label": "scenario", "mode": "direct", "axis": None, "values": "",
+    "methods": "closed_form,quadrature", "gamma_th": 10.0,
+    "rho_convention": "as-written", "gain_convention": "squared",
+    # turbulence: a preset, or all five egg.* values; salty/4.7 if neither
+    "preset": None,
+    "egg.w": None, "egg.lam": None, "egg.a": None, "egg.b": None, "egg.c": None,
+    "pointing.a0": 1.0, "pointing.xi": 6.7,
+    "rf.n_relays": 1,
     # physical mode
-    rf: dict = field(default_factory=dict)
-    uowc: dict = field(default_factory=dict)
-    # direct mode
-    mu1: float | None = None
-    uowc_scale: float | None = None
-    mu2: float | None = None
-    track_axis: bool = False
+    "rf.p1": 0.1, "rf.noise": 1e-12, "rf.g0": 1e-3, "rf.radius": 100.0,
+    "rf.height": 20.0,
+    "uowc.eta": 0.8, "uowc.p2": 0.1, "uowc.n0": 1e-21, "uowc.pr": 0.1,
+    "uowc.bandwidth": 1.0,
+    # direct mode: uowc_scale may be "track" (this point's mu1), the default
+    # when mu2 is unset too
+    "direct.mu1": 100.0, "direct.uowc_scale": None, "direct.mu2": None,
+    "mc.samples": 1_000_000, "mc.seed": None, "mc.chunk": McConfig.chunk_size,
+}
+# The key each sweep axis sets, and the mode an axis needs.
+AXIS_KEYS = {"n_relays": "rf.n_relays", "gamma_th": "gamma_th",
+             "avg_snr": "direct.mu1", "radius": "rf.radius", "height": "rf.height"}
+AXIS_MODE = {"avg_snr": "direct", "radius": "physical", "height": "physical"}
+EGG_KEYS = ("egg.w", "egg.lam", "egg.a", "egg.b", "egg.c")
 
-    def build(self, axis: str, value: float) -> SystemConfig:
-        try:
-            return self._build(axis, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
-    def _build(self, axis: str, value: float) -> SystemConfig:
-        if self.mode == "direct":
-            if axis in ("radius", "height"):
-                raise ConfigError(f"axis {axis!r} needs mode = physical")
-            mu1 = value if axis == "avg_snr" else self.mu1
-            n = int(value) if axis == "n_relays" else int(self.rf.get("n_relays", 1))
-            scale, mu2 = self.uowc_scale, self.mu2
-            if self.track_axis and axis == "avg_snr":
-                scale, mu2 = value, None
-            return SystemConfig.from_direct_snr(
-                mu1=mu1, n_relays=n, egg=self.egg, pointing=self.pointing,
-                uowc_scale=scale, mu2=mu2, rho_convention=self.rho_convention)
-        rf = dict(self.rf)
-        if axis == "n_relays":
-            rf["n_relays"] = int(value)
-        elif axis == "radius":
-            rf["radius_r"] = value
-        elif axis == "height":
-            rf["height_l"] = value
-        elif axis == "avg_snr":
-            raise ConfigError("axis 'avg_snr' needs mode = direct")
-        rf_params = RfLinkParams(**rf)
-        uowc_params = UowcLinkParams(**self.uowc)
-        return SystemConfig(
-            rf_params, uowc_params, self.egg, self.pointing,
-            gain_convention=self.gain_convention,
-            rho_convention=self.rho_convention)
+def _integer(cfg: dict, key: str) -> int:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _egg_from(cfg: dict) -> EggParams:
+    custom = {k[len("egg."):]: cfg[k] for k in EGG_KEYS if cfg[k] is not None}
+    preset_key = cfg["preset"]
+    if custom and preset_key:
+        raise ConfigError("give either a preset or explicit egg.* values, not both")
+    if custom:
+        if len(custom) < len(EGG_KEYS):
+            missing = [k for k in EGG_KEYS if cfg[k] is None]
+            raise ConfigError(f"incomplete turbulence spec, missing {missing}")
+        return EggParams(**{k: float(v) for k, v in custom.items()})
+    preset_key = preset_key or "salty/4.7"
+    if preset_key not in WATER_PRESETS:
+        raise ConfigError(
+            f"unknown preset {preset_key!r}; known: {', '.join(sorted(WATER_PRESETS))}")
+    return WATER_PRESETS[preset_key].egg
+
+
+def _build_point(cfg: dict) -> tuple[SystemConfig, OutageQuery]:
+    """The system and threshold that a complete config dict describes."""
+    try:
+        egg = _egg_from(cfg)
+        pointing = PointingParams(a0=float(cfg["pointing.a0"]),
+                                  xi=float(cfg["pointing.xi"]))
+        n_relays = _integer(cfg, "rf.n_relays")
+        query = OutageQuery(float(cfg["gamma_th"]))
+        if cfg["mode"] == "direct":
+            mu1, mu2 = cfg["direct.mu1"], cfg["direct.mu2"]
+            scale = cfg["direct.uowc_scale"]
+            if scale == "track" or (scale is None and mu2 is None):
+                scale = mu1
+            system = SystemConfig.from_direct_snr(
+                mu1=float(mu1), n_relays=n_relays, egg=egg, pointing=pointing,
+                uowc_scale=None if scale is None else float(scale),
+                mu2=None if mu2 is None else float(mu2),
+                rho_convention=cfg["rho_convention"])
+        else:
+            rf = RfLinkParams(
+                p1=float(cfg["rf.p1"]), sigma1_sq=float(cfg["rf.noise"]),
+                g0=float(cfg["rf.g0"]), radius_r=float(cfg["rf.radius"]),
+                height_l=float(cfg["rf.height"]), n_relays=n_relays)
+            uowc = UowcLinkParams(*(float(cfg[f"uowc.{k}"]) for k in
+                                    ("eta", "p2", "n0", "pr", "bandwidth")))
+            system = SystemConfig(rf, uowc, egg, pointing,
+                                  gain_convention=cfg["gain_convention"],
+                                  rho_convention=cfg["rho_convention"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return system, query
 
 
 @dataclass
 class SweepSpec:
+    """A sweep: cfg holds every key of KEYS, and each axis value sets one."""
+
     axis: str
     values: list[float]
     methods: list[str]
-    scenario: Scenario
-    gamma_th: float
+    cfg: dict
+    label: str
     mc_samples: int
     mc_seed: int | None
     mc_chunk: int
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ConfigError(f"unknown axis {self.axis!r}; expected one of {AXES}")
+        if self.axis not in AXIS_KEYS:
+            raise ConfigError(
+                f"unknown axis {self.axis!r}; expected one of {tuple(AXIS_KEYS)}")
         if not self.values:
             raise ConfigError("sweep needs at least one axis value")
         if sorted(self.values) != self.values or len(set(self.values)) != len(self.values):
@@ -194,99 +228,38 @@ class SweepSpec:
             raise ConfigError(f"unknown methods {bad}; expected subset of {METHODS}")
         if not self.methods:
             raise ConfigError("need at least one method")
-        if self.gamma_th <= 0 and self.axis != "gamma_th":
-            raise ConfigError("gamma_th must be positive")
+        if self.mc_samples < 1 or self.mc_chunk < 1:
+            raise ConfigError("mc.samples and mc.chunk must be >= 1")
 
-
-def _scenario_from(cfg: dict) -> Scenario:
-    mode = cfg.get("mode", "direct")
-    if mode not in ("direct", "physical"):
-        raise ConfigError(f"mode must be 'direct' or 'physical', got {mode!r}")
-    try:
-        egg = _egg_from(cfg)
-        pointing = PointingParams(a0=float(cfg.get("pointing.a0", 1.0)),
-                                  xi=float(cfg.get("pointing.xi", 6.7)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rho_conv = cfg.get("rho_convention", "as-written")
-    gain_conv = cfg.get("gain_convention", "squared")
-    label = str(cfg.get("label", "scenario"))
-    sc = Scenario(mode=mode, label=label, egg=egg, pointing=pointing,
-                  rho_convention=rho_conv, gain_convention=gain_conv)
-    sc.rf = {
-        "p1": float(cfg.get("rf.p1", 0.1)),
-        "sigma1_sq": float(cfg.get("rf.noise", 1e-12)),
-        "g0": float(cfg.get("rf.g0", 1e-3)),
-        "radius_r": float(cfg.get("rf.radius", 100.0)),
-        "height_l": float(cfg.get("rf.height", 20.0)),
-        "n_relays": int(cfg.get("rf.n_relays", 1)),
-    }
-    if mode == "physical":
-        sc.uowc = {
-            "eta": float(cfg.get("uowc.eta", 0.8)),
-            "p2": float(cfg.get("uowc.p2", 0.1)),
-            "n0": float(cfg.get("uowc.n0", 1e-21)),
-            "pr": float(cfg.get("uowc.pr", 0.1)),
-            "bandwidth": float(cfg.get("uowc.bandwidth", 1.0)),
-        }
-    else:
-        sc.mu1 = float(cfg.get("direct.mu1", 100.0))
-        raw_scale = cfg.get("direct.uowc_scale")
-        raw_mu2 = cfg.get("direct.mu2")
-        if raw_scale == "track" or (raw_scale is None and raw_mu2 is None):
-            sc.track_axis = True
-            sc.uowc_scale = sc.mu1
-        elif raw_scale is not None and raw_mu2 is not None:
-            raise ConfigError("set only one of direct.uowc_scale and direct.mu2")
-        elif raw_scale is not None:
-            sc.uowc_scale = float(raw_scale)
-        else:
-            sc.mu2 = float(raw_mu2)
-    return sc
-
-
-def _egg_from(cfg: dict) -> EggParams:
-    custom = {k: v for k, v in cfg.items() if k.startswith("egg.")}
-    preset_key = cfg.get("preset")
-    if custom and preset_key:
-        raise ConfigError("give either a preset or explicit egg.* values, not both")
-    if preset_key:
-        if preset_key not in WATER_PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset_key!r}; known: {', '.join(sorted(WATER_PRESETS))}")
-        return get_preset(preset_key).egg
-    if custom:
-        need = {"egg.w", "egg.lam", "egg.a", "egg.b", "egg.c"}
-        missing = need - set(custom)
-        if missing:
-            raise ConfigError(f"incomplete turbulence spec, missing {sorted(missing)}")
-        return EggParams(w=float(custom["egg.w"]), lam=float(custom["egg.lam"]),
-                         a=float(custom["egg.a"]), b=float(custom["egg.b"]),
-                         c=float(custom["egg.c"]))
-    return get_preset("salty/4.7").egg
+    def point(self, value: float) -> tuple[SystemConfig, OutageQuery]:
+        """System and threshold at one axis value."""
+        return _build_point({**self.cfg, AXIS_KEYS[self.axis]: value})
 
 
 def load_sweep_spec(cfg: dict) -> SweepSpec:
-    """Validate a parsed config dict and assemble the sweep description."""
-    axis = cfg.get("axis")
+    """Validate a parsed config dict and assemble the sweep description.
+
+    Every axis value's point is built here once, so a bad value fails now,
+    before any outage is computed.
+    """
+    unknown = sorted(set(cfg) - set(KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    cfg = {**KEYS, **cfg}
+    axis, mode = cfg["axis"], cfg["mode"]
     if axis is None:
         raise ConfigError("config needs an 'axis' key")
-    values = _values_list(cfg.get("values", ""))
-    methods_raw = cfg.get("methods", "closed_form,quadrature")
-    methods = [m.strip() for m in str(methods_raw).split(",") if m.strip()]
-    scenario = _scenario_from(cfg)
-    gamma_th = float(cfg.get("gamma_th", 10.0))
-    if axis == "n_relays":
-        ints_ok = all(float(v).is_integer() and v >= 1 for v in values)
-        if not ints_ok:
-            raise ConfigError("n_relays sweep values must be positive integers")
+    if mode not in ("direct", "physical"):
+        raise ConfigError(f"mode must be 'direct' or 'physical', got {mode!r}")
+    if AXIS_MODE.get(axis, mode) != mode:
+        raise ConfigError(f"axis {axis!r} needs mode = {AXIS_MODE[axis]}")
     spec = SweepSpec(
-        axis=axis, values=values, methods=methods, scenario=scenario,
-        gamma_th=gamma_th,
-        mc_samples=int(cfg.get("mc.samples", 1_000_000)),
-        mc_seed=int(cfg["mc.seed"]) if "mc.seed" in cfg else None,
-        mc_chunk=int(cfg.get("mc.chunk", McConfig.chunk_size)),
-    )
-    if spec.mc_samples < 1:
-        raise ConfigError("mc.samples must be >= 1")
+        axis=axis, values=_values_list(cfg["values"]),
+        methods=[m.strip() for m in str(cfg["methods"]).split(",") if m.strip()],
+        cfg=cfg, label=str(cfg["label"]),
+        mc_samples=_integer(cfg, "mc.samples"),
+        mc_seed=None if cfg["mc.seed"] is None else _integer(cfg, "mc.seed"),
+        mc_chunk=_integer(cfg, "mc.chunk"))
+    for value in spec.values:
+        spec.point(value)
     return spec

@@ -1,14 +1,22 @@
 import csv
+import dataclasses
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rfuowc.cli as cli
+from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
+    get_preset
 from rfuowc.cli import main
 from rfuowc.config import ConfigError, db_to_linear, dbm_to_watts, \
     load_sweep_spec, parse_config
 from rfuowc.mc import McConfig
 from rfuowc.plotting import PlotError, render_svg
+from rfuowc.system import OutageResult, SystemConfig
 
 BASE_CFG = """
 label = "demo"
@@ -25,6 +33,8 @@ direct.uowc_scale = 100
 mc.samples = 50000
 mc.seed = 123
 """
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write_cfg(tmp_path, text, name="sweep.cfg"):
@@ -113,9 +123,6 @@ class TestSweepCommand:
         assert [p["clamped"] for p in manifest["points"]] == [False] * len(rows)
 
     def test_manifest_reports_clamped_values(self, tmp_path, monkeypatch):
-        import rfuowc.cli as cli
-        from rfuowc.system import OutageResult
-
         monkeypatch.setattr(cli, "outage_quadrature", lambda cfg, q: OutageResult(
             value=1.0, method="quadrature", err_est=0.0, c_used=35.0, clamped=True))
         cfg = write_cfg(tmp_path, BASE_CFG)
@@ -194,9 +201,181 @@ class TestSweepCommand:
         assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+PHYSICAL_CFG = """
+label = "phys"
+mode = "physical"
+axis = "radius"
+values = "25,100"
+methods = "quadrature"
+gamma_th_db = 23
+preset = "salty/16.5"
+pointing.a0 = 0.5076
+pointing.xi = 0.6079
+rf.p1 = 0.1
+rf.noise_dbm = -90
+rf.g0_db = -30
+rf.height = 50
+rf.n_relays = 3
+uowc.eta = 0.8
+uowc.p2 = 0.1
+uowc.n0 = 1e-21
+uowc.pr = 0.1
+"""
+
+WEAK = PointingParams(a0=0.5076, xi=0.6079)
+
+
+def swept_systems(text, monkeypatch):
+    """(SystemConfig, gamma_th) that a quadrature sweep of `text` evaluates."""
+    seen = []
+
+    def fake_quadrature(cfg, q):
+        seen.append((cfg, q.gamma_th))
+        return OutageResult(value=0.5, method="quadrature", err_est=0.0,
+                            c_used=cfg.egg.c)
+
+    monkeypatch.setattr(cli, "outage_quadrature", fake_quadrature)
+    spec = load_sweep_spec(parse_config(text))
+    cli.run_sweep(dataclasses.replace(spec, methods=["quadrature"]), seed=1)
+    return seen
+
+
+def sweep_exit(tmp_path, text, *extra):
+    cfg = write_cfg(tmp_path, text)
+    return main(["sweep", cfg, "--out", str(tmp_path / "x.csv"), *extra])
+
+
+class TestSweepPoints:
+    """Each axis value reaches the outage methods as the right SystemConfig."""
+
+    def physical(self, radius, height):
+        rf = RfLinkParams(p1=0.1, sigma1_sq=dbm_to_watts(-90.0),
+                          g0=db_to_linear(-30.0), radius_r=radius,
+                          height_l=height, n_relays=3)
+        uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
+        return SystemConfig(rf, uowc, get_preset("salty/16.5").egg, WEAK)
+
+    def test_physical_radius_sweep(self, monkeypatch):
+        seen = swept_systems(PHYSICAL_CFG, monkeypatch)
+        assert [s.rf.radius_r for s, _ in seen] == [25.0, 100.0]
+        assert [s for s, _ in seen] == [self.physical(25.0, 50.0),
+                                        self.physical(100.0, 50.0)]
+        assert [g for _, g in seen] == [db_to_linear(23.0)] * 2
+
+    def test_physical_height_sweep(self, monkeypatch):
+        text = PHYSICAL_CFG.replace('axis = "radius"', 'axis = "height"') \
+            .replace("rf.height = 50\n", "rf.radius = 75\n")
+        seen = swept_systems(text, monkeypatch)
+        assert [s.rf.height_l for s, _ in seen] == [25.0, 100.0]
+        assert [s for s, _ in seen] == [self.physical(75.0, 25.0),
+                                        self.physical(75.0, 100.0)]
+
+    def test_avg_snr_sweep_tracks_the_optical_scale(self, monkeypatch):
+        text = BASE_CFG.replace('axis = "n_relays"', 'axis = "avg_snr"') \
+            .replace('values = "1:3"', 'values = "10,1000"') \
+            .replace("direct.mu1 = 100\n", "rf.n_relays = 2\n") \
+            .replace("direct.uowc_scale = 100", 'direct.uowc_scale = "track"')
+        seen = swept_systems(text, monkeypatch)
+        egg = get_preset("salty/4.7").egg
+        for (system, gth), v in zip(seen, (10.0, 1000.0)):
+            want = SystemConfig.from_direct_snr(
+                mu1=v, n_relays=2, egg=egg, pointing=WEAK, uowc_scale=v)
+            assert system.budget == want.budget
+            assert gth == 10.0
+
+    def test_gamma_th_sweep_sets_the_threshold(self, monkeypatch):
+        text = BASE_CFG.replace('axis = "n_relays"', 'axis = "gamma_th"') \
+            .replace('values = "1:3"', 'values = "0.5,20"')
+        seen = swept_systems(text, monkeypatch)
+        assert [g for _, g in seen] == [0.5, 20.0]
+        assert seen[0][0] == seen[1][0]
+
+    def test_default_preset(self, monkeypatch):
+        text = BASE_CFG.replace('preset = "salty/4.7"\n', "")
+        seen = swept_systems(text, monkeypatch)
+        assert all(s.egg == get_preset("salty/4.7").egg for s, _ in seen)
+
+    @pytest.mark.parametrize("text", [
+        BASE_CFG.replace('axis = "n_relays"', 'axis = "radius"')
+        .replace('values = "1:3"', 'values = "10,20"'),
+        PHYSICAL_CFG.replace('axis = "radius"', 'axis = "avg_snr"'),
+        BASE_CFG + "direct.mu2 = 5\n",
+    ], ids=["radius-in-direct", "avg_snr-in-physical", "scale-and-mu2"])
+    def test_inconsistent_sweeps_exit_2(self, tmp_path, text):
+        assert sweep_exit(tmp_path, text) == 2
+
+    @pytest.mark.parametrize("text", [
+        BASE_CFG.replace('preset = "salty/4.7"', 'preset = "brackish/3"'),
+        BASE_CFG.replace('preset = "salty/4.7"', "egg.w = 0.2\negg.lam = 0.4\n"),
+    ], ids=["unknown-preset", "incomplete-egg"])
+    def test_bad_turbulence_spec(self, tmp_path, text):
+        with pytest.raises(ConfigError):
+            load_sweep_spec(parse_config(text))
+        assert sweep_exit(tmp_path, text) == 2
+
+
+class TestBadSweepInputs:
+    """Bad values fail as config errors (exit 2) before any outage is computed."""
+
+    @pytest.mark.parametrize("values", ["0,1", "-2,1"])
+    def test_nonpositive_gamma_th_axis_value(self, tmp_path, capsys, values):
+        text = BASE_CFG.replace('axis = "n_relays"', 'axis = "gamma_th"') \
+            .replace('values = "1:3"', f'values = "{values}"')
+        with pytest.raises(ConfigError, match="gamma_th"):
+            load_sweep_spec(parse_config(text))
+        assert sweep_exit(tmp_path, text) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_mc_samples_option(self, tmp_path, capsys, n):
+        assert sweep_exit(tmp_path, BASE_CFG, "--mc-samples", n) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("text", [
+        BASE_CFG.replace('values = "1:3"', 'values = "1,2.5"'),
+        BASE_CFG.replace('values = "1:3"', 'values = "1,65"'),
+        BASE_CFG + "mc.chunk = 0\n",
+    ], ids=["fractional-relays", "too-many-relays", "zero-chunk"])
+    def test_bad_numbers_in_config(self, tmp_path, capsys, text):
+        assert sweep_exit(tmp_path, text) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_mc_samples_checked_on_replace(self):
+        spec = load_sweep_spec(parse_config(BASE_CFG))
+        with pytest.raises(ConfigError, match="mc.samples"):
+            dataclasses.replace(spec, mc_samples=0)
+
+    @pytest.mark.parametrize("key", ["pointing.xi2", "direct.mu"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        text = BASE_CFG + f"{key} = 0.5\n"
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_sweep_spec(parse_config(text))
+        assert sweep_exit(tmp_path, text) == 2
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script, args, n_rows", [
+    ("fig2_relays", ["--mc-samples", "2000"], 256),
+    ("fig3_avg_snr", [], 66),
+    ("fig4_radius", [], 32),
+])
+def test_figure_script_runs(tmp_path, script, args, n_rows):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{script}.py"), "--out-dir", str(tmp_path),
+         *args], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_rows(tmp_path / f"{script}.csv")) == n_rows
+    assert "<polyline" in (tmp_path / f"{script}.svg").read_text()
+
+
 class TestValidateCommand:
+    def test_bad_seed_environment_is_a_config_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_level", lambda level, seed: iter(()))
+        monkeypatch.setenv("RFUOWC_SEED", "abc")
+        assert main(["validate"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_prints_one_timing_line_per_suite(self, monkeypatch, capsys):
-        import rfuowc.cli as cli
         from rfuowc.validation import CheckResult
 
         def fake_level(level, seed):
