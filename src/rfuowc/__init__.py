@@ -20,7 +20,6 @@ from .specfun import (  # noqa: F401
 )
 from .channels import (  # noqa: F401
     EggParams,
-    LinkBudget,
     PointingParams,
     RfLinkParams,
     UowcLinkParams,
@@ -29,12 +28,10 @@ from .channels import (  # noqa: F401
     egg_moment,
     get_preset,
     relay_constant_c,
-    relay_gain_sq,
     rf_avg_power_gain,
     rf_avg_snr,
     rf_snr_cdf,
     rf_snr_pdf,
-    uowc_budget,
     uowc_snr_cdf,
     uowc_snr_pdf,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "EggParams",
     "PointingParams",
     "UowcLinkParams",
-    "LinkBudget",
     "WaterPreset",
     "WATER_PRESETS",
     "get_preset",
@@ -30,9 +29,7 @@ __all__ = [
     "rf_snr_pdf",
     "rf_snr_cdf",
     "relay_constant_c",
-    "relay_gain_sq",
     "egg_moment",
-    "uowc_budget",
     "uowc_snr_pdf",
     "uowc_snr_cdf",
 ]
@@ -121,21 +118,6 @@ class UowcLinkParams:
     @property
     def noise_power(self):
         return self.n0 * self.bandwidth
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Derived link quantities shared by every outage method."""
-
-    g1: float
-    mu1: float
-    c_const: float
-    g_relay_sq: float
-    mean_i: float
-    mean_i2: float
-    mu2: float
-    avg_snr2: float
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -246,23 +228,6 @@ def relay_constant_c(mu1: float, n_relays: int) -> float:
     return 1.0 + mu1 * math.fsum(1.0 / k for k in range(1, n + 1))
 
 
-def relay_gain_sq(uowc: UowcLinkParams, sigma1_sq: float, c_const: float,
-                  gain_convention: str = "squared") -> float:
-    """Squared relay amplification from statistical channel knowledge.
-
-    The 'squared' convention reads the relay-power budget as defining G^2
-    directly (the usual fixed-gain normalization); 'literal' squares it.
-    """
-    if sigma1_sq <= 0 or c_const < 1.0:
-        raise ValueError("need sigma1_sq > 0 and c_const >= 1")
-    g = uowc.pr / (sigma1_sq * c_const)
-    if gain_convention == "squared":
-        return g
-    if gain_convention == "literal":
-        return g * g
-    raise ValueError(f"unknown gain convention {gain_convention!r}")
-
-
 def _check_n(n_relays) -> int:
     n = int(n_relays)
     if not (1 <= n <= MAX_RELAYS):
@@ -288,62 +253,39 @@ def egg_moment(n: int, egg: EggParams, pointing: PointingParams) -> float:
     return (exp_part + gg_part) * point
 
 
-def uowc_budget(uowc: UowcLinkParams, egg: EggParams, pointing: PointingParams,
-                g_relay_sq: float, rho_convention: str = "as-written"):
-    """Optical-hop budget fragment (E[I], E[I^2], mu2, avg SNR, rho).
-
-    rho is the scale constant of the optical SNR distribution.  'as-written'
-    compounds the irradiance normalization twice (rho = avg_snr2 / E[I]^2);
-    'mu2' uses the average electrical SNR directly.
-    """
-    if g_relay_sq <= 0:
-        raise ValueError("g_relay_sq must be positive")
-    mean_i = egg_moment(1, egg, pointing)
-    mean_i2 = egg_moment(2, egg, pointing)
-    mu2 = g_relay_sq * (uowc.p2 * uowc.eta * mean_i) ** 2 / uowc.noise_power
-    avg_snr2 = mu2 * mean_i2 / mean_i ** 2
-    if rho_convention == "as-written":
-        rho = avg_snr2 / mean_i ** 2
-    elif rho_convention == "mu2":
-        rho = mu2
-    else:
-        raise ValueError(f"unknown rho convention {rho_convention!r}")
-    return mean_i, mean_i2, mu2, avg_snr2, rho
-
-
-def uowc_snr_pdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+def uowc_snr_pdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     """Density of the optical-hop SNR under turbulence plus misalignment."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR density requires x > 0")
     flat = x.reshape(-1)
-    out = _pdf_times_x(np.log(flat), budget, egg, pointing) / flat
+    out = _pdf_times_x(np.log(flat), rho, egg, pointing) / flat
     out = out.reshape(x.shape)
     return float(out) if np.isscalar(x) or x.ndim == 0 else out
 
 
-def _kernels(ln_x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+def _kernels(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
     """ln z1, ln z2, z1^{xi^2} Gamma(1 - xi^2, z1) and
     z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a), where z1 = x / (lam A0 rho)
     and z2 = (x / (b A0 rho))^c are the arguments of the two branches."""
     xi2 = pointing.xi2
-    ln_z1 = ln_x - math.log(egg.lam * pointing.a0 * budget.rho)
-    ln_z2 = egg.c * (ln_x - math.log(egg.b * pointing.a0 * budget.rho))
+    ln_z1 = ln_x - math.log(egg.lam * pointing.a0 * rho)
+    ln_z2 = egg.c * (ln_x - math.log(egg.b * pointing.a0 * rho))
     g1 = np.exp(ln_z1 + ln_gamma_upper_scaled(1.0 - xi2, ln_z1))
     g2 = np.exp(egg.a * ln_z2 + ln_gamma_upper_scaled(egg.a - xi2 / egg.c, ln_z2)
                 - math.lgamma(egg.a))
     return ln_z1, ln_z2, g1, g2
 
 
-def _pdf_times_x(ln_x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+def _pdf_times_x(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
     """x * pdf(x) evaluated from log-SNR, the natural quadrature integrand:
     xi^2 [w z1^{xi^2} Gamma(1 - xi^2, z1)
           + (1 - w) z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a)]."""
-    *_, g1, g2 = _kernels(np.asarray(ln_x, dtype=float), budget, egg, pointing)
+    *_, g1, g2 = _kernels(np.asarray(ln_x, dtype=float), rho, egg, pointing)
     return pointing.xi2 * (egg.w * g1 + (1.0 - egg.w) * g2)
 
 
-def uowc_snr_cdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams):
+def uowc_snr_cdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     """CDF of the optical-hop SNR; monotone with limits 0 and 1.  The density
     integrated by parts with Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z:
     w [1 - e^{-z1} + z1^{xi^2} Gamma(1 - xi^2, z1)]
@@ -351,7 +293,7 @@ def uowc_snr_cdf(x, budget: LinkBudget, egg: EggParams, pointing: PointingParams
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR CDF requires x > 0")
-    ln_z1, ln_z2, g1, g2 = _kernels(np.log(x.reshape(-1)), budget, egg, pointing)
+    ln_z1, ln_z2, g1, g2 = _kernels(np.log(x.reshape(-1)), rho, egg, pointing)
     z1 = np.exp(np.minimum(ln_z1, 700.0))  # 1 - e^-z1 is 1 long before
     out = egg.w * (g1 - np.expm1(-z1)) + (1.0 - egg.w) * (gamma_p(egg.a, ln_z2) + g2)
     out = np.clip(out, 0.0, 1.0).reshape(x.shape)

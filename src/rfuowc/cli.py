@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -37,17 +38,19 @@ CSV_HEADER = ("axis", "axis_value", "method", "p_out", "err_est", "c_used",
 
 
 def _resolve_seed(cli_seed, cfg_seed):
-    if cli_seed is not None:
-        return int(cli_seed)
-    if cfg_seed is not None:
-        return int(cfg_seed)
-    env = os.environ.get("RFUOWC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"RFUOWC_SEED must be an integer, got {env!r}") from exc
-    return McConfig.seed
+    """The Monte Carlo seed: --seed, else mc.seed, else RFUOWC_SEED, else the
+    sampler's default.  McConfig checks that it fits in 64 bits."""
+    for source, seed in (("--seed", cli_seed), ("mc.seed", cfg_seed),
+                         ("RFUOWC_SEED", os.environ.get("RFUOWC_SEED"))):
+        if seed is not None:
+            break
+    else:
+        return McConfig.seed
+    try:
+        return McConfig(n_samples=1, seed=int(seed)).seed
+    except ValueError as exc:
+        raise ConfigError(f"{source} must be an integer that fits in 64 bits, "
+                          f"got {seed!r}") from exc
 
 
 def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
@@ -76,16 +79,13 @@ def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
 def run_sweep(spec: SweepSpec, seed: int, jobs: int = 1):
     """Evaluate the sweep; rows ordered by axis value, then method order."""
     cells = [(value, method) for value in spec.values for method in spec.methods]
-    results = [None] * len(cells)
+    eval_cell = functools.partial(_eval_point, spec, seed=seed)
+    values, methods = zip(*cells)
     if jobs <= 1:
-        for i, (value, method) in enumerate(cells):
-            results[i] = _eval_point(spec, value, method, seed)
+        results = list(map(eval_cell, values, methods))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_eval_point, spec, value, method, seed): i
-                    for i, (value, method) in enumerate(cells)}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
+            results = list(pool.map(eval_cell, values, methods))
     rows = []
     for (value, method), (p, err, c_used, clamped, ms) in zip(cells, results):
         rows.append({

@@ -3,7 +3,7 @@
 One scenario per file.  Dotted keys address sections (rf.*, uowc.*,
 pointing.*, egg.*, direct.*, mc.*).  Keys ending in _db or _dbm are converted
 to linear or watts on parse, with the suffix stripped.  A sweep may set only
-the keys of KEYS.
+the keys of KEYS, and a key of MODE_KEYS only in the mode that reads it.
 """
 
 from __future__ import annotations
@@ -121,13 +121,14 @@ def _values_list(raw) -> list[float]:
 KEYS = {
     "label": "scenario", "mode": "direct", "axis": None, "values": "",
     "methods": "closed_form,quadrature", "gamma_th": 10.0,
-    "rho_convention": "as-written", "gain_convention": "squared",
+    "rho_convention": "as-written",
     # turbulence: a preset, or all five egg.* values; salty/4.7 if neither
     "preset": None,
     "egg.w": None, "egg.lam": None, "egg.a": None, "egg.b": None, "egg.c": None,
     "pointing.a0": 1.0, "pointing.xi": 6.7,
     "rf.n_relays": 1,
     # physical mode
+    "gain_convention": "squared",
     "rf.p1": 0.1, "rf.noise": 1e-12, "rf.g0": 1e-3, "rf.radius": 100.0,
     "rf.height": 20.0,
     "uowc.eta": 0.8, "uowc.p2": 0.1, "uowc.n0": 1e-21, "uowc.pr": 0.1,
@@ -137,10 +138,19 @@ KEYS = {
     "direct.mu1": 100.0, "direct.uowc_scale": None, "direct.mu2": None,
     "mc.samples": 1_000_000, "mc.seed": None, "mc.chunk": McConfig.chunk_size,
 }
+# The keys only one mode reads.  Setting one in the other mode is an error;
+# every other key is read in both modes (mc.* only by Monte Carlo).
+MODE_KEYS = {
+    "physical": ("rf.p1", "rf.noise", "rf.g0", "rf.radius", "rf.height",
+                 "uowc.eta", "uowc.p2", "uowc.n0", "uowc.pr", "uowc.bandwidth",
+                 "gain_convention"),
+    "direct": ("direct.mu1", "direct.uowc_scale", "direct.mu2"),
+}
 # The key each sweep axis sets, and the mode an axis needs.
 AXIS_KEYS = {"n_relays": "rf.n_relays", "gamma_th": "gamma_th",
              "avg_snr": "direct.mu1", "radius": "rf.radius", "height": "rf.height"}
-AXIS_MODE = {"avg_snr": "direct", "radius": "physical", "height": "physical"}
+AXIS_MODE = {axis: mode for axis, key in AXIS_KEYS.items()
+             for mode, keys in MODE_KEYS.items() if key in keys}
 EGG_KEYS = ("egg.w", "egg.lam", "egg.a", "egg.b", "egg.c")
 
 
@@ -194,9 +204,9 @@ def _build_point(cfg: dict) -> tuple[SystemConfig, OutageQuery]:
                 height_l=float(cfg["rf.height"]), n_relays=n_relays)
             uowc = UowcLinkParams(*(float(cfg[f"uowc.{k}"]) for k in
                                     ("eta", "p2", "n0", "pr", "bandwidth")))
-            system = SystemConfig(rf, uowc, egg, pointing,
-                                  gain_convention=cfg["gain_convention"],
-                                  rho_convention=cfg["rho_convention"])
+            system = SystemConfig.from_link(
+                rf, uowc, egg, pointing, gain_convention=cfg["gain_convention"],
+                rho_convention=cfg["rho_convention"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return system, query
@@ -245,14 +255,18 @@ def load_sweep_spec(cfg: dict) -> SweepSpec:
     unknown = sorted(set(cfg) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
-    cfg = {**KEYS, **cfg}
+    given, cfg = cfg, {**KEYS, **cfg}
     axis, mode = cfg["axis"], cfg["mode"]
     if axis is None:
         raise ConfigError("config needs an 'axis' key")
-    if mode not in ("direct", "physical"):
+    if mode not in MODE_KEYS:
         raise ConfigError(f"mode must be 'direct' or 'physical', got {mode!r}")
     if AXIS_MODE.get(axis, mode) != mode:
         raise ConfigError(f"axis {axis!r} needs mode = {AXIS_MODE[axis]}")
+    foreign = [k for other, keys in MODE_KEYS.items() if other != mode
+               for k in keys if k in given]
+    if foreign:
+        raise ConfigError(f"mode = {mode} does not read {foreign}")
     spec = SweepSpec(
         axis=axis, values=_values_list(cfg["values"]),
         methods=[m.strip() for m in str(cfg["methods"]).split(",") if m.strip()],

@@ -122,7 +122,7 @@ def sample_uowc_snr(stream: Generator, cfg: SystemConfig, size=None):
     """Optical-hop SNR samples rho * I matching the analytic density."""
     it = sample_egg_irradiance(stream, cfg.egg, size)
     ip = sample_pointing(stream, cfg.pointing, size)
-    return cfg.budget.rho * it * ip
+    return cfg.rho * it * ip
 
 
 def _blocks(size: int):
@@ -151,13 +151,11 @@ def mc_outage(cfg: SystemConfig, q: OutageQuery, mc: McConfig,
     """Empirical Pr[end-to-end SNR < gamma_th].
 
     floor_c draws the turbulence with the rounded generalized-gamma exponent
-    (and the matching re-derived budget) so the estimate is comparable with
-    the closed form.
+    (and the matching re-derived rho) so the estimate is comparable with the
+    closed form.
     """
     sys_e = cfg.floored() if floor_c else cfg
-    mu1 = sys_e.budget.mu1
-    c_const = sys_e.budget.c_const
-    n_relays = sys_e.rf.n_relays
+    mu1, c_const, n_relays = sys_e.mu1, sys_e.c_const, sys_e.n_relays
     gth = q.gamma_th
 
     def hits(rng, size):

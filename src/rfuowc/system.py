@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channels as ch
-from .channels import EggParams, LinkBudget, PointingParams, RfLinkParams, UowcLinkParams
+from .channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams
 from .quadrature import QuadratureError, adaptive_quad
 from .specfun import (
     CapabilityError,
@@ -57,28 +57,44 @@ class OutageResult:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full dual-hop scenario; budget is derived from the other fields."""
+    """Dual-hop scenario as the outage methods read it.
 
-    rf: RfLinkParams
-    uowc: UowcLinkParams
+    mu1 is the per-relay first-hop average SNR and uowc_scale the optical
+    electrical SNR scale before the irradiance normalization, so the average
+    optical SNR is mu2 = uowc_scale E[I]^2.  The relay constant C and the
+    optical SNR scale rho are derived on construction.  rho_convention
+    'as-written' compounds the irradiance normalization twice,
+    rho = mu2 E[I^2] / E[I]^2 / E[I]^2; 'mu2' takes rho = mu2.
+    """
+
+    mu1: float
+    n_relays: int
+    uowc_scale: float
     egg: EggParams
     pointing: PointingParams
-    gain_convention: str = "squared"
     rho_convention: str = "as-written"
-    budget: LinkBudget = field(init=False)
+    c_const: float = field(init=False)
+    rho: float = field(init=False)
 
     def __post_init__(self):
-        rf = self.rf
-        mu1 = ch.rf_avg_snr(rf)
-        c_const = ch.relay_constant_c(mu1, rf.n_relays)
-        g_relay_sq = ch.relay_gain_sq(self.uowc, rf.sigma1_sq, c_const,
-                                      self.gain_convention)
-        mean_i, mean_i2, mu2, avg_snr2, rho = ch.uowc_budget(
-            self.uowc, self.egg, self.pointing, g_relay_sq, self.rho_convention)
-        object.__setattr__(self, "budget", LinkBudget(
-            g1=ch.rf_avg_power_gain(rf), mu1=mu1, c_const=c_const,
-            g_relay_sq=g_relay_sq, mean_i=mean_i, mean_i2=mean_i2, mu2=mu2,
-            avg_snr2=avg_snr2, rho=rho))
+        if not 0.0 < self.mu1 < math.inf:
+            raise ValueError(f"mu1 must be positive and finite, got {self.mu1!r}")
+        if not 0.0 < self.uowc_scale < math.inf:
+            raise ValueError("optical SNR scale must be positive and finite, "
+                             f"got {self.uowc_scale!r}")
+        n = int(self.n_relays)
+        object.__setattr__(self, "n_relays", n)
+        object.__setattr__(self, "c_const", ch.relay_constant_c(self.mu1, n))
+        mean_i = ch.egg_moment(1, self.egg, self.pointing)
+        mu2 = self.uowc_scale * mean_i ** 2
+        if self.rho_convention == "as-written":
+            rho = mu2 * ch.egg_moment(2, self.egg, self.pointing) / mean_i ** 2 \
+                / mean_i ** 2
+        elif self.rho_convention == "mu2":
+            rho = mu2
+        else:
+            raise ValueError(f"unknown rho convention {self.rho_convention!r}")
+        object.__setattr__(self, "rho", rho)
 
     @classmethod
     def from_direct_snr(cls, mu1: float, n_relays: int, egg: EggParams,
@@ -87,31 +103,41 @@ class SystemConfig:
                         rho_convention: str = "as-written") -> "SystemConfig":
         """Scenario pinned by SNR levels instead of a physical power budget.
 
-        mu1 sets the per-relay first-hop average SNR.  The optical hop is
-        pinned either by uowc_scale (electrical SNR scale before the
-        irradiance normalization, shared across pointing presets) or by the
-        average electrical SNR mu2 itself.
+        The optical hop is pinned either by uowc_scale (shared across
+        pointing presets) or by the average electrical SNR mu2 itself.
         """
         if (uowc_scale is None) == (mu2 is None):
             raise ValueError("specify exactly one of uowc_scale and mu2")
-        if mu1 <= 0:
-            raise ValueError("mu1 must be positive")
-        rf = RfLinkParams(p1=mu1, sigma1_sq=1.0, g0=1.0, radius_r=0.0,
-                          height_l=1.0, n_relays=n_relays)
-        c_const = ch.relay_constant_c(mu1, n_relays)
         if uowc_scale is None:
-            mean_i = ch.egg_moment(1, egg, pointing)
-            uowc_scale = mu2 / mean_i ** 2
-        if uowc_scale <= 0:
-            raise ValueError("optical SNR scale must be positive")
-        uowc = UowcLinkParams(eta=1.0, p2=1.0, n0=1.0, pr=uowc_scale * c_const)
-        return cls(rf, uowc, egg, pointing, rho_convention=rho_convention)
+            uowc_scale = mu2 / ch.egg_moment(1, egg, pointing) ** 2
+        return cls(mu1, n_relays, uowc_scale, egg, pointing, rho_convention)
+
+    @classmethod
+    def from_link(cls, rf: RfLinkParams, uowc: UowcLinkParams, egg: EggParams,
+                  pointing: PointingParams, gain_convention: str = "squared",
+                  rho_convention: str = "as-written") -> "SystemConfig":
+        """Scenario from a physical power budget.
+
+        mu1 = P1 g1 / sigma1^2 with the path gain g1 = g0 / (R^2 + L^2).  The
+        relay's amplification from statistical channel knowledge is
+        Pr / (sigma1^2 C): the 'squared' convention reads it as the squared
+        gain G^2 (the usual fixed-gain normalization), 'literal' squares it.
+        The optical scale is G^2 (P2 eta)^2 / (N0 B).
+        """
+        mu1 = ch.rf_avg_snr(rf)
+        g_sq = uowc.pr / (rf.sigma1_sq * ch.relay_constant_c(mu1, rf.n_relays))
+        if gain_convention == "literal":
+            g_sq = g_sq * g_sq
+        elif gain_convention != "squared":
+            raise ValueError(f"unknown gain convention {gain_convention!r}")
+        scale = g_sq * (uowc.p2 * uowc.eta) ** 2 / uowc.noise_power
+        return cls(mu1, rf.n_relays, scale, egg, pointing, rho_convention)
 
     def floored(self) -> "SystemConfig":
         """The same scenario with the generalized-gamma exponent rounded down.
 
-        The budget (moments, SNR scales) is derived anew, so the three
-        outage methods can be compared on one consistent distribution.
+        rho is derived anew from the rounded moments, so the three outage
+        methods can be compared on one consistent distribution.
         """
         c_int = math.floor(self.egg.c)
         if c_int < 1:
@@ -172,9 +198,8 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
             f"floor(c) = {c_int} exceeds the supported closed-form order "
             f"{MAX_INTEGER_C}; use quadrature or Monte Carlo")
     sys_f = cfg.floored()
-    egg, pointing, budget = sys_f.egg, sys_f.pointing, sys_f.budget
-    n = sys_f.rf.n_relays
-    mu1, c_const, rho = budget.mu1, budget.c_const, budget.rho
+    egg, pointing = sys_f.egg, sys_f.pointing
+    n, mu1, c_const, rho = sys_f.n_relays, sys_f.mu1, sys_f.c_const, sys_f.rho
     xi2 = pointing.xi2
     w = egg.w
     gth = q.gamma_th
@@ -231,36 +256,35 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
     """Outage probability by integrating the first-hop CDF against the
     optical SNR density on a log axis."""
     sys_e = cfg.floored() if floor_c else cfg
-    egg, pointing, budget = sys_e.egg, sys_e.pointing, sys_e.budget
-    n = sys_e.rf.n_relays
-    mu1, c_const = budget.mu1, budget.c_const
+    egg, pointing, rho = sys_e.egg, sys_e.pointing, sys_e.rho
+    n, mu1, c_const = sys_e.n_relays, sys_e.mu1, sys_e.c_const
     gth = q.gamma_th
 
     def integrand(u):
         x = np.exp(u)
         cdf1 = ch.rf_snr_cdf(gth + gth * c_const / x, mu1, n)
-        return cdf1 * ch._pdf_times_x(u, budget, egg, pointing)
+        return cdf1 * ch._pdf_times_x(u, rho, egg, pointing)
 
-    u_lo, u_hi, trunc = _bracket(budget, egg, pointing)
-    knots = _knots(budget, egg, pointing, gth, u_lo, u_hi)
+    u_lo, u_hi, trunc = _bracket(rho, egg, pointing)
+    knots = _knots(sys_e, gth, u_lo, u_hi)
     value, err = adaptive_quad(integrand, u_lo, u_hi, epsabs=_EPSABS,
                                epsrel=_EPSREL, points=knots)
     return _finalize(value, "quadrature", err + trunc,
                      sys_e.egg.c)
 
 
-def _bracket(budget, egg, pointing):
+def _bracket(rho, egg, pointing):
     """Log-axis integration window with negligible truncated mass: on each
     side the first rung of a fixed ladder, all rungs evaluated in one call,
     whose CDF (left) or exponential-tail estimate (right) is below 1e-15."""
-    anchors = [math.log(egg.lam * pointing.a0 * budget.rho),
-               math.log(egg.b * pointing.a0 * budget.rho)]
+    anchors = [math.log(egg.lam * pointing.a0 * rho),
+               math.log(egg.b * pointing.a0 * rho)]
     left = min(anchors) - 3.0 - 4.0 * np.arange(80)
-    low = np.nonzero(ch.uowc_snr_cdf(np.exp(left), budget, egg, pointing) < 1e-15)[0]
+    low = np.nonzero(ch.uowc_snr_cdf(np.exp(left), rho, egg, pointing) < 1e-15)[0]
     if low.size == 0:
         raise QuadratureError("left tail of the optical SNR does not vanish")
     right = max(anchors) + 2.0 / min(egg.c, 2.0) + 2.0 * np.arange(80)
-    w = ch._pdf_times_x(right, budget, egg, pointing)
+    w = ch._pdf_times_x(right, rho, egg, pointing)
     prev, cur = w[:-1], w[1:]
     falling = (cur > 0.0) & (prev > cur)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,15 +298,16 @@ def _bracket(budget, egg, pointing):
     return left[low[0]], right[k] + 1.0, (trunc[k - 1] if k else 0.0) + 1e-15
 
 
-def _knots(budget, egg, pointing, gth, u_lo, u_hi):
+def _knots(cfg, gth, u_lo, u_hi):
+    egg = cfg.egg
     pts = []
     for anchor in (egg.lam, egg.b):
-        ua = math.log(anchor * pointing.a0 * budget.rho)
+        ua = math.log(anchor * cfg.pointing.a0 * cfg.rho)
         for t in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
             pts.append(ua + t / max(1.0, egg.c / 4.0))
             pts.append(ua + t)
     # knee where the first-hop CDF argument doubles
-    pts.append(math.log(gth * budget.c_const / max(budget.mu1, 1e-300) + 1e-300))
+    pts.append(math.log(gth * cfg.c_const / max(cfg.mu1, 1e-300) + 1e-300))
     return [p for p in pts if u_lo < p < u_hi]
 
 

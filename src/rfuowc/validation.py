@@ -249,21 +249,20 @@ def check_normalization() -> list[CheckResult]:
     for key in PRESET_KEYS:
         egg = get_preset(key).egg
         for pair_name, pointing in POINTING_PAIRS:
-            cfg = grid_config(key, pointing, 100.0)
-            budget = cfg.budget
-            lo = math.log(budget.rho) - 70.0
-            hi = math.log(budget.rho) + 30.0
+            rho = grid_config(key, pointing, 100.0).rho
+            lo = math.log(rho) - 70.0
+            hi = math.log(rho) + 30.0
             val, _ = adaptive_quad(
-                lambda u: ch._pdf_times_x(u, budget, egg, pointing),
+                lambda u: ch._pdf_times_x(u, rho, egg, pointing),
                 lo, hi, epsabs=1e-10, epsrel=1e-8)
             worst_pdf = max(worst_pdf, abs(val - 1.0))
-            scale = budget.rho * pointing.a0 * min(egg.lam, egg.b)
+            scale = rho * pointing.a0 * min(egg.lam, egg.b)
             x_small = scale * math.exp(-40.0 / min(pointing.xi2, egg.a * egg.c))
-            low = ch.uowc_snr_cdf(x_small, budget, egg, pointing)
-            high = ch.uowc_snr_cdf(budget.rho * 1e12, budget, egg, pointing)
+            low = ch.uowc_snr_cdf(x_small, rho, egg, pointing)
+            high = ch.uowc_snr_cdf(rho * 1e12, rho, egg, pointing)
             worst_lim = max(worst_lim, low, abs(1.0 - high))
-            grid = np.geomspace(budget.rho * 1e-10, budget.rho * 1e6, 500)
-            cdf = ch.uowc_snr_cdf(grid, budget, egg, pointing)
+            grid = np.geomspace(rho * 1e-10, rho * 1e6, 500)
+            cdf = ch.uowc_snr_cdf(grid, rho, egg, pointing)
             mono_ok &= bool(np.all(np.diff(cdf) >= -1e-12))
             if abs(val - 1.0) > 1e-6 or low > 1e-6 or abs(1.0 - high) > 1e-6:
                 out.append(CheckResult(
@@ -417,7 +416,7 @@ def check_trends(mc_samples: int = 0, seed: int = 2024) -> list[CheckResult]:
                               radius_r=v if vary == "radius" else 100.0,
                               height_l=v if vary == "height" else 20.0,
                               n_relays=3)
-            cfg_g = SystemConfig(rf, uowc, egg, WEAK_POINTING)
+            cfg_g = SystemConfig.from_link(rf, uowc, egg, WEAK_POINTING)
             p = outage_quadrature(cfg_g, OutageQuery(200.0)).value
             geo_ok &= p >= prev - 1e-15
             prev = p
@@ -461,7 +460,7 @@ def check_distribution(n_samples: int, presets=None, seed: int = 777) -> list[Ch
         lo = math.log(g2[0]) - 1e-2
         hi = math.log(g2[-1]) + 1e-2
         grid = np.exp(np.linspace(lo, hi, 900))
-        f_grid = ch.uowc_snr_cdf(grid, cfg.budget, egg, WEAK_POINTING)
+        f_grid = ch.uowc_snr_cdf(grid, cfg.rho, egg, WEAK_POINTING)
         f_s = np.interp(np.log(g2), np.log(grid), f_grid)
         idx = np.arange(1, n_samples + 1)
         dstat = max(float(np.max(np.abs(f_s - idx / n_samples))),

@@ -16,14 +16,12 @@ from rfuowc.channels import (
     egg_moment,
     get_preset,
     relay_constant_c,
-    relay_gain_sq,
     rf_avg_power_gain,
     rf_avg_snr,
     rf_snr_cdf,
     rf_snr_cdf_sum,
     rf_snr_pdf,
     rf_snr_pdf_sum,
-    uowc_budget,
     uowc_snr_cdf,
     uowc_snr_pdf,
     _pdf_times_x,
@@ -144,13 +142,25 @@ class TestRfHop:
         assert relay_constant_c(mu1, n) == pytest.approx(1.0 + val, rel=1e-8)
 
     def test_relay_gain_conventions(self):
+        # the relay's G^2 = Pr / (sigma1^2 C) under 'squared', its square
+        # under 'literal'; the optical scale is G^2 (P2 eta)^2 / N0
+        rf = RfLinkParams(p1=1.0, sigma1_sq=1.0, g0=1.0, radius_r=0.0,
+                          height_l=1.0, n_relays=1)
         uowc = UowcLinkParams(eta=1.0, p2=1.0, n0=1.0, pr=2.0)
-        sq = relay_gain_sq(uowc, sigma1_sq=1.0, c_const=1.0)
-        assert sq == pytest.approx(2.0)
-        assert relay_gain_sq(uowc, 1.0, 1.0, "literal") == pytest.approx(4.0)
-        assert relay_gain_sq(uowc, 1.0, 2.0) == pytest.approx(sq / 2.0)
+        egg = get_preset("salty/4.7").egg
+
+        def scale(rf, convention="squared"):
+            return SystemConfig.from_link(rf, uowc, egg, WEAK,
+                                          gain_convention=convention).uowc_scale
+
+        sq = scale(rf)
+        assert sq == pytest.approx(2.0 / relay_constant_c(1.0, 1))
+        assert scale(rf, "literal") == pytest.approx(sq ** 2)
+        # C = 1 + mu1 H_N grows with N, and the gain falls as 1 / C
+        rf3 = replace(rf, n_relays=3)
+        assert scale(rf3) == pytest.approx(2.0 / relay_constant_c(1.0, 3))
         with pytest.raises(ValueError):
-            relay_gain_sq(uowc, 1.0, 1.0, "other")
+            scale(rf, "other")
 
 
 class TestIrradianceMoments:
@@ -188,75 +198,86 @@ class TestIrradianceMoments:
 
 
 class TestBudget:
+    """The optical scale and rho that SystemConfig derives from a physical
+    budget."""
+
+    RF = RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
+                      height_l=20.0, n_relays=3)
+
     def test_mu2_definition(self):
         uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
         egg = get_preset("salty/4.7").egg
-        m1, m2, mu2, avg2, rho = uowc_budget(uowc, egg, WEAK, g_relay_sq=2.5)
-        assert m1 == pytest.approx(egg_moment(1, egg, WEAK))
-        assert m2 == pytest.approx(egg_moment(2, egg, WEAK))
-        assert mu2 == pytest.approx(2.5 * (0.1 * 0.8 * m1) ** 2 / 1e-21, rel=1e-12)
-        assert avg2 == pytest.approx(mu2 * m2 / m1 ** 2, rel=1e-12)
-        assert rho == pytest.approx(avg2 / m1 ** 2, rel=1e-12)
+        cfg = SystemConfig.from_link(self.RF, uowc, egg, WEAK)
+        m1, m2 = egg_moment(1, egg, WEAK), egg_moment(2, egg, WEAK)
+        g_sq = 0.1 / (1e-12 * cfg.c_const)
+        mu2 = cfg.uowc_scale * m1 ** 2
+        assert mu2 == pytest.approx(g_sq * (0.1 * 0.8 * m1) ** 2 / 1e-21, rel=1e-12)
+        avg2 = mu2 * m2 / m1 ** 2
+        assert cfg.rho == pytest.approx(avg2 / m1 ** 2, rel=1e-12)
         assert avg2 / mu2 >= 1.0  # Jensen
 
     def test_rho_conventions(self):
         uowc = UowcLinkParams(eta=1.0, p2=1.0, n0=1.0, pr=1.0)
         egg = get_preset("salty/4.7").egg
-        *_, mu2, _, rho = uowc_budget(uowc, egg, WEAK, 1.0, "mu2")
-        assert rho == mu2
+        cfg = SystemConfig.from_link(self.RF, uowc, egg, WEAK, rho_convention="mu2")
+        assert cfg.rho == cfg.uowc_scale * egg_moment(1, egg, WEAK) ** 2
         with pytest.raises(ValueError):
-            uowc_budget(uowc, egg, WEAK, 1.0, "something")
+            SystemConfig.from_link(self.RF, uowc, egg, WEAK,
+                                   rho_convention="something")
+        with pytest.raises(ValueError):
+            replace(cfg, rho_convention="something")
 
     def test_bandwidth_multiplier(self):
         base = UowcLinkParams(eta=1.0, p2=1.0, n0=1e-3, pr=1.0)
         wide = UowcLinkParams(eta=1.0, p2=1.0, n0=1e-3, pr=1.0, bandwidth=10.0)
         egg = get_preset("salty/4.7").egg
-        mu2_base = uowc_budget(base, egg, WEAK, 1.0)[2]
-        mu2_wide = uowc_budget(wide, egg, WEAK, 1.0)[2]
-        assert mu2_wide == pytest.approx(mu2_base / 10.0)
+        cfg_base = SystemConfig.from_link(self.RF, base, egg, WEAK)
+        cfg_wide = SystemConfig.from_link(self.RF, wide, egg, WEAK)
+        assert cfg_wide.uowc_scale == pytest.approx(cfg_base.uowc_scale / 10.0)
+        assert cfg_wide.rho == pytest.approx(cfg_base.rho / 10.0)
 
 
 class TestOpticalSnrDistribution:
     def test_pdf_nonnegative_on_log_grid(self):
         cfg = grid_cfg()
-        xs = np.geomspace(cfg.budget.rho * 1e-8, cfg.budget.rho * 1e4, 200)
-        vals = uowc_snr_pdf(xs, cfg.budget, cfg.egg, cfg.pointing)
+        xs = np.geomspace(cfg.rho * 1e-8, cfg.rho * 1e4, 200)
+        vals = uowc_snr_pdf(xs, cfg.rho, cfg.egg, cfg.pointing)
         assert np.all(vals >= 0.0)
 
     @pytest.mark.parametrize("key", ["salty/4.7", "fresh/16.5"])
     def test_pdf_normalizes(self, key):
         cfg = grid_cfg(key)
-        lo = math.log(cfg.budget.rho) - 70.0
-        hi = math.log(cfg.budget.rho) + 30.0
+        lo = math.log(cfg.rho) - 70.0
+        hi = math.log(cfg.rho) + 30.0
         val, _ = adaptive_quad(
-            lambda u: np.exp(u) * uowc_snr_pdf(np.exp(u), cfg.budget, cfg.egg,
+            lambda u: np.exp(u) * uowc_snr_pdf(np.exp(u), cfg.rho, cfg.egg,
                                                cfg.pointing),
             lo, hi, epsabs=1e-9, epsrel=1e-8)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_limits(self):
         cfg = grid_cfg("salty/16.5", STRONG)
-        scale = cfg.budget.rho * cfg.pointing.a0 * cfg.egg.lam
+        scale = cfg.rho * cfg.pointing.a0 * cfg.egg.lam
         beta = min(cfg.pointing.xi2, cfg.egg.a * cfg.egg.c)
         x_small = scale * math.exp(-40.0 / beta)
-        assert uowc_snr_cdf(x_small, cfg.budget, cfg.egg, cfg.pointing) <= 1e-6
-        assert uowc_snr_cdf(cfg.budget.rho * 1e12, cfg.budget, cfg.egg,
+        assert uowc_snr_cdf(x_small, cfg.rho, cfg.egg, cfg.pointing) <= 1e-6
+        assert uowc_snr_cdf(cfg.rho * 1e12, cfg.rho, cfg.egg,
                             cfg.pointing) == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_monotone_500_points(self):
         cfg = grid_cfg("salty/7.1")
-        xs = np.geomspace(cfg.budget.rho * 1e-10, cfg.budget.rho * 1e6, 500)
-        vals = uowc_snr_cdf(xs, cfg.budget, cfg.egg, cfg.pointing)
+        xs = np.geomspace(cfg.rho * 1e-10, cfg.rho * 1e6, 500)
+        vals = uowc_snr_cdf(xs, cfg.rho, cfg.egg, cfg.pointing)
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_cdf_derivative_matches_pdf(self):
         cfg = grid_cfg()
-        xs = np.geomspace(cfg.budget.rho * 0.01, cfg.budget.rho * 2.0, 20)
+        xs = np.geomspace(cfg.rho * 0.01, cfg.rho * 2.0, 20)
         for x in xs:
             h = 1e-4 * x
-            num = (uowc_snr_cdf(x + h, cfg.budget, cfg.egg, cfg.pointing)
-                   - uowc_snr_cdf(x - h, cfg.budget, cfg.egg, cfg.pointing)) / (2 * h)
-            ana = uowc_snr_pdf(x, cfg.budget, cfg.egg, cfg.pointing)
+            num = (uowc_snr_cdf(x + h, cfg.rho, cfg.egg, cfg.pointing)
+                   - uowc_snr_cdf(x - h, cfg.rho, cfg.egg, cfg.pointing)) / (2 * h)
+            ana = uowc_snr_pdf(x, cfg.rho, cfg.egg, cfg.pointing)
             assert num == pytest.approx(ana, rel=1e-4, abs=1e-300)
 
     def test_param_validation(self):
@@ -295,12 +316,12 @@ def _mp_upper(mpmath, s, z):
     return mpmath.gammainc(s, z)
 
 
-def _mp_optical(mpmath, ln_x, budget, egg, pointing):
+def _mp_optical(mpmath, ln_x, rho, egg, pointing):
     """(x * pdf, cdf) of the optical SNR at x = exp(ln_x), in mpmath."""
     mpf = mpmath.mpf
     xi2, c, a, w = mpf(pointing.xi) ** 2, mpf(egg.c), mpf(egg.a), mpf(egg.w)
-    z1 = mpmath.exp(mpf(ln_x) - mpmath.log(mpf(egg.lam) * mpf(pointing.a0) * mpf(budget.rho)))
-    z2 = mpmath.exp(c * (mpf(ln_x) - mpmath.log(mpf(egg.b) * mpf(pointing.a0) * mpf(budget.rho))))
+    z1 = mpmath.exp(mpf(ln_x) - mpmath.log(mpf(egg.lam) * mpf(pointing.a0) * mpf(rho)))
+    z2 = mpmath.exp(c * (mpf(ln_x) - mpmath.log(mpf(egg.b) * mpf(pointing.a0) * mpf(rho))))
     g1 = z1 ** xi2 * _mp_upper(mpmath, 1 - xi2, z1)
     g2 = z2 ** (xi2 / c) * _mp_upper(mpmath, a - xi2 / c, z2) / mpmath.gamma(a)
     if z2 > a + 1:
@@ -321,12 +342,12 @@ class TestOpticalAgainstMpmath:
             for xi in (pointing.xi, 0.5, 1.0, 2.0, 6.7):
                 cfg = grid_cfg(key, PointingParams(a0=pointing.a0, xi=xi))
                 for sys_ in (cfg, cfg.floored()):
-                    budget, egg, pt = sys_.budget, sys_.egg, sys_.pointing
-                    ln_x = math.log(budget.rho) + np.linspace(-40.0, 6.0, 16)
-                    pdf = _pdf_times_x(ln_x, budget, egg, pt)
-                    cdf = uowc_snr_cdf(np.exp(ln_x), budget, egg, pt)
+                    rho, egg, pt = sys_.rho, sys_.egg, sys_.pointing
+                    ln_x = math.log(rho) + np.linspace(-40.0, 6.0, 16)
+                    pdf = _pdf_times_x(ln_x, rho, egg, pt)
+                    cdf = uowc_snr_cdf(np.exp(ln_x), rho, egg, pt)
                     for i, u in enumerate(ln_x):
-                        ref_pdf, ref_cdf = _mp_optical(mpmath, u, budget, egg, pt)
+                        ref_pdf, ref_cdf = _mp_optical(mpmath, u, rho, egg, pt)
                         for got, ref in ((pdf[i], ref_pdf), (cdf[i], ref_cdf)):
                             if ref > 1e-300:
                                 assert abs(got - ref) <= 1e-12 * ref, (xi, egg.c, u)
@@ -341,8 +362,8 @@ class TestOpticalAgainstMpmath:
             for key, _, pointing in PAIRS:
                 for xi in (pointing.xi, 2.0):
                     cfg = grid_cfg(key, PointingParams(a0=pointing.a0, xi=xi))
-                    args = (cfg.budget, cfg.egg, cfg.pointing)
-                    for u in math.log(cfg.budget.rho) + np.array([-3.0, -0.5, 0.3]):
+                    args = (cfg.rho, cfg.egg, cfg.pointing)
+                    for u in math.log(cfg.rho) + np.array([-3.0, -0.5, 0.3]):
                         slope = mpmath.diff(
                             lambda v: _mp_optical(mpmath, v, *args)[1], mpmath.mpf(u))
                         want = _mp_optical(mpmath, u, *args)[0]
@@ -365,9 +386,9 @@ class TestOpticalAgainstMeijerG:
         s = xi2 / c
         spec_pdf = MeijerGSpec(m=2, n=0, a=(s + 1.0,), b=(a, s))
         spec_cdf = MeijerGSpec(m=2, n=1, a=(1.0, s + 1.0), b=(a, s, 0.0))
-        ln_x = math.log(scale * cfg.pointing.a0 * cfg.budget.rho) + self.LN_Z / c
-        pdf = _pdf_times_x(ln_x, cfg.budget, branch, cfg.pointing)
-        cdf = uowc_snr_cdf(np.exp(ln_x), cfg.budget, branch, cfg.pointing)
+        ln_x = math.log(scale * cfg.pointing.a0 * cfg.rho) + self.LN_Z / c
+        pdf = _pdf_times_x(ln_x, cfg.rho, branch, cfg.pointing)
+        cdf = uowc_snr_cdf(np.exp(ln_x), cfg.rho, branch, cfg.pointing)
         for i, ln_z in enumerate(self.LN_Z):
             z = math.exp(ln_z)
             assert pdf[i] == pytest.approx(xi2 * meijer_g(spec_pdf, z) / norm,

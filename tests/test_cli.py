@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,8 +14,8 @@ import rfuowc.cli as cli
 from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
     get_preset
 from rfuowc.cli import main
-from rfuowc.config import ConfigError, db_to_linear, dbm_to_watts, \
-    load_sweep_spec, parse_config
+from rfuowc.config import AXIS_MODE, KEYS, MODE_KEYS, ConfigError, db_to_linear, \
+    dbm_to_watts, load_sweep_spec, parse_config
 from rfuowc.mc import McConfig
 from rfuowc.plotting import PlotError, render_svg
 from rfuowc.system import OutageResult, SystemConfig
@@ -253,11 +255,14 @@ class TestSweepPoints:
                           g0=db_to_linear(-30.0), radius_r=radius,
                           height_l=height, n_relays=3)
         uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
-        return SystemConfig(rf, uowc, get_preset("salty/16.5").egg, WEAK)
+        return SystemConfig.from_link(rf, uowc, get_preset("salty/16.5").egg, WEAK)
 
     def test_physical_radius_sweep(self, monkeypatch):
         seen = swept_systems(PHYSICAL_CFG, monkeypatch)
-        assert [s.rf.radius_r for s, _ in seen] == [25.0, 100.0]
+        # mu1 = P1 g0 / ((R^2 + L^2) sigma1^2) carries the geometry
+        assert [s.mu1 for s, _ in seen] == pytest.approx(
+            [0.1 * 1e-3 / ((r * r + 2500.0) * 1e-12) for r in (25.0, 100.0)],
+            rel=1e-12)
         assert [s for s, _ in seen] == [self.physical(25.0, 50.0),
                                         self.physical(100.0, 50.0)]
         assert [g for _, g in seen] == [db_to_linear(23.0)] * 2
@@ -266,9 +271,22 @@ class TestSweepPoints:
         text = PHYSICAL_CFG.replace('axis = "radius"', 'axis = "height"') \
             .replace("rf.height = 50\n", "rf.radius = 75\n")
         seen = swept_systems(text, monkeypatch)
-        assert [s.rf.height_l for s, _ in seen] == [25.0, 100.0]
+        assert [s.mu1 for s, _ in seen] == pytest.approx(
+            [0.1 * 1e-3 / ((5625.0 + h * h) * 1e-12) for h in (25.0, 100.0)],
+            rel=1e-12)
         assert [s for s, _ in seen] == [self.physical(75.0, 25.0),
                                         self.physical(75.0, 100.0)]
+
+    def test_physical_gain_convention(self, monkeypatch):
+        seen = swept_systems(PHYSICAL_CFG + 'gain_convention = "literal"\n',
+                             monkeypatch)
+        rf = RfLinkParams(p1=0.1, sigma1_sq=dbm_to_watts(-90.0),
+                          g0=db_to_linear(-30.0), radius_r=25.0, height_l=50.0,
+                          n_relays=3)
+        uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
+        assert seen[0][0] == SystemConfig.from_link(
+            rf, uowc, get_preset("salty/16.5").egg, WEAK, gain_convention="literal")
+        assert seen[0][0].rho != self.physical(25.0, 50.0).rho
 
     def test_avg_snr_sweep_tracks_the_optical_scale(self, monkeypatch):
         text = BASE_CFG.replace('axis = "n_relays"', 'axis = "avg_snr"') \
@@ -280,7 +298,7 @@ class TestSweepPoints:
         for (system, gth), v in zip(seen, (10.0, 1000.0)):
             want = SystemConfig.from_direct_snr(
                 mu1=v, n_relays=2, egg=egg, pointing=WEAK, uowc_scale=v)
-            assert system.budget == want.budget
+            assert system == want
             assert gth == 10.0
 
     def test_gamma_th_sweep_sets_the_threshold(self, monkeypatch):
@@ -335,7 +353,10 @@ class TestBadSweepInputs:
         BASE_CFG.replace('values = "1:3"', 'values = "1,2.5"'),
         BASE_CFG.replace('values = "1:3"', 'values = "1,65"'),
         BASE_CFG + "mc.chunk = 0\n",
-    ], ids=["fractional-relays", "too-many-relays", "zero-chunk"])
+        BASE_CFG.replace("direct.mu1 = 100", "direct.mu1 = nan"),
+        BASE_CFG.replace("direct.uowc_scale = 100", "direct.uowc_scale = inf"),
+    ], ids=["fractional-relays", "too-many-relays", "zero-chunk", "nan-mu1",
+            "infinite-scale"])
     def test_bad_numbers_in_config(self, tmp_path, capsys, text):
         assert sweep_exit(tmp_path, text) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -352,6 +373,69 @@ class TestBadSweepInputs:
             load_sweep_spec(parse_config(text))
         assert sweep_exit(tmp_path, text) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        (BASE_CFG + "rf.p1 = 0.5\n", "rf.p1"),
+        (BASE_CFG + "rf.noise_dbm = -90\n", "rf.noise"),
+        (BASE_CFG + "rf.radius = 50\n", "rf.radius"),
+        (BASE_CFG + "uowc.bandwidth = 2\n", "uowc.bandwidth"),
+        (BASE_CFG + 'gain_convention = "literal"\n', "gain_convention"),
+        (PHYSICAL_CFG + "direct.mu1 = 100\n", "direct.mu1"),
+        (PHYSICAL_CFG + 'direct.uowc_scale = "track"\n', "direct.uowc_scale"),
+        (PHYSICAL_CFG + "direct.mu2 = 5\n", "direct.mu2"),
+    ], ids=lambda v: v if "\n" not in v else None)
+    def test_key_of_the_other_mode_rejected(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_sweep_spec(parse_config(text))
+        assert sweep_exit(tmp_path, text) == 2
+        assert key in capsys.readouterr().err
+
+    def test_default_mode_reads_no_physical_key(self):
+        text = BASE_CFG.replace('mode = "direct"\n', "")
+        with pytest.raises(ConfigError, match="uowc.pr"):
+            load_sweep_spec(parse_config(text + "uowc.pr = 1\n"))
+
+    def test_mc_keys_accepted_without_monte_carlo(self):
+        # mc.* are read only by Monte Carlo, but are not tied to a mode
+        spec = load_sweep_spec(parse_config(PHYSICAL_CFG + "mc.seed = 5\n"
+                                            "mc.samples = 10\n"))
+        assert (spec.mc_seed, spec.mc_samples) == (5, 10)
+
+    def test_mode_keys_are_config_keys(self):
+        mode_keys = [k for keys in MODE_KEYS.values() for k in keys]
+        assert len(set(mode_keys)) == len(mode_keys)
+        assert set(mode_keys) <= set(KEYS)
+        assert AXIS_MODE == {"avg_snr": "direct", "radius": "physical",
+                             "height": "physical"}
+
+    @pytest.mark.parametrize("args, text, env", [
+        (["--seed", "-1"], BASE_CFG, None),
+        (["--seed", str(2 ** 64)], BASE_CFG, None),
+        ([], BASE_CFG.replace("mc.seed = 123", "mc.seed = -1"), None),
+        ([], BASE_CFG.replace("mc.seed = 123\n", ""), "-1"),
+        ([], BASE_CFG.replace("mc.seed = 123\n", ""), str(2 ** 64)),
+    ], ids=["cli-negative", "cli-65-bit", "config-negative", "env-negative",
+            "env-65-bit"])
+    def test_seed_out_of_range(self, tmp_path, capsys, monkeypatch, args, text, env):
+        if env is not None:
+            monkeypatch.setenv("RFUOWC_SEED", env)
+        assert sweep_exit(tmp_path, text, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "64 bits" in err
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert sweep_exit(tmp_path, BASE_CFG.replace('values = "1:3"', 'values = "1"'),
+                          "--seed", str(2 ** 64 - 1), "--mc-samples", "100") == 0
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    readme = (SCRIPTS.parent / "README.md").read_text().splitlines()
+    start = readme.index("| key | default | meaning |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), readme[start + 2:])
+    documented = [key for row in rows
+                  for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(set(documented)) == len(documented)
+    assert set(documented) == set(KEYS)
 
 
 @pytest.mark.parametrize("script, args, n_rows", [
@@ -373,6 +457,17 @@ class TestValidateCommand:
         monkeypatch.setattr(cli, "run_level", lambda level, seed: iter(()))
         monkeypatch.setenv("RFUOWC_SEED", "abc")
         assert main(["validate"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("args, env", [
+        (["--seed", "-1"], None), (["--seed", str(2 ** 64)], None),
+        ([], "-1"), ([], str(2 ** 64)),
+    ], ids=["cli-negative", "cli-65-bit", "env-negative", "env-65-bit"])
+    def test_seed_out_of_range(self, monkeypatch, capsys, args, env):
+        monkeypatch.setattr(cli, "run_level", lambda level, seed: iter(()))
+        if env is not None:
+            monkeypatch.setenv("RFUOWC_SEED", env)
+        assert main(["validate", *args]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     def test_prints_one_timing_line_per_suite(self, monkeypatch, capsys):

@@ -247,9 +247,9 @@ class TestChunkPool:
             for idx, size in enumerate(mc.chunks()):
                 rng = chunk_stream(mc.seed, idx)
                 for n in block_sizes(size):
-                    g1 = sample_rf_best_snr(rng, cfg.budget.mu1, cfg.rf.n_relays, n)
+                    g1 = sample_rf_best_snr(rng, cfg.mu1, cfg.n_relays, n)
                     g2 = sample_uowc_snr(rng, cfg, n)
-                    geq = g1 * (g2 / (g2 + cfg.budget.c_const))
+                    geq = g1 * (g2 / (g2 + cfg.c_const))
                     hits += int(np.count_nonzero(geq < gth))
             est = mc_outage(cfg, OutageQuery(gth), mc)
             assert est.mean == hits / mc.n_samples, mc.chunk_size
@@ -300,7 +300,7 @@ class TestOutage:
         cfg = grid_cfg()
         gth = 10.0
         est = mc_outage(cfg, OutageQuery(gth), McConfig(n_samples=300_000, seed=4))
-        lower = rf_snr_cdf(gth, cfg.budget.mu1, cfg.rf.n_relays)
+        lower = rf_snr_cdf(gth, cfg.mu1, cfg.n_relays)
         assert est.mean >= lower - 3.0 * est.std_err
 
     @pytest.mark.parametrize("key,gth", [("salty/16.5", 10.0), ("fresh/4.7", 1.0)])
@@ -328,7 +328,7 @@ class TestDistribution:
         g2 = np.sort(sample_uowc_snr(chunk_stream(77, 0), cfg, n))
         grid = np.exp(np.linspace(math.log(g2[0]) - 0.01,
                                   math.log(g2[-1]) + 0.01, 800))
-        f_grid = uowc_snr_cdf(grid, cfg.budget, cfg.egg, cfg.pointing)
+        f_grid = uowc_snr_cdf(grid, cfg.rho, cfg.egg, cfg.pointing)
         f_s = np.interp(np.log(g2), np.log(grid), f_grid)
         assert ks_statistic(f_s) < 1.6276 / math.sqrt(n)
 
@@ -341,7 +341,7 @@ class TestDistribution:
         qs = np.quantile(g2, np.linspace(0.0, 1.0, 41))
         qs[0], qs[-1] = qs[0] * 0.5, qs[-1] * 2.0
         counts, _ = np.histogram(g2, bins=qs)
-        cdf_edges = uowc_snr_cdf(qs, cfg.budget, cfg.egg, cfg.pointing)
+        cdf_edges = uowc_snr_cdf(qs, cfg.rho, cfg.egg, cfg.pointing)
         probs = np.diff(cdf_edges)
         expected = probs * n
         stat = float(np.sum((counts - expected) ** 2 / expected))

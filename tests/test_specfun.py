@@ -604,8 +604,8 @@ def test_folded_series_estimate_bounds_its_error(key, gamma_th, k):
     pointing = PointingParams(a0=0.5076, xi=0.6079)
     cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=get_preset(key).egg,
                                        pointing=pointing, uowc_scale=100.0).floored()
-    egg, budget, c = cfg.egg, cfg.budget, int(cfg.egg.c)
-    scale = (k + 1) * gamma_th * budget.c_const / (budget.rho * budget.mu1)
+    egg, c = cfg.egg, int(cfg.egg.c)
+    scale = (k + 1) * gamma_th * cfg.c_const / (cfg.rho * cfg.mu1)
     ln_z = c * (math.log(scale) - math.log(egg.b * pointing.a0))
     x = pointing.xi2 / c
     spec = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(egg.a, x, 0.0), scales=(1, 1, c))

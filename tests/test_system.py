@@ -1,12 +1,13 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
-    WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_snr_cdf, \
-    uowc_snr_cdf
+    WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_avg_power_gain, \
+    rf_snr_cdf, uowc_snr_cdf
 import rfuowc.specfun as sf
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import (
@@ -54,30 +55,39 @@ class TestSystemConfig:
         cfg = grid_cfg()
         egg = get_preset("salty/4.7").egg
         mean_i, mean_i2 = egg_moment(1, egg, WEAK), egg_moment(2, egg, WEAK)
-        assert cfg.budget.c_const == pytest.approx(1.0 + 100.0 * 11.0 / 6.0, rel=1e-15)
-        assert cfg.budget.rho == pytest.approx(100.0 * mean_i2 / mean_i ** 2, rel=1e-14)
+        assert cfg.c_const == pytest.approx(1.0 + 100.0 * 11.0 / 6.0, rel=1e-15)
+        assert cfg.rho == pytest.approx(100.0 * mean_i2 / mean_i ** 2, rel=1e-14)
 
     def test_physical_budget_reproducible(self):
         rf = RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
                           height_l=20.0, n_relays=4)
         uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
-        cfg = SystemConfig(rf, uowc, get_preset("fresh/7.1").egg, WEAK)
+        cfg = SystemConfig.from_link(rf, uowc, get_preset("fresh/7.1").egg, WEAK)
         g1 = 1e-3 / (100.0 ** 2 + 20.0 ** 2)
-        assert cfg.budget.g1 == pytest.approx(g1, rel=1e-15)
-        assert cfg.budget.mu1 == pytest.approx(0.1 * g1 / 1e-12, rel=1e-15)
-        assert cfg.budget.c_const == relay_constant_c(cfg.budget.mu1, 4)
+        assert rf_avg_power_gain(rf) == pytest.approx(g1, rel=1e-15)
+        assert cfg.mu1 == pytest.approx(0.1 * g1 / 1e-12, rel=1e-15)
+        assert cfg.n_relays == 4
+        assert cfg.c_const == relay_constant_c(cfg.mu1, 4)
 
     def test_budget_is_not_a_constructor_argument(self):
+        # C and rho are derived, and a direct-mode record has no gain
+        # convention that could silently rescale rho
         cfg = grid_cfg()
         with pytest.raises(TypeError):
-            SystemConfig(cfg.rf, cfg.uowc, cfg.egg, cfg.pointing, budget=cfg.budget)
+            SystemConfig(cfg.mu1, cfg.n_relays, cfg.uowc_scale, cfg.egg,
+                         cfg.pointing, rho=cfg.rho)
+        with pytest.raises(TypeError):
+            replace(cfg, gain_convention="literal")
+        assert [f.name for f in fields(SystemConfig) if f.init] == [
+            "mu1", "n_relays", "uowc_scale", "egg", "pointing", "rho_convention"]
 
     def test_direct_snr_pins_mu_values(self):
-        cfg = SystemConfig.from_direct_snr(mu1=250.0, n_relays=2,
-                                           egg=get_preset("salty/7.1").egg,
+        egg = get_preset("salty/7.1").egg
+        cfg = SystemConfig.from_direct_snr(mu1=250.0, n_relays=2, egg=egg,
                                            pointing=WEAK, mu2=77.0)
-        assert cfg.budget.mu1 == pytest.approx(250.0, rel=1e-12)
-        assert cfg.budget.mu2 == pytest.approx(77.0, rel=1e-12)
+        assert cfg.mu1 == 250.0
+        assert cfg.uowc_scale * egg_moment(1, egg, WEAK) ** 2 == \
+            pytest.approx(77.0, rel=1e-12)
 
     def test_direct_snr_needs_exactly_one_scale(self):
         egg = get_preset("salty/7.1").egg
@@ -88,18 +98,84 @@ class TestSystemConfig:
             SystemConfig.from_direct_snr(mu1=1.0, n_relays=1, egg=egg,
                                          pointing=WEAK, uowc_scale=1.0, mu2=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(mu1=0.0), dict(mu1=-1.0), dict(mu1=math.nan), dict(mu1=math.inf),
+        dict(n_relays=0), dict(n_relays=65),
+        dict(uowc_scale=0.0), dict(uowc_scale=math.nan), dict(uowc_scale=math.inf),
+    ], ids=["mu1-zero", "mu1-negative", "mu1-nan", "mu1-inf", "no-relays",
+            "too-many-relays", "scale-zero", "scale-nan", "scale-inf"])
+    def test_rejects_out_of_range_fields(self, kwargs):
+        args = dict(mu1=100.0, n_relays=3, uowc_scale=100.0,
+                    egg=get_preset("salty/4.7").egg, pointing=WEAK)
+        with pytest.raises(ValueError):
+            SystemConfig(**{**args, **kwargs})
+
     def test_floored_recomputes_budget(self):
         cfg = grid_cfg("salty/16.5")
         flo = cfg.floored()
         assert flo.egg.c == 82.0
-        assert flo.budget.mean_i == egg_moment(1, flo.egg, flo.pointing)
-        assert flo.budget.rho != cfg.budget.rho
+        m1, m2 = egg_moment(1, flo.egg, WEAK), egg_moment(2, flo.egg, WEAK)
+        assert flo.rho == 100.0 * m1 ** 2 * m2 / m1 ** 2 / m1 ** 2
+        assert flo.rho != cfg.rho
+        assert (flo.mu1, flo.c_const) == (cfg.mu1, cfg.c_const)
+
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
             OutageQuery(0.0)
         with pytest.raises(ValueError):
             OutageQuery(-2.0)
+
+
+# float.hex of (mu1, C, rho), plain and floored, recorded from the link
+# record that SystemConfig derived them through before it stored mu1 and the
+# optical scale itself; rho = mu2 E[I^2] / E[I]^2 / E[I]^2 in that order
+GOLDEN = {
+    "grid": (
+        ("0x1.9000000000000p+6", "0x1.70aaaaaaaaaaap+7", "0x1.e46b5ed8b15d3p+7"),
+        ("0x1.9000000000000p+6", "0x1.70aaaaaaaaaaap+7", "0x1.e47491ddebd9ep+7")),
+    "mu2-pinned": (
+        ("0x1.f400000000000p+7", "0x1.7800000000000p+8", "0x1.685accbb88a00p+13"),
+        ("0x1.f400000000000p+7", "0x1.7800000000000p+8", "0x1.685abfa5a5e3cp+13")),
+    "rho-mu2": (
+        ("0x1.3880000000000p+13", "0x1.1e79555555555p+14", "0x1.d6ce2b801e2e7p+3"),
+        ("0x1.3880000000000p+13", "0x1.1e79555555555p+14", "0x1.d6af9352927f5p+3")),
+    "physical": (
+        ("0x1.2c7b13b13b13cp+13", "0x1.1374d20d20d21p+14", "0x1.11b64fe26cc6cp+87"),
+        ("0x1.2c7b13b13b13cp+13", "0x1.1374d20d20d21p+14", "0x1.11c85c5550f1cp+87")),
+}
+
+
+def golden_config(name):
+    if name == "grid":
+        return grid_cfg("salty/4.7")
+    if name == "mu2-pinned":
+        return SystemConfig.from_direct_snr(mu1=250.0, n_relays=2,
+                                            egg=get_preset("salty/7.1").egg,
+                                            pointing=WEAK, mu2=77.0)
+    if name == "rho-mu2":
+        return SystemConfig.from_direct_snr(mu1=1e4, n_relays=3,
+                                            egg=get_preset("fresh/7.1").egg,
+                                            pointing=STRONG, uowc_scale=1e4,
+                                            rho_convention="mu2")
+    # a point of scripts/fig4_radius.py: R = 100 m, L = 20 m, N = 3
+    rf = RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
+                      height_l=20.0, n_relays=3)
+    uowc = UowcLinkParams(eta=0.8, p2=0.1, n0=1e-21, pr=0.1)
+    return SystemConfig.from_link(rf, uowc, get_preset("salty/16.5").egg, WEAK)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_derived_numbers_match_the_golden_values(name):
+    cfg = golden_config(name)
+    for sys_, want in zip((cfg, cfg.floored()), GOLDEN[name]):
+        got = (sys_.mu1, sys_.c_const, sys_.rho)
+        want = tuple(float.fromhex(h) for h in want)
+        if name == "physical":
+            # the physical product is grouped as (G^2 (P2 eta)^2 / N0) E[I]^2
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        else:
+            assert got == want
 
 
 class TestOutage:
@@ -111,7 +187,7 @@ class TestOutage:
         for method in (outage_closed_form,
                        lambda c, q: outage_quadrature(c, q, floor_c=True)):
             assert method(cfg, OutageQuery(1e-12)).value <= 1e-6
-            assert method(cfg, OutageQuery(1e12 * cfg.budget.mu1)).value >= 1.0 - 1e-6
+            assert method(cfg, OutageQuery(1e12 * cfg.mu1)).value >= 1.0 - 1e-6
 
     def test_closed_form_matches_quadrature(self):
         for key, gth in (("salty/4.7", 10.0), ("fresh/7.1", 1.0)):
@@ -169,7 +245,7 @@ class TestOutage:
         cfg = grid_cfg("salty/7.1")
         for gth in (0.5, 5.0, 50.0):
             p = outage_quadrature(cfg, OutageQuery(gth)).value
-            lower = rf_snr_cdf(gth, cfg.budget.mu1, cfg.rf.n_relays)
+            lower = rf_snr_cdf(gth, cfg.mu1, cfg.n_relays)
             assert lower - 1e-9 <= p <= 1.0
 
     def test_result_fields(self):
@@ -219,7 +295,7 @@ class TestBracket:
     def test_window_leaves_out_no_more_than_it_claims(self, key, pointing, mu1):
         cfg = grid_cfg(key, mu1=mu1, pointing=pointing)
         for sys_ in (cfg, cfg.floored()):
-            args = (sys_.budget, sys_.egg, sys_.pointing)
+            args = (sys_.rho, sys_.egg, sys_.pointing)
             u_lo, u_hi, trunc = _bracket(*args)
             assert uowc_snr_cdf(math.exp(u_lo), *args) < 1e-15
             assert 1.0 - uowc_snr_cdf(math.exp(u_hi), *args) <= trunc
