@@ -55,9 +55,7 @@ class RfLinkParams:
             raise ValueError("geometry lengths must be non-negative")
         if self.radius_r == 0 and self.height_l == 0:
             raise ValueError("degenerate geometry: buoys and UAV coincide")
-        if not (1 <= int(self.n_relays) <= MAX_RELAYS):
-            raise ValueError(f"n_relays must be in 1..{MAX_RELAYS}")
-        object.__setattr__(self, "n_relays", int(self.n_relays))
+        object.__setattr__(self, "n_relays", _check_n(self.n_relays))
 
 
 @dataclass(frozen=True)
@@ -229,7 +227,11 @@ def relay_constant_c(mu1: float, n_relays: int) -> float:
 
 
 def _check_n(n_relays) -> int:
+    """The relay count as an int; a fractional or out-of-range count
+    raises ValueError (an integral float such as 3.0 is accepted)."""
     n = int(n_relays)
+    if n != n_relays:
+        raise ValueError(f"n_relays must be a whole number, got {n_relays!r}")
     if not (1 <= n <= MAX_RELAYS):
         raise ValueError(f"n_relays must be in 1..{MAX_RELAYS}")
     return n

@@ -12,9 +12,12 @@ coincident poles giving residues polynomial in ln z (the logarithmic case);
 when it is ill-conditioned (heavy alternating cancellation), by quadrature
 of the defining Mellin-Barnes contour integral, also exposed on its own as
 an independent oracle.  Both read one list of kernel factors, where a pair
-Gamma(b - s) / Gamma(b + 1 - s) is the rational pole 1 / (b - s).  There is
-no third path: where the contour cannot reach the tolerance either (the far
-exponential tail), evaluation raises NonConvergenceError.
+Gamma(b - s) / Gamma(b + 1 - s) is the rational pole 1 / (b - s).  Where the
+contour cannot reach the tolerance either (the far exponential tail),
+evaluation raises NonConvergenceError.  The two factors of the closed form
+have their own evaluators (exponential_factor_log, folded_gg_factor_log):
+the residue series, else a trapezoid rule on a real-line integral over the
+upper incomplete gamma, with no contour on that path.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "meijer_g",
     "meijer_g_log",
     "meijer_g_mellin_barnes",
+    "exponential_factor_log",
+    "folded_gg_factor_log",
 ]
 
 # Largest integer generalized-gamma exponent accepted by the closed-form
@@ -57,8 +62,19 @@ MAX_INTEGER_C = 120
 REL_TOL = 1e-10
 _MAX_TERMS = 768
 _CONTOUR_POINTS = 400_000
+# a fallback's value is refused (NonConvergenceError) only above this
+# estimate; where G is far below the float range the rounding of ln G alone
+# exceeds REL_TOL
+_REFUSE_ABOVE = max(1000.0 * REL_TOL, 1e-6)
+
+# The closed form's two factors take a series value only where its estimate
+# is within _FACTOR_TOL, else their real-line integral, whose trapezoid rule
+# runs to at most _TRAPEZOID_NODES intervals.
+_FACTOR_TOL = 1e-12
+_TRAPEZOID_NODES = 1 << 16
 
 _EPS = 1.1e-16
+_LN2 = math.log(2.0)
 
 
 class SpecfunError(Exception):
@@ -70,8 +86,9 @@ class GammaDomainError(SpecfunError, ValueError):
 
 
 class NonConvergenceError(SpecfunError):
-    """Neither the residue series nor the contour quadrature reached the
-    tolerance within their budgets."""
+    """Neither the residue series nor its fallback (the contour quadrature,
+    or a closed-form factor's real-line integral) reached the tolerance
+    within their budgets."""
 
 
 class ContourError(SpecfunError):
@@ -812,6 +829,186 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 
 
 # ---------------------------------------------------------------------------
+# the closed form's two factors: residue series, else a real-line integral
+# ---------------------------------------------------------------------------
+
+
+def _trapezoid_log(log_f, lo, hi, n):
+    """(ln I, bound on its relative error) of I = integral of exp(log_f)
+    over [lo, hi], by the trapezoid rule on n intervals, then 2n, 4n, ...
+
+    log_f maps an array of nodes to the log-integrand and a bound on its
+    rounding / eps.  Each pass adds the midpoints of the last one's
+    intervals in one call of log_f, until two passes agree within 1e-14
+    plus the rounding of their log-sum; for an integrand analytic in a strip
+    about the axis the error of a pass is then far below that of the one
+    before.  The bound is the difference of those two passes plus that
+    rounding; the caller adds the rounding of its log.  Raises
+    NonConvergenceError past _TRAPEZOID_NODES intervals.
+    """
+    h = (hi - lo) / n
+    ell, size = log_f(lo + h * np.arange(n + 1))
+    top = float(ell.max())
+    w = np.exp(ell - top)
+    w[[0, -1]] *= 0.5
+    total, wsize = float(w.sum()), float(w @ size)
+    prev = h * total
+    while 2 * n <= _TRAPEZOID_NODES:
+        h *= 0.5
+        ell, size = log_f(lo + h * np.arange(1, 2 * n, 2))
+        peak = float(ell.max())
+        if peak > top:  # rescale what is summed to the new largest term
+            r = math.exp(top - peak)
+            total, wsize, prev, top = total * r, wsize * r, prev * r, peak
+        w = np.exp(ell - top)
+        total += float(w.sum())
+        wsize += float(w @ size)
+        n *= 2
+        cur = h * total
+        ln_i = top + math.log(cur)
+        # each term's rounding and that of the pairwise sum
+        rnd = _EPS * (wsize / total + math.log2(n))
+        diff = abs(cur - prev) / cur
+        if diff <= 1e-14 + rnd:
+            return ln_i, diff + rnd
+        prev = cur
+    raise NonConvergenceError("real-line trapezoid rule did not converge")
+
+
+def _exp_factor_integral(xi2: float, ln_z: float):
+    """(ln G1, relative error bound) of G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1,
+    xi2, 0) from its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x))
+    and x0 = 2 sqrt(z):
+
+        G1(z) = 4 sqrt(z) int_0^inf cosh u exp L(1 - 2 xi2, ln(x0 cosh u)) du,
+
+    from K_1(x) = int_0^inf exp(-x cosh u) cosh u du (DLMF 10.32.8) and the
+    Mellin convolution of the kernel's gamma factors.  The integrand is even
+    in u.  Gamma(s, x) <= x^(s-1) e^-x for s <= 1 bounds it by e^-x / x0,
+    so the rule, which ends where x = x0 + 50, drops less than
+    e^-x / (x0^2 sinh u) there.
+    """
+    s = 1.0 - 2.0 * xi2
+    ln_x0 = _LN2 + 0.5 * ln_z
+    x0 = math.exp(ln_x0)
+    x_end = x0 + 50.0
+    r = x0 / x_end
+    u_end = math.log(x_end) - ln_x0 + math.log1p(math.sqrt(1.0 - r * r))  # acosh(x_end / x0)
+
+    def log_f(u):
+        ln_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LN2
+        ln_x = ln_x0 + ln_cosh
+        lg = ln_gamma_upper_scaled(s, ln_x)
+        # |dL / d ln x| <= x + 1 + 2|s| scales the rounding of ln x
+        size = (ln_cosh + np.abs(lg)
+                + (np.exp(ln_x) + 1.0 + 2.0 * abs(s)) * (abs(ln_x0) + 2.0 * ln_cosh))
+        return ln_cosh + lg, size
+
+    ln_i, rel = _trapezoid_log(log_f, 0.0, u_end, 16)
+    ln_tail = -x_end - ln_x0 - math.log(x_end) - 0.5 * math.log1p(-r * r)
+    ln_g = 2.0 * _LN2 + 0.5 * ln_z + ln_i
+    return ln_g, rel + math.exp(ln_tail - ln_i) + _EPS * abs(ln_g)
+
+
+def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
+    """(ln G2, relative error bound) of the folded generalized-gamma factor
+    G2 = H^{3,0}_{1,3}(z | (xi2/c + 1, 1); (a, 1), (xi2/c, 1), (0, c)) from
+    its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x)):
+
+        G2(z) = int exp(a v - e^v + L(-xi2, (ln z - v) / c)) dv over the real line.
+
+    With x = exp((ln z - v) / c), x^xi2 Gamma(-xi2, x) lies between
+    e^-x / (x + 1 + xi2) and min(1 / xi2, e^-x / x).  The first gives a
+    concave lower bound of the log-integrand, whose largest value on the
+    bracket of the integrand's peak sets the reference level; the second
+    bounds the two dropped tails, Gamma(a, e^V) / xi2 right of V and
+    c z^a Gamma(-ac - 1, x(V)) left of it.  The window ends where those
+    bounds, with Gamma(s, y) <= y^(s-1) e^-y max(1, y / (y + 1 - s)), fall
+    e^-45 below the reference level.
+    """
+    def log_f(v):
+        ln_x = (ln_z - v) / c
+        ev = np.exp(v)
+        lg = ln_gamma_upper_scaled(-xi2, ln_x)
+        # |dL / d ln x| <= x + 1 scales the rounding of ln x
+        size = (np.abs(a * v) + ev * (1.0 + np.abs(v)) + np.abs(lg)
+                + (np.exp(ln_x) + 1.0) * 2.0 * (abs(ln_z) + np.abs(v)) / c)
+        return a * v - ev + lg, size
+
+    # the log-integrand rises left of ln a and falls right of
+    # ln(a + (x(ln a) + 1) / c), where e^v outgrows its slope
+    v_a = math.log(a)
+    v_b = math.log(a + (math.exp((ln_z - v_a) / c) + 1.0) / c)
+    v = np.linspace(v_a, v_b, 65)
+    x = np.exp((ln_z - v) / c)
+    lower = a * v - np.exp(v) - x - np.log(x + 1.0 + xi2)
+    k = int(np.argmax(lower))
+    v_ref, x_ref, ref = v[k], x[k], float(lower[k])
+    # step: at most the peak's width, from the lower bound's curvature
+    curv = math.exp(v_ref) + x_ref / c ** 2 * (1.0 + (1.0 + xi2) / (x_ref + 1.0 + xi2) ** 2)
+    step = min(0.5, 1.0 / math.sqrt(curv))
+    # candidate ends 1/16 to 2^17 from v_ref, 2^(1/16) apart
+    d = 2.0 ** (np.arange(337) / 16.0) / 16.0
+    right, left = v_ref + d, v_ref - d
+    ln_xl = (ln_z - left) / c
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp(right)
+        ln_right = ((a - 1.0) * right - y - math.log(xi2)
+                    + np.log(np.maximum(1.0, y / (y - a + 1.0))))
+        ln_left = math.log(c) + a * left - 2.0 * ln_xl - np.exp(ln_xl)
+    ok_r, ok_l = ln_right <= ref - 45.0, ln_left <= ref - 45.0
+    if not (ok_r.any() and ok_l.any()):
+        raise NonConvergenceError("folded factor: no window bounds its tails")
+    i, j = int(np.argmax(ok_r)), int(np.argmax(ok_l))
+    lo, hi = float(left[j]), float(right[i])
+    ln_i, rel = _trapezoid_log(log_f, lo, hi, math.ceil((hi - lo) / step))
+    tails = math.exp(ln_right[i] - ln_i) + math.exp(ln_left[j] - ln_i)
+    return ln_i, rel + tails + _EPS * abs(ln_i)
+
+
+def _closed_form_factor(spec: MeijerGSpec, ln_z: float, integral):
+    """(ln G, relative error bound) of a positive closed-form factor: the
+    residue series where its own estimate is within _FACTOR_TOL, else the
+    integral() thunk."""
+    ln_z = float(ln_z)
+    if not math.isfinite(ln_z):
+        raise ValueError("log-argument must be finite")
+    got = _series_attempt(spec, ln_z)
+    if got is not None and got[2] <= _FACTOR_TOL:
+        return got[1], got[2]
+    ln_g, rel = integral()
+    if rel > _REFUSE_ABOVE:
+        raise NonConvergenceError(
+            f"real-line form reached rel err ~{rel:.2e} > tolerance {REL_TOL:.2e}")
+    return ln_g, rel
+
+
+def exponential_factor_log(xi2: float, ln_z: float):
+    """(ln G1, relative error bound) of the closed form's exponential factor
+    G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0) at z = exp(ln_z), xi2 > 0:
+    the residue series, else the real-line integral of _exp_factor_integral.
+    """
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    return _closed_form_factor(spec, ln_z, lambda: _exp_factor_integral(xi2, ln_z))
+
+
+def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
+    """(ln G2, relative error bound) of the closed form's generalized-gamma
+    factor at z = exp(ln_z), for shape a > 0, xi2 > 0 and integer exponent
+    c >= 1.  The expression's G^{c+2,0}_{1,c+2}(y | xi2/c + 1; a, xi2/c, 0,
+    1/c, .., (c-1)/c) has its c factors folded by the Gauss multiplication
+    formula, prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2) c^(1/2) c^(c s)
+    Gamma(-c s): the constant cancels the expression's c^(-1/2)
+    (2 pi)^((1-c)/2), and c^(c s) moves the argument to z = c^c y.  G2 is
+    the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s):
+    the residue series, else the real-line integral of _gg_factor_integral.
+    """
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
+                       scales=(1, 1, c))
+    return _closed_form_factor(spec, ln_z, lambda: _gg_factor_integral(a, xi2, c, ln_z))
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
@@ -819,9 +1016,13 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 def meijer_g_log(spec: MeijerGSpec, ln_z: float):
     """(sign, log|G|) at argument exp(ln_z), to relative tolerance REL_TOL.
 
-    Residue series first, coincident poles included; contour quadrature when
-    the series is cancellation limited.  Raises NonConvergenceError when the
-    contour cannot reach the tolerance either, as in the far exponential tail.
+    The generic evaluator: residue series first, coincident poles included;
+    contour quadrature when the series is cancellation limited.  Raises
+    NonConvergenceError when the contour cannot reach the tolerance either,
+    as in the far exponential tail.  The closed-form outage does not come
+    here: its two factors have their own evaluators (exponential_factor_log,
+    folded_gg_factor_log), series then real-line integral, so the contour
+    is only an oracle for them.
     """
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
@@ -830,7 +1031,7 @@ def meijer_g_log(spec: MeijerGSpec, ln_z: float):
     if got is not None:
         return got[0], got[1]
     sign, logabs, rel = _mb_eval(spec, ln_z)
-    if rel > max(1000.0 * REL_TOL, 1e-6):
+    if rel > _REFUSE_ABOVE:
         raise NonConvergenceError(
             f"G evaluation reached rel err ~{rel:.2e} > tolerance {REL_TOL:.2e}")
     return sign, logabs

@@ -20,8 +20,8 @@ from .specfun import (
     CapabilityError,
     MAX_INTEGER_C,
     REL_TOL,
-    MeijerGSpec,
-    meijer_g_log,
+    exponential_factor_log,
+    folded_gg_factor_log,
 )
 
 __all__ = [
@@ -82,7 +82,7 @@ class SystemConfig:
         if not 0.0 < self.uowc_scale < math.inf:
             raise ValueError("optical SNR scale must be positive and finite, "
                              f"got {self.uowc_scale!r}")
-        n = int(self.n_relays)
+        n = ch._check_n(self.n_relays)
         object.__setattr__(self, "n_relays", n)
         object.__setattr__(self, "c_const", ch.relay_constant_c(self.mu1, n))
         mean_i = ch.egg_moment(1, self.egg, self.pointing)
@@ -188,7 +188,12 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     The generalized-gamma exponent is rounded down to an integer (that is the
     validity condition of the expression) and the whole scenario is re-derived
     with the rounded exponent so that quadrature and Monte Carlo runs on the
-    same rounded system are directly comparable.
+    same rounded system are directly comparable.  Each relay term has an
+    exponential factor G^{3,0}_{1,3} and a folded generalized-gamma factor;
+    each comes from its residue series where the series' own estimate is
+    within 1e-12, else from its real-line integral over the upper incomplete
+    gamma (specfun.exponential_factor_log, specfun.folded_gg_factor_log).
+    The Mellin-Barnes contour is not on this path; it stays an oracle.
     """
     c_int = math.floor(cfg.egg.c)
     if c_int < 1:
@@ -204,14 +209,6 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     w = egg.w
     gth = q.gamma_th
 
-    spec1 = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
-    # G^{c+2,0}_{1,c+2}(z | xi2/c + 1; a, xi2/c, 0, 1/c, .., (c-1)/c) with its
-    # c factors folded by the Gauss multiplication formula,
-    # prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2) c^(1/2) c^(c s) Gamma(-c s):
-    # the constant cancels the expression's c^(-1/2) (2 pi)^((1-c)/2), and
-    # c^(c s) moves the argument to c^c z
-    spec2 = MeijerGSpec(m=3, n=0, a=(xi2 / c_int + 1.0,),
-                        b=(egg.a, xi2 / c_int, 0.0), scales=(1, 1, c_int))
     log_pre2 = -math.lgamma(egg.a)
 
     terms = []
@@ -226,13 +223,13 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
         bracket = 0.0
         if w > 0.0:
             ln_z1 = math.log(scale) - math.log(egg.lam * pointing.a0)
-            s1, lg1 = meijer_g_log(spec1, ln_z1)
-            bracket += w * xi2 * s1 * math.exp(lg1)
+            lg1, _ = exponential_factor_log(xi2, ln_z1)
+            bracket += w * xi2 * math.exp(lg1)
         if w < 1.0:
+            # the argument c^c y of the folded factor, y the expression's own
             ln_z2 = c_int * (math.log(scale) - math.log(egg.b * pointing.a0))
-            s2, lg2 = meijer_g_log(spec2, ln_z2)
-            if lg2 != -np.inf:
-                bracket += (1.0 - w) * xi2 * s2 * math.exp(log_pre2 + lg2)
+            lg2, _ = folded_gg_factor_log(egg.a, xi2, c_int, ln_z2)
+            bracket += (1.0 - w) * xi2 * math.exp(log_pre2 + lg2)
         terms.append(lead * bracket)
         mags.append(abs(lead * bracket))
     total = n * math.fsum(terms)

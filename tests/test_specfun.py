@@ -499,33 +499,33 @@ def test_exponential_factor_matches_mpmath(xi):
     # the closed form's G^{3,0}_{1,3}(z | xi^2 + 1; 1, xi^2, 0): its kernel
     # Gamma(1 - s) Gamma(-s) / (xi^2 - s) has double poles at s = 1, 2, ...,
     # and a triple one at s = xi^2 when xi^2 is an integer
-    pytest.importorskip("mpmath")
+    mpmath = pytest.importorskip("mpmath")
     xi2 = xi * xi
     spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    # up to z ~ 5 at xi = 6.7 the series itself is within 1e-12: the xi^2
+    # pair enters as 1 / (xi^2 - s), with none of the rounding of two
+    # log-gammas of about 64
+    top = 1.6 if xi == 6.7 else 1.3
     served = 0
-    for ln_z in np.linspace(-6.0, 2.3, 23):
-        ref = _mpmath_g(spec, math.exp(ln_z))
+    for ln_z in np.linspace(-6.0, 5.0, 45):
+        with mpmath.workdps(40):
+            ref = mpmath.meijerg([[], [xi2 + 1.0]], [[1.0, xi2, 0.0], []],
+                                 mpmath.exp(mpmath.mpf(ln_z)))
         got = sf._series_attempt(spec, ln_z)
-        rel_err = 0.0
         if got is not None:
             served += 1
-            rel_err = got[2]
-            real = abs(got[0] * math.exp(got[1]) / ref - 1.0)
-            assert real <= rel_err, ln_z
-        # beyond z ~ 3 the terms cancel by 1e2 to 1e3, and the series is
-        # then held to its own estimate
-        tol = max(1e-12, rel_err)
-        assert abs(meijer_g(spec, math.exp(ln_z)) / ref - 1.0) <= tol, ln_z
-    assert served >= 20
-    # below that, 1e-12 wherever the series serves, up to z ~ 5 at xi = 6.7:
-    # the xi^2 pair enters as 1 / (xi^2 - s), with none of the rounding of
-    # two log-gammas of about 64
-    top = 1.6 if xi == 6.7 else 1.3
-    for ln_z in np.linspace(-6.0, top, round(10 * (top + 6.0)) + 1):
-        got = sf._series_attempt(spec, ln_z)
-        if got is not None:
-            real = abs(got[0] * math.exp(got[1]) / _mpmath_g(spec, math.exp(ln_z)) - 1.0)
-            assert real <= 1e-12, ln_z
+            real = float(abs(got[0] * mpmath.exp(got[1]) / ref - 1))
+            assert real <= got[2], ln_z
+            if ln_z <= top:
+                assert real <= 1e-12, ln_z
+        # beyond z ~ 3 the terms cancel by 1e2 to 1e3: the closed form's
+        # evaluator then takes the real-line form, which is within its
+        # estimate everywhere, and so 1e-12 on the whole range
+        for ln_g, est in (sf.exponential_factor_log(xi2, ln_z),
+                          sf._exp_factor_integral(xi2, ln_z)):
+            real = float(abs(mpmath.exp(ln_g) / ref - 1))
+            assert real <= est <= 1e-12, ln_z
+    assert served >= 30
     # the ladders of Gamma(1 - s) and Gamma(-s), and the one pole of 1 / (xi^2 - s)
     tab = sf._series_table(spec, 48)
     assert tab.s.size == 2 * 48 + 1
@@ -570,6 +570,24 @@ def test_series_eval_reports_a_non_finite_peak_as_unknown():
 # term 1; fresh/7.1, gamma_th = 316, term 0).
 ESTIMATE_POINTS = (("salty/16.5", 1000.0, 0), ("salty/16.5", 316.22776601683796, 1),
                    ("fresh/7.1", 316.22776601683796, 0))
+# the benchmark sweep's presets, mu1 = 100, three relays, weak pointing
+SWEEP_PRESETS = ("salty/4.7", "salty/7.1", "salty/16.5", "fresh/4.7", "fresh/7.1")
+
+
+def _folded_factor_at(key, gamma_th, k):
+    """(spec, ln z, a, xi^2, c) of the folded factor in relay term k of the
+    closed form at a sweep point."""
+    from rfuowc.channels import PointingParams, get_preset
+    from rfuowc.system import SystemConfig
+    pointing = PointingParams(a0=0.5076, xi=0.6079)
+    cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=get_preset(key).egg,
+                                       pointing=pointing, uowc_scale=100.0).floored()
+    egg, c = cfg.egg, int(cfg.egg.c)
+    scale = (k + 1) * gamma_th * cfg.c_const / (cfg.rho * cfg.mu1)
+    ln_z = c * (math.log(scale) - math.log(egg.b * pointing.a0))
+    x = pointing.xi2 / c
+    spec = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(egg.a, x, 0.0), scales=(1, 1, c))
+    return spec, ln_z, egg.a, pointing.xi2, c
 
 
 def _mpmath_residue_sum(spec, ln_z, kmax=60, shift=0):
@@ -596,23 +614,35 @@ def _mpmath_residue_sum(spec, ln_z, kmax=60, shift=0):
         return total
 
 
-@pytest.mark.parametrize("key,gamma_th,k", ESTIMATE_POINTS)
+# ESTIMATE_POINTS, then gamma_th = 1000 (relay term 0) for the three other
+# presets, where the series refuses and the real-line form serves
+@pytest.mark.parametrize("key,gamma_th,k", ESTIMATE_POINTS + (
+    ("salty/4.7", 1000.0, 0), ("salty/7.1", 1000.0, 0), ("fresh/4.7", 1000.0, 0)))
 def test_folded_series_estimate_bounds_its_error(key, gamma_th, k):
     mpmath = pytest.importorskip("mpmath")
-    from rfuowc.channels import PointingParams, get_preset
-    from rfuowc.system import SystemConfig
-    pointing = PointingParams(a0=0.5076, xi=0.6079)
-    cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=get_preset(key).egg,
-                                       pointing=pointing, uowc_scale=100.0).floored()
-    egg, c = cfg.egg, int(cfg.egg.c)
-    scale = (k + 1) * gamma_th * cfg.c_const / (cfg.rho * cfg.mu1)
-    ln_z = c * (math.log(scale) - math.log(egg.b * pointing.a0))
-    x = pointing.xi2 / c
-    spec = MeijerGSpec(m=3, n=0, a=(x + 1.0,), b=(egg.a, x, 0.0), scales=(1, 1, c))
-    got = sf._series_attempt(spec, ln_z)
-    if got is None:
-        return  # refused: the contour answers, and its error is its own
-    sign, logabs, rel_est = got
+    spec, ln_z, a, xi2, c = _folded_factor_at(key, gamma_th, k)
     ref = _mpmath_residue_sum(spec, ln_z)
-    real = float(abs(sign * mpmath.exp(logabs) / ref - 1))
-    assert real <= rel_est <= REL_TOL
+    got = sf._series_attempt(spec, ln_z)
+    if got is not None:
+        sign, logabs, rel_est = got
+        real = float(abs(sign * mpmath.exp(logabs) / ref - 1))
+        assert real <= rel_est <= REL_TOL
+    for ln_g, est in (sf._gg_factor_integral(a, xi2, c, ln_z),
+                      sf.folded_gg_factor_log(a, xi2, c, ln_z)):
+        real = float(abs(mpmath.exp(ln_g) / ref - 1))
+        assert real <= est <= 1e-12
+
+
+def test_folded_factor_matches_the_contour_oracle():
+    # the real-line form shares ln_gamma_upper_scaled with quadrature; the
+    # contour shares nothing with it but the log-gamma
+    checked = 0
+    for key in SWEEP_PRESETS:
+        for gamma_th in (316.22776601683796, 1000.0):
+            for k in range(3):
+                spec, ln_z, a, xi2, c = _folded_factor_at(key, gamma_th, k)
+                ln_g, _ = sf.folded_gg_factor_log(a, xi2, c, ln_z)
+                _, ln_mb, _ = sf._mb_eval(spec, ln_z)
+                assert abs(math.expm1(ln_g - ln_mb)) <= 1e-12, (key, gamma_th, k)
+                checked += sf._series_attempt(spec, ln_z) is None
+    assert checked >= 20  # most of them on the real-line form

@@ -1,4 +1,8 @@
+import importlib.util
+import json
 import math
+import pathlib
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -100,15 +104,34 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(mu1=0.0), dict(mu1=-1.0), dict(mu1=math.nan), dict(mu1=math.inf),
-        dict(n_relays=0), dict(n_relays=65),
+        dict(n_relays=0), dict(n_relays=65), dict(n_relays=2.5),
         dict(uowc_scale=0.0), dict(uowc_scale=math.nan), dict(uowc_scale=math.inf),
     ], ids=["mu1-zero", "mu1-negative", "mu1-nan", "mu1-inf", "no-relays",
-            "too-many-relays", "scale-zero", "scale-nan", "scale-inf"])
+            "too-many-relays", "fractional-relays", "scale-zero", "scale-nan",
+            "scale-inf"])
     def test_rejects_out_of_range_fields(self, kwargs):
         args = dict(mu1=100.0, n_relays=3, uowc_scale=100.0,
                     egg=get_preset("salty/4.7").egg, pointing=WEAK)
         with pytest.raises(ValueError):
             SystemConfig(**{**args, **kwargs})
+
+    def test_relay_count_must_be_whole(self):
+        # int() once truncated these silently: 2.5 relays became 2, 3.9 became 3
+        egg = get_preset("salty/4.7").egg
+        with pytest.raises(ValueError, match="whole number"):
+            SystemConfig(100.0, 2.5, 100.0, egg, WEAK)
+        with pytest.raises(ValueError, match="whole number"):
+            SystemConfig.from_direct_snr(mu1=100.0, n_relays=3.9, egg=egg,
+                                         pointing=WEAK, uowc_scale=100.0)
+        with pytest.raises(ValueError, match="whole number"):
+            RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
+                         height_l=20.0, n_relays=2.5)
+        # an integral float is the count it names
+        cfg = SystemConfig(100.0, 3.0, 100.0, egg, WEAK)
+        assert type(cfg.n_relays) is int and cfg == grid_cfg()
+        rf = RfLinkParams(p1=0.1, sigma1_sq=1e-12, g0=1e-3, radius_r=100.0,
+                          height_l=20.0, n_relays=3.0)
+        assert type(rf.n_relays) is int and rf.n_relays == 3
 
     def test_floored_recomputes_budget(self):
         cfg = grid_cfg("salty/16.5")
@@ -255,6 +278,38 @@ class TestOutage:
         assert res.err_est >= 0.0
         assert res.c_used == cfg.egg.c
         assert not res.clamped
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_closed_form_stays_off_the_contour(monkeypatch):
+    # the benchmark's cf-threshold-sweep, 9 thresholds x 5 presets, whose
+    # factors cancel in the residue series from gamma_th = 316 (and the
+    # exponential one from ln z ~ 1.3): the contour is an oracle only
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["values"]
+
+    def no_contour(*args):
+        raise AssertionError("the closed form called the contour")
+
+    monkeypatch.setattr(sf, "_mb_eval", no_contour)
+    calls = []
+    for p in workloads.WORKLOADS["cf-threshold-sweep"][1]:
+        cfg = SystemConfig.from_direct_snr(
+            mu1=p.mu1, n_relays=p.n_relays, egg=get_preset(p.preset).egg,
+            pointing=PointingParams(*workloads.POINTINGS[p.pointing]), uowc_scale=p.mu1)
+        calls.append((p.key, cfg, OutageQuery(p.gamma_th)))
+    assert len(calls) == 45
+    sf._series_table.cache_clear()
+    cold = [outage_closed_form(cfg, q).value for _, cfg, q in calls]
+    warm = [outage_closed_form(cfg, q).value for _, cfg, q in calls]
+    assert warm == cold
+    for (key, _, _), value in zip(calls, cold):
+        assert abs(value / ref[key]["p_out"] - 1.0) <= 6e-15, key
 
 
 class TestShapeConstants:
