@@ -835,25 +835,37 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 
 def _trapezoid_log(log_f, lo, hi, n):
     """(ln I, bound on its relative error) of I = integral of exp(log_f)
-    over [lo, hi], by the trapezoid rule on n intervals, then 2n, 4n, ...
+    over [lo, hi], by the trapezoid rule on n and 2n intervals, then 4n,
+    8n, ...
 
     log_f maps an array of nodes to the log-integrand and a bound on its
-    rounding / eps.  Each pass adds the midpoints of the last one's
-    intervals in one call of log_f, until two passes agree within 1e-14
-    plus the rounding of their log-sum; for an integrand analytic in a strip
-    about the axis the error of a pass is then far below that of the one
-    before.  The bound is the difference of those two passes plus that
-    rounding; the caller adds the rounding of its log.  Raises
-    NonConvergenceError past _TRAPEZOID_NODES intervals.
+    rounding / eps.  The first call of log_f serves the rules on n and 2n
+    intervals; each later one adds the midpoints of the last rule's
+    intervals.  The step halves until two rules agree within 1e-14 plus the
+    rounding of their log-sum; for an integrand analytic in a strip about
+    the axis the error of a rule is then far below that of the one before.
+    The bound is the difference of those two rules plus that rounding; the
+    caller adds the rounding of its log.  Raises NonConvergenceError past
+    _TRAPEZOID_NODES intervals.
     """
+    n *= 2
     h = (hi - lo) / n
     ell, size = log_f(lo + h * np.arange(n + 1))
     top = float(ell.max())
     w = np.exp(ell - top)
     w[[0, -1]] *= 0.5
     total, wsize = float(w.sum()), float(w @ size)
-    prev = h * total
-    while 2 * n <= _TRAPEZOID_NODES:
+    prev = 2.0 * h * float(w[::2].sum())  # the rule on the even nodes
+    while True:
+        cur = h * total
+        # each term's rounding and that of the pairwise sum
+        rnd = _EPS * (wsize / total + math.log2(n))
+        diff = abs(cur - prev) / cur
+        if diff <= 1e-14 + rnd:
+            return top + math.log(cur), diff + rnd
+        if 2 * n > _TRAPEZOID_NODES:
+            raise NonConvergenceError("real-line trapezoid rule did not converge")
+        prev = cur
         h *= 0.5
         ell, size = log_f(lo + h * np.arange(1, 2 * n, 2))
         peak = float(ell.max())
@@ -864,15 +876,6 @@ def _trapezoid_log(log_f, lo, hi, n):
         total += float(w.sum())
         wsize += float(w @ size)
         n *= 2
-        cur = h * total
-        ln_i = top + math.log(cur)
-        # each term's rounding and that of the pairwise sum
-        rnd = _EPS * (wsize / total + math.log2(n))
-        diff = abs(cur - prev) / cur
-        if diff <= 1e-14 + rnd:
-            return ln_i, diff + rnd
-        prev = cur
-    raise NonConvergenceError("real-line trapezoid rule did not converge")
 
 
 def _exp_factor_integral(xi2: float, ln_z: float):
@@ -966,6 +969,10 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     return ln_i, rel + tails + _EPS * abs(ln_i)
 
 
+# the factors' specs, shared by the calls of a sweep
+_factor_spec = functools.lru_cache(maxsize=128)(MeijerGSpec)
+
+
 def _closed_form_factor(spec: MeijerGSpec, ln_z: float, integral):
     """(ln G, relative error bound) of a positive closed-form factor: the
     residue series where its own estimate is within _FACTOR_TOL, else the
@@ -988,7 +995,7 @@ def exponential_factor_log(xi2: float, ln_z: float):
     G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0) at z = exp(ln_z), xi2 > 0:
     the residue series, else the real-line integral of _exp_factor_integral.
     """
-    spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    spec = _factor_spec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
     return _closed_form_factor(spec, ln_z, lambda: _exp_factor_integral(xi2, ln_z))
 
 
@@ -1003,8 +1010,8 @@ def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s):
     the residue series, else the real-line integral of _gg_factor_integral.
     """
-    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
-                       scales=(1, 1, c))
+    spec = _factor_spec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
+                        scales=(1, 1, c))
     return _closed_form_factor(spec, ln_z, lambda: _gg_factor_integral(a, xi2, c, ln_z))
 
 
