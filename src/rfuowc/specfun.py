@@ -993,7 +993,8 @@ def _closed_form_factor(spec: MeijerGSpec, ln_z: float, integral):
 def exponential_factor_log(xi2: float, ln_z: float):
     """(ln G1, relative error bound) of the closed form's exponential factor
     G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0) at z = exp(ln_z), xi2 > 0:
-    the residue series, else the real-line integral of _exp_factor_integral.
+    the residue series where its estimate is within 1e-12, else the
+    real-line integral of _exp_factor_integral.
     """
     spec = _factor_spec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
     return _closed_form_factor(spec, ln_z, lambda: _exp_factor_integral(xi2, ln_z))
@@ -1008,7 +1009,8 @@ def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     Gamma(-c s): the constant cancels the expression's c^(-1/2)
     (2 pi)^((1-c)/2), and c^(c s) moves the argument to z = c^c y.  G2 is
     the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s):
-    the residue series, else the real-line integral of _gg_factor_integral.
+    the residue series where its estimate is within 1e-12, else the
+    real-line integral of _gg_factor_integral.
     """
     spec = _factor_spec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
                         scales=(1, 1, c))
