@@ -846,9 +846,12 @@ def _trapezoid_log(log_f, lo, hi, n):
     the axis the error of a rule is then far below that of the one before.
     The bound is the difference of those two rules plus that rounding; the
     caller adds the rounding of its log.  Raises NonConvergenceError past
-    _TRAPEZOID_NODES intervals.
+    _TRAPEZOID_NODES intervals, before the first call of log_f when 2n
+    is already past it.
     """
     n *= 2
+    if n > _TRAPEZOID_NODES:
+        raise NonConvergenceError("real-line trapezoid rule: window too wide for its step")
     h = (hi - lo) / n
     ell, size = log_f(lo + h * np.arange(n + 1))
     top = float(ell.max())
@@ -969,10 +972,6 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     return ln_i, rel + tails + _EPS * abs(ln_i)
 
 
-# the factors' specs, shared by the calls of a sweep
-_factor_spec = functools.lru_cache(maxsize=128)(MeijerGSpec)
-
-
 def _closed_form_factor(spec: MeijerGSpec, ln_z: float, integral):
     """(ln G, relative error bound) of a positive closed-form factor: the
     residue series where its own estimate is within _FACTOR_TOL, else the
@@ -996,7 +995,7 @@ def exponential_factor_log(xi2: float, ln_z: float):
     the residue series where its estimate is within 1e-12, else the
     real-line integral of _exp_factor_integral.
     """
-    spec = _factor_spec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
     return _closed_form_factor(spec, ln_z, lambda: _exp_factor_integral(xi2, ln_z))
 
 
@@ -1012,8 +1011,8 @@ def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     the residue series where its estimate is within 1e-12, else the
     real-line integral of _gg_factor_integral.
     """
-    spec = _factor_spec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
-                        scales=(1, 1, c))
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
+                       scales=(1, 1, c))
     return _closed_form_factor(spec, ln_z, lambda: _gg_factor_integral(a, xi2, c, ln_z))
 
 

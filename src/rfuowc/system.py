@@ -213,6 +213,8 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
 
     terms = []
     mags = []
+    # each factor's error: its own estimate, at least the G tolerance
+    errs = []
     for k in range(n):
         lead = (math.comb(n - 1, k) * (-1.0) ** k / (k + 1)
                 * math.exp(-(k + 1) * gth / mu1))
@@ -223,19 +225,23 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
         bracket = 0.0
         if w > 0.0:
             ln_z1 = math.log(scale) - math.log(egg.lam * pointing.a0)
-            lg1, _ = exponential_factor_log(xi2, ln_z1)
-            bracket += w * xi2 * math.exp(lg1)
+            lg1, est1 = exponential_factor_log(xi2, ln_z1)
+            part = w * xi2 * math.exp(lg1)
+            bracket += part
+            errs.append(abs(lead * part) * max(REL_TOL, est1))
         if w < 1.0:
             # the argument c^c y of the folded factor, y the expression's own
             ln_z2 = c_int * (math.log(scale) - math.log(egg.b * pointing.a0))
-            lg2, _ = folded_gg_factor_log(egg.a, xi2, c_int, ln_z2)
-            bracket += (1.0 - w) * xi2 * math.exp(log_pre2 + lg2)
+            lg2, est2 = folded_gg_factor_log(egg.a, xi2, c_int, ln_z2)
+            part = (1.0 - w) * xi2 * math.exp(log_pre2 + lg2)
+            bracket += part
+            errs.append(abs(lead * part) * max(REL_TOL, est2))
         terms.append(lead * bracket)
         mags.append(abs(lead * bracket))
     total = n * math.fsum(terms)
     value = 1.0 - total
-    # tolerance of each G factor plus cancellation noise of the relay sum
-    err = REL_TOL * n * math.fsum(mags) + 1e-15 * (1.0 + n * math.fsum(mags))
+    # error of each G factor plus cancellation noise of the relay sum
+    err = n * math.fsum(errs) + 1e-15 * (1.0 + n * math.fsum(mags))
     return _finalize(value, "closed_form", err, float(c_int))
 
 

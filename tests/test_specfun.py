@@ -502,30 +502,44 @@ def test_exponential_factor_matches_mpmath(xi):
     mpmath = pytest.importorskip("mpmath")
     xi2 = xi * xi
     spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
-    # up to z ~ 5 at xi = 6.7 the series itself is within 1e-12: the xi^2
-    # pair enters as 1 / (xi^2 - s), with none of the rounding of two
-    # log-gammas of about 64
-    top = 1.6 if xi == 6.7 else 1.3
     served = 0
+    for ln_z in np.linspace(-6.0, 2.3, 23):
+        ref = _mpmath_g(spec, math.exp(ln_z))
+        got = sf._series_attempt(spec, ln_z)
+        rel_err = 0.0
+        if got is not None:
+            served += 1
+            rel_err = got[2]
+            real = abs(got[0] * math.exp(got[1]) / ref - 1.0)
+            assert real <= rel_err, ln_z
+        # beyond z ~ 3 the terms cancel by 1e2 to 1e3, and meijer_g, the
+        # generic evaluator, is then held to the series' own estimate
+        tol = max(1e-12, rel_err)
+        assert abs(meijer_g(spec, math.exp(ln_z)) / ref - 1.0) <= tol, ln_z
+    assert served >= 20
+    # below that, 1e-12 wherever the series serves, up to z ~ 5 at xi = 6.7:
+    # the xi^2 pair enters as 1 / (xi^2 - s), with none of the rounding of
+    # two log-gammas of about 64
+    top = 1.6 if xi == 6.7 else 1.3
+    for ln_z in np.linspace(-6.0, top, round(10 * (top + 6.0)) + 1):
+        got = sf._series_attempt(spec, ln_z)
+        if got is not None:
+            real = abs(got[0] * math.exp(got[1]) / _mpmath_g(spec, math.exp(ln_z)) - 1.0)
+            assert real <= 1e-12, ln_z
+    # the closed form's evaluator takes the real-line form where the series
+    # misses 1e-12, and so holds 1e-12 on the whole range; the series and
+    # the real-line form each stay within their estimates
     for ln_z in np.linspace(-6.0, 5.0, 45):
         with mpmath.workdps(40):
             ref = mpmath.meijerg([[], [xi2 + 1.0]], [[1.0, xi2, 0.0], []],
                                  mpmath.exp(mpmath.mpf(ln_z)))
         got = sf._series_attempt(spec, ln_z)
         if got is not None:
-            served += 1
-            real = float(abs(got[0] * mpmath.exp(got[1]) / ref - 1))
-            assert real <= got[2], ln_z
-            if ln_z <= top:
-                assert real <= 1e-12, ln_z
-        # beyond z ~ 3 the terms cancel by 1e2 to 1e3: the closed form's
-        # evaluator then takes the real-line form, which is within its
-        # estimate everywhere, and so 1e-12 on the whole range
+            assert float(abs(got[0] * mpmath.exp(got[1]) / ref - 1)) <= got[2], ln_z
         for ln_g, est in (sf.exponential_factor_log(xi2, ln_z),
                           sf._exp_factor_integral(xi2, ln_z)):
             real = float(abs(mpmath.exp(ln_g) / ref - 1))
             assert real <= est <= 1e-12, ln_z
-    assert served >= 30
     # the ladders of Gamma(1 - s) and Gamma(-s), and the one pole of 1 / (xi^2 - s)
     tab = sf._series_table(spec, 48)
     assert tab.s.size == 2 * 48 + 1
@@ -646,3 +660,19 @@ def test_folded_factor_matches_the_contour_oracle():
                 assert abs(math.expm1(ln_g - ln_mb)) <= 1e-12, (key, gamma_th, k)
                 checked += sf._series_attempt(spec, ln_z) is None
     assert checked >= 20  # most of them on the real-line form
+
+
+def test_trapezoid_rule_refuses_a_window_past_its_cap_before_evaluating():
+    calls = []
+
+    def log_f(u):
+        calls.append(u.size)
+        return -u * u, np.abs(u * u)
+
+    with pytest.raises(NonConvergenceError):
+        sf._trapezoid_log(log_f, -8.0, 8.0, sf._TRAPEZOID_NODES)
+    assert calls == []
+    # at half that, the first call evaluates all 2n + 1 nodes and converges
+    ln_i, rel = sf._trapezoid_log(log_f, -8.0, 8.0, sf._TRAPEZOID_NODES // 2)
+    assert calls == [sf._TRAPEZOID_NODES + 1]
+    assert abs(math.expm1(ln_i - 0.5 * math.log(math.pi))) <= 1e-14 + rel

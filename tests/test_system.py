@@ -312,6 +312,20 @@ def test_closed_form_stays_off_the_contour(monkeypatch):
         assert abs(value / ref[key]["p_out"] - 1.0) <= 6e-15, key
 
 
+def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
+    # a real-line value is accepted with an estimate up to 1e-6: the
+    # outage's err_est must charge it, not the G tolerance alone
+    import rfuowc.system as system
+    cfg, q = grid_cfg("salty/4.7"), OutageQuery(10.0)
+    base = outage_closed_form(cfg, q)
+    for name in ("exponential_factor_log", "folded_gg_factor_log"):
+        real = getattr(system, name)
+        monkeypatch.setattr(system, name, lambda *args, f=real: (f(*args)[0], 1e-7))
+    loose = outage_closed_form(cfg, q)
+    assert loose.value == base.value
+    assert loose.err_est >= 500.0 * base.err_est
+
+
 class TestShapeConstants:
     def test_quadrature_path_skips_the_array_log_gamma(self, monkeypatch):
         # scalar shape constants come from math.lgamma; the array evaluator
