@@ -77,6 +77,12 @@ class EggParams:
         if min(self.lam, self.a, self.b, self.c) <= 0:
             raise ValueError("lam, a, b, c must be positive")
 
+    @property
+    def branches(self):
+        """The mixture as two generalized-gamma branches (weight, a, b, c):
+        an exponential of scale lam is the one with a = c = 1 and b = lam."""
+        return ((self.w, 1.0, self.lam, 1.0), (1.0 - self.w, self.a, self.b, self.c))
+
 
 @dataclass(frozen=True)
 class PointingParams:
@@ -183,16 +189,6 @@ def rf_snr_pdf(x, mu1: float, n_relays: int):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def rf_snr_pdf_sum(x, mu1: float, n_relays: int):
-    """Literal alternating-sum form of rf_snr_pdf (identity-check oracle)."""
-    n = _check_n(n_relays)
-    terms = [
-        math.comb(n - 1, k) * (-1.0) ** k / mu1 * math.exp(-(k + 1) * x / mu1)
-        for k in range(n)
-    ]
-    return n * math.fsum(terms)
-
-
 def rf_snr_cdf(x, mu1: float, n_relays: int):
     """CDF of the selected first-hop SNR, (1 - e^{-x/mu1})^N."""
     if mu1 <= 0:
@@ -266,37 +262,37 @@ def uowc_snr_pdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     return float(out) if np.isscalar(x) or x.ndim == 0 else out
 
 
-def _kernels(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
-    """ln z1, ln z2, z1^{xi^2} Gamma(1 - xi^2, z1) and
-    z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a), where z1 = x / (lam A0 rho)
-    and z2 = (x / (b A0 rho))^c are the arguments of the two branches."""
-    xi2 = pointing.xi2
-    ln_z1 = ln_x - math.log(egg.lam * pointing.a0 * rho)
-    ln_z2 = egg.c * (ln_x - math.log(egg.b * pointing.a0 * rho))
-    g1 = np.exp(ln_z1 + ln_gamma_upper_scaled(1.0 - xi2, ln_z1))
-    g2 = np.exp(egg.a * ln_z2 + ln_gamma_upper_scaled(egg.a - xi2 / egg.c, ln_z2)
-                - math.lgamma(egg.a))
-    return ln_z1, ln_z2, g1, g2
+def _branch_kernel(ln_x, rho: float, a: float, b: float, c: float,
+                   pointing: PointingParams):
+    """ln z and z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a) of one
+    generalized-gamma branch, where z = (x / (b A0 rho))^c."""
+    ln_z = c * (ln_x - math.log(b * pointing.a0 * rho))
+    g = np.exp(a * ln_z + ln_gamma_upper_scaled(a - pointing.xi2 / c, ln_z)
+               - math.lgamma(a))
+    return ln_z, g
 
 
 def _pdf_times_x(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
     """x * pdf(x) evaluated from log-SNR, the natural quadrature integrand:
-    xi^2 [w z1^{xi^2} Gamma(1 - xi^2, z1)
-          + (1 - w) z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a)]."""
-    *_, g1, g2 = _kernels(np.asarray(ln_x, dtype=float), rho, egg, pointing)
-    return pointing.xi2 * (egg.w * g1 + (1.0 - egg.w) * g2)
+    xi^2 sum over the branches (weight, a, b, c) of
+    weight z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a)."""
+    ln_x = np.asarray(ln_x, dtype=float)
+    return pointing.xi2 * sum(weight * _branch_kernel(ln_x, rho, a, b, c, pointing)[1]
+                              for weight, a, b, c in egg.branches)
 
 
 def uowc_snr_cdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     """CDF of the optical-hop SNR; monotone with limits 0 and 1.  The density
-    integrated by parts with Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z:
-    w [1 - e^{-z1} + z1^{xi^2} Gamma(1 - xi^2, z1)]
-    + (1 - w) [P(a, z2) + z2^{xi^2/c} Gamma(a - xi^2/c, z2) / Gamma(a)]."""
+    integrated by parts with Gamma(s+1, z) = s Gamma(s, z) + z^s e^-z: the
+    sum over the branches (weight, a, b, c) of
+    weight [P(a, z) + z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a)]."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR CDF requires x > 0")
-    ln_z1, ln_z2, g1, g2 = _kernels(np.log(x.reshape(-1)), rho, egg, pointing)
-    z1 = np.exp(np.minimum(ln_z1, 700.0))  # 1 - e^-z1 is 1 long before
-    out = egg.w * (g1 - np.expm1(-z1)) + (1.0 - egg.w) * (gamma_p(egg.a, ln_z2) + g2)
+    ln_x = np.log(x.reshape(-1))
+    out = 0.0
+    for weight, a, b, c in egg.branches:
+        ln_z, g = _branch_kernel(ln_x, rho, a, b, c, pointing)
+        out = out + weight * (gamma_p(a, ln_z) + g)
     out = np.clip(out, 0.0, 1.0).reshape(x.shape)
     return float(out) if np.isscalar(x) or x.ndim == 0 else out

@@ -14,10 +14,12 @@ of the defining Mellin-Barnes contour integral, also exposed on its own as
 an independent oracle.  Both read one list of kernel factors, where a pair
 Gamma(b - s) / Gamma(b + 1 - s) is the rational pole 1 / (b - s).  Where the
 contour cannot reach the tolerance either (the far exponential tail),
-evaluation raises NonConvergenceError.  The two factors of the closed form
-have their own evaluators (exponential_factor_log, folded_gg_factor_log):
+evaluation raises NonConvergenceError.  The closed form's factors, one per
+generalized-gamma branch of the turbulence mixture (the exponential branch
+is the one at a = c = 1), have their own evaluator, folded_gg_factor_log:
 the residue series, else a trapezoid rule on a real-line integral over the
-upper incomplete gamma, with no contour on that path.
+upper incomplete gamma (at a = c = 1 the cheaper K_1 form), with no contour
+on that path.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "meijer_g",
     "meijer_g_log",
     "meijer_g_mellin_barnes",
-    "exponential_factor_log",
     "folded_gg_factor_log",
 ]
 
@@ -67,8 +68,8 @@ _CONTOUR_POINTS = 400_000
 # exceeds REL_TOL
 _REFUSE_ABOVE = max(1000.0 * REL_TOL, 1e-6)
 
-# The closed form's two factors take a series value only where its estimate
-# is within _FACTOR_TOL, else their real-line integral, whose trapezoid rule
+# The closed form's factor takes a series value only where its estimate is
+# within _FACTOR_TOL, else its real-line integral, whose trapezoid rule
 # runs to at most _TRAPEZOID_NODES intervals.
 _FACTOR_TOL = 1e-12
 _TRAPEZOID_NODES = 1 << 16
@@ -455,10 +456,12 @@ def ln_gamma_upper_scaled(s, ln_z):
 
 def gamma_p(a, ln_z):
     """Regularized lower incomplete gamma P(a, z), one real shape a > 0; any
-    other shape raises GammaDomainError."""
+    other shape raises GammaDomainError.  At a = 1 it is 1 - e^-z."""
     a, ln_z, z, cf = _incomplete_args(a, ln_z)
     if a <= 0.0:
         raise GammaDomainError(f"gamma_p requires a > 0, got {a!r}")
+    if a == 1.0:
+        return -np.expm1(-z)
     lg = math.lgamma(a)
     out = np.empty_like(z)
     if cf.any():
@@ -829,7 +832,7 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 
 
 # ---------------------------------------------------------------------------
-# the closed form's two factors: residue series, else a real-line integral
+# the closed form's factor: residue series, else a real-line integral
 # ---------------------------------------------------------------------------
 
 
@@ -882,9 +885,9 @@ def _trapezoid_log(log_f, lo, hi, n):
 
 
 def _exp_factor_integral(xi2: float, ln_z: float):
-    """(ln G1, relative error bound) of G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1,
-    xi2, 0) from its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x))
-    and x0 = 2 sqrt(z):
+    """(ln G1, relative error bound) of the folded factor at a = c = 1,
+    G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0), from its real-line K_1 form,
+    with L(s, ln x) = ln(x^-s Gamma(s, x)) and x0 = 2 sqrt(z):
 
         G1(z) = 4 sqrt(z) int_0^inf cosh u exp L(1 - 2 xi2, ln(x0 cosh u)) du,
 
@@ -972,48 +975,39 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     return ln_i, rel + tails + _EPS * abs(ln_i)
 
 
-def _closed_form_factor(spec: MeijerGSpec, ln_z: float, integral):
-    """(ln G, relative error bound) of a positive closed-form factor: the
-    residue series where its own estimate is within _FACTOR_TOL, else the
-    integral() thunk."""
+def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
+    """(ln G, relative error bound) of the closed form's factor of one
+    generalized-gamma branch at z = exp(ln_z), for shape a > 0, xi2 > 0 and
+    integer exponent c >= 1.  The expression's G^{c+2,0}_{1,c+2}(y | xi2/c
+    + 1; a, xi2/c, 0, 1/c, .., (c-1)/c) has its c factors folded by the
+    Gauss multiplication formula, prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2)
+    c^(1/2) c^(c s) Gamma(-c s): the constant cancels the expression's
+    c^(-1/2) (2 pi)^((1-c)/2), and c^(c s) moves the argument to z = c^c y.
+    G is the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s).
+    At a = c = 1 it is the exponential branch's G^{3,0}_{1,3}(z | xi2 + 1;
+    1, xi2, 0), the same spec and series table.
+
+    The residue series where its estimate is within _FACTOR_TOL, else the
+    real-line integral: _exp_factor_integral (the K_1 form) at a = c = 1,
+    _gg_factor_integral otherwise.  A real-line estimate above
+    _REFUSE_ABOVE raises NonConvergenceError.
+    """
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
         raise ValueError("log-argument must be finite")
+    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
+                       scales=(1, 1, c))
     got = _series_attempt(spec, ln_z)
     if got is not None and got[2] <= _FACTOR_TOL:
         return got[1], got[2]
-    ln_g, rel = integral()
+    if a == 1 and c == 1:
+        ln_g, rel = _exp_factor_integral(xi2, ln_z)
+    else:
+        ln_g, rel = _gg_factor_integral(a, xi2, c, ln_z)
     if rel > _REFUSE_ABOVE:
         raise NonConvergenceError(
-            f"real-line form reached rel err ~{rel:.2e} > tolerance {REL_TOL:.2e}")
+            f"real-line form reached rel err ~{rel:.2e} > tolerance {_REFUSE_ABOVE:.2e}")
     return ln_g, rel
-
-
-def exponential_factor_log(xi2: float, ln_z: float):
-    """(ln G1, relative error bound) of the closed form's exponential factor
-    G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0) at z = exp(ln_z), xi2 > 0:
-    the residue series where its estimate is within 1e-12, else the
-    real-line integral of _exp_factor_integral.
-    """
-    spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
-    return _closed_form_factor(spec, ln_z, lambda: _exp_factor_integral(xi2, ln_z))
-
-
-def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
-    """(ln G2, relative error bound) of the closed form's generalized-gamma
-    factor at z = exp(ln_z), for shape a > 0, xi2 > 0 and integer exponent
-    c >= 1.  The expression's G^{c+2,0}_{1,c+2}(y | xi2/c + 1; a, xi2/c, 0,
-    1/c, .., (c-1)/c) has its c factors folded by the Gauss multiplication
-    formula, prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2) c^(1/2) c^(c s)
-    Gamma(-c s): the constant cancels the expression's c^(-1/2)
-    (2 pi)^((1-c)/2), and c^(c s) moves the argument to z = c^c y.  G2 is
-    the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s):
-    the residue series where its estimate is within 1e-12, else the
-    real-line integral of _gg_factor_integral.
-    """
-    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
-                       scales=(1, 1, c))
-    return _closed_form_factor(spec, ln_z, lambda: _gg_factor_integral(a, xi2, c, ln_z))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,9 +1022,9 @@ def meijer_g_log(spec: MeijerGSpec, ln_z: float):
     contour quadrature when the series is cancellation limited.  Raises
     NonConvergenceError when the contour cannot reach the tolerance either,
     as in the far exponential tail.  The closed-form outage does not come
-    here: its two factors have their own evaluators (exponential_factor_log,
-    folded_gg_factor_log), series then real-line integral, so the contour
-    is only an oracle for them.
+    here: its factors have their own evaluator (folded_gg_factor_log),
+    series then real-line integral, so the contour is only an oracle for
+    them.
     """
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
@@ -1041,7 +1035,7 @@ def meijer_g_log(spec: MeijerGSpec, ln_z: float):
     sign, logabs, rel = _mb_eval(spec, ln_z)
     if rel > _REFUSE_ABOVE:
         raise NonConvergenceError(
-            f"G evaluation reached rel err ~{rel:.2e} > tolerance {REL_TOL:.2e}")
+            f"G evaluation reached rel err ~{rel:.2e} > tolerance {_REFUSE_ABOVE:.2e}")
     return sign, logabs
 
 

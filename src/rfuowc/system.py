@@ -16,13 +16,7 @@ import numpy as np
 from . import channels as ch
 from .channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams
 from .quadrature import QuadratureError, adaptive_quad
-from .specfun import (
-    CapabilityError,
-    MAX_INTEGER_C,
-    REL_TOL,
-    exponential_factor_log,
-    folded_gg_factor_log,
-)
+from .specfun import CapabilityError, MAX_INTEGER_C, folded_gg_factor_log
 
 __all__ = [
     "SystemConfig",
@@ -188,12 +182,14 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     The generalized-gamma exponent is rounded down to an integer (that is the
     validity condition of the expression) and the whole scenario is re-derived
     with the rounded exponent so that quadrature and Monte Carlo runs on the
-    same rounded system are directly comparable.  Each relay term has an
-    exponential factor G^{3,0}_{1,3} and a folded generalized-gamma factor;
-    each comes from its residue series where the series' own estimate is
-    within 1e-12, else from its real-line integral over the upper incomplete
-    gamma (specfun.exponential_factor_log, specfun.folded_gg_factor_log).
-    The Mellin-Barnes contour is not on this path; it stays an oracle.
+    same rounded system are directly comparable.  Each relay term has one
+    folded generalized-gamma factor per branch of the turbulence mixture
+    (the exponential branch is the one at a = c = 1), from its residue
+    series where the series' own estimate is within 1e-12, else from its
+    real-line integral over the upper incomplete gamma
+    (specfun.folded_gg_factor_log).  err_est charges each factor's own
+    estimate.  The Mellin-Barnes contour is not on this path; it stays an
+    oracle.
     """
     c_int = math.floor(cfg.egg.c)
     if c_int < 1:
@@ -206,14 +202,12 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     egg, pointing = sys_f.egg, sys_f.pointing
     n, mu1, c_const, rho = sys_f.n_relays, sys_f.mu1, sys_f.c_const, sys_f.rho
     xi2 = pointing.xi2
-    w = egg.w
     gth = q.gamma_th
-
-    log_pre2 = -math.lgamma(egg.a)
+    branches = [br for br in egg.branches if br[0] > 0.0]
 
     terms = []
     mags = []
-    # each factor's error: its own estimate, at least the G tolerance
+    # each factor's error, from its own estimate
     errs = []
     for k in range(n):
         lead = (math.comb(n - 1, k) * (-1.0) ** k / (k + 1)
@@ -223,19 +217,13 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
             continue
         scale = (k + 1) * gth * c_const / (rho * mu1)
         bracket = 0.0
-        if w > 0.0:
-            ln_z1 = math.log(scale) - math.log(egg.lam * pointing.a0)
-            lg1, est1 = exponential_factor_log(xi2, ln_z1)
-            part = w * xi2 * math.exp(lg1)
-            bracket += part
-            errs.append(abs(lead * part) * max(REL_TOL, est1))
-        if w < 1.0:
+        for weight, a, b, c in branches:
             # the argument c^c y of the folded factor, y the expression's own
-            ln_z2 = c_int * (math.log(scale) - math.log(egg.b * pointing.a0))
-            lg2, est2 = folded_gg_factor_log(egg.a, xi2, c_int, ln_z2)
-            part = (1.0 - w) * xi2 * math.exp(log_pre2 + lg2)
+            ln_z = c * (math.log(scale) - math.log(b * pointing.a0))
+            lg, est = folded_gg_factor_log(a, xi2, c, ln_z)
+            part = weight * xi2 * math.exp(lg - math.lgamma(a))
             bracket += part
-            errs.append(abs(lead * part) * max(REL_TOL, est2))
+            errs.append(abs(lead * part) * est)
         terms.append(lead * bracket)
         mags.append(abs(lead * bracket))
     total = n * math.fsum(terms)

@@ -21,7 +21,6 @@ from rfuowc.channels import (
     rf_snr_cdf,
     rf_snr_cdf_sum,
     rf_snr_pdf,
-    rf_snr_pdf_sum,
     uowc_snr_cdf,
     uowc_snr_pdf,
     _pdf_times_x,
@@ -117,7 +116,6 @@ class TestRfHop:
             h = 1e-6 * mu1
             want = (rf_snr_cdf(x + h, mu1, n) - rf_snr_cdf(x - h, mu1, n)) / (2 * h)
             assert rf_snr_pdf(x, mu1, n) == pytest.approx(want, rel=1e-6)
-            assert rf_snr_pdf_sum(x, mu1, n) == pytest.approx(want, rel=1e-6)
 
     def test_relay_constant(self):
         assert relay_constant_c(10.0, 1) == pytest.approx(11.0, rel=1e-14)

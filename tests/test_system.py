@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfuowc.channels import PointingParams, RfLinkParams, UowcLinkParams, \
+import rfuowc.channels as ch
+from rfuowc.channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams, \
     WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_avg_power_gain, \
     rf_snr_cdf, uowc_snr_cdf
 import rfuowc.specfun as sf
@@ -305,11 +306,13 @@ def test_closed_form_stays_off_the_contour(monkeypatch):
         calls.append((p.key, cfg, OutageQuery(p.gamma_th)))
     assert len(calls) == 45
     sf._series_table.cache_clear()
-    cold = [outage_closed_form(cfg, q).value for _, cfg, q in calls]
-    warm = [outage_closed_form(cfg, q).value for _, cfg, q in calls]
+    cold = [outage_closed_form(cfg, q) for _, cfg, q in calls]
+    warm = [outage_closed_form(cfg, q) for _, cfg, q in calls]
     assert warm == cold
-    for (key, _, _), value in zip(calls, cold):
-        assert abs(value / ref[key]["p_out"] - 1.0) <= 6e-15, key
+    for (key, _, _), res in zip(calls, cold):
+        assert abs(res.value / ref[key]["p_out"] - 1.0) <= 6e-15, key
+        # each factor's own estimate, not the G tolerance, still covers the error
+        assert abs(res.value - ref[key]["p_out"]) <= res.err_est, key
 
 
 def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
@@ -318,12 +321,48 @@ def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
     import rfuowc.system as system
     cfg, q = grid_cfg("salty/4.7"), OutageQuery(10.0)
     base = outage_closed_form(cfg, q)
-    for name in ("exponential_factor_log", "folded_gg_factor_log"):
-        real = getattr(system, name)
-        monkeypatch.setattr(system, name, lambda *args, f=real: (f(*args)[0], 1e-7))
+    real = system.folded_gg_factor_log
+    monkeypatch.setattr(system, "folded_gg_factor_log",
+                        lambda *args: (real(*args)[0], 1e-7))
     loose = outage_closed_form(cfg, q)
     assert loose.value == base.value
     assert loose.err_est >= 500.0 * base.err_est
+
+
+def test_refusal_names_the_threshold_it_applies(monkeypatch):
+    # salty/7.1 at gamma_th = 1000: the series refuses the first relay
+    # term's folded factor, so the real-line value is checked and refused
+    monkeypatch.setattr(sf, "_gg_factor_integral", lambda *args: (0.0, 1e-3))
+    with pytest.raises(sf.NonConvergenceError, match="1.00e-06"):
+        outage_closed_form(grid_cfg("salty/7.1"), OutageQuery(1000.0))
+    monkeypatch.setattr(sf, "_mb_eval", lambda *args: (1.0, 0.0, 1e-3))
+    spec = sf.MeijerGSpec(m=3, n=0, a=(1.37,), b=(1.0, 0.37, 0.0))
+    with pytest.raises(sf.NonConvergenceError, match="1.00e-06"):
+        sf.meijer_g_log(spec, 4.0)
+
+
+def test_exponential_branch_is_the_generalized_gamma_one_at_a_c_1():
+    # w = 1 puts all weight on the exponential of scale lam; w = 0 with
+    # (a, b, c) = (1, lam, 1) is the same distribution, and every analytic
+    # layer must give it the same bits
+    lam = 0.4747
+    expo = EggParams(w=1.0, lam=lam, a=0.3935, b=1.4506, c=77.0245)
+    gg = EggParams(w=0.0, lam=2.0, a=1.0, b=lam, c=1.0)
+    rho = 37.0
+    x = np.geomspace(1e-6, 1e6, 97)
+    assert np.array_equal(ch._pdf_times_x(np.log(x), rho, expo, WEAK),
+                          ch._pdf_times_x(np.log(x), rho, gg, WEAK))
+    assert np.array_equal(uowc_snr_cdf(x, rho, expo, WEAK),
+                          uowc_snr_cdf(x, rho, gg, WEAK))
+    for n in (1, 3, 8):
+        cfgs = [SystemConfig.from_direct_snr(mu1=100.0, n_relays=n, egg=egg,
+                                             pointing=WEAK, mu2=100.0,
+                                             rho_convention="mu2")
+                for egg in (expo, gg)]
+        for gth in np.geomspace(0.01, 3e3, 25):
+            got = [outage_closed_form(cfg, OutageQuery(float(gth))) for cfg in cfgs]
+            assert got[0].value == got[1].value, (n, gth)
+            assert got[0].err_est == got[1].err_est, (n, gth)
 
 
 class TestShapeConstants:
