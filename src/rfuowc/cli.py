@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
-import functools
+import csv
 import hashlib
 import json
 import math
-import os
+import pathlib
 import sys
 import time
 from datetime import datetime, timezone
 
 from . import __version__
 from .channels import WATER_PRESETS
-from .config import ConfigError, SweepSpec, load_sweep_spec, parse_config
+from .config import ConfigError, SweepSpec, load_sweep_spec, parse_config, \
+    resolve_seed
 from .mc import McConfig, mc_outage
 from .plotting import PlotError, emit_plot
 from .quadrature import QuadratureError
@@ -37,76 +37,84 @@ CSV_HEADER = ("axis", "axis_value", "method", "p_out", "err_est", "c_used",
               "elapsed_ms", "scenario")
 
 
-def _resolve_seed(cli_seed, cfg_seed):
-    """The Monte Carlo seed: --seed, else mc.seed, else RFUOWC_SEED, else the
-    sampler's default.  McConfig checks that it fits in 64 bits."""
-    for source, seed in (("--seed", cli_seed), ("mc.seed", cfg_seed),
-                         ("RFUOWC_SEED", os.environ.get("RFUOWC_SEED"))):
-        if seed is not None:
-            break
-    else:
-        return McConfig.seed
-    try:
-        return McConfig(n_samples=1, seed=int(seed)).seed
-    except ValueError as exc:
-        raise ConfigError(f"{source} must be an integer that fits in 64 bits, "
-                          f"got {seed!r}") from exc
-
-
-def _eval_point(spec: SweepSpec, value: float, method: str, seed: int):
-    """One (axis value, method) cell: (p_out, err_est, c_used, clamped, ms)."""
-    cfg, q = spec.point(value)
+def _eval_point(point, method: str, mc: McConfig):
+    """One (point, method) cell: (p_out, err_est, c_used, clamped, ms)."""
+    system, q = point
     t0 = time.perf_counter()
-    if method == "closed_form":
+    if method == "monte_carlo":
+        est = mc_outage(system, q, mc)
+        out = (est.mean, est.std_err, system.egg.c, False)
+    elif method == "quadrature":
+        res = outage_quadrature(system, q)
+        out = (res.value, res.err_est, res.c_used, res.clamped)
+    else:
         try:
-            res = outage_closed_form(cfg, q)
+            res = outage_closed_form(system, q)
+            out = (res.value, res.err_est, res.c_used, res.clamped)
         except CapabilityError:
             # expected above the supported integer exponent; row kept as NaN
-            ms = (time.perf_counter() - t0) * 1e3
-            return math.nan, math.nan, float(math.floor(cfg.egg.c)), False, ms
-        out = (res.value, res.err_est, res.c_used, res.clamped)
-    elif method == "quadrature":
-        res = outage_quadrature(cfg, q)
-        out = (res.value, res.err_est, res.c_used, res.clamped)
+            out = (math.nan, math.nan, float(math.floor(system.egg.c)), False)
+    return (*out, (time.perf_counter() - t0) * 1e3)
+
+
+def run_sweep(spec: SweepSpec, jobs: int = 1):
+    """Evaluate the sweep; rows ordered by axis value, then method order.
+
+    At most one worker process per (axis value, method) cell is started."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    cells = [(value, point, method) for value, point in zip(spec.values, spec.points)
+             for method in spec.methods]
+    values, points, methods = zip(*cells)
+    mcs = [spec.mc] * len(cells)
+    workers = min(jobs, len(cells))
+    if workers == 1:
+        results = list(map(_eval_point, points, methods, mcs))
     else:
-        est = mc_outage(cfg, q, McConfig(n_samples=spec.mc_samples, seed=seed,
-                                         chunk_size=spec.mc_chunk))
-        out = (est.mean, est.std_err, cfg.egg.c, False)
-    ms = (time.perf_counter() - t0) * 1e3
-    return (*out, ms)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_eval_point, points, methods, mcs))
+    return [{"axis": spec.axis, "axis_value": repr(float(value)), "method": method,
+             "p_out": repr(float(p)), "err_est": repr(float(err)),
+             "c_used": repr(float(c_used)), "elapsed_ms": format(ms, ".3f"),
+             "scenario": spec.label, "clamped": bool(clamped)}
+            for value, method, (p, err, c_used, clamped, ms) in zip(values, methods, results)]
 
 
-def run_sweep(spec: SweepSpec, seed: int, jobs: int = 1):
-    """Evaluate the sweep; rows ordered by axis value, then method order."""
-    cells = [(value, method) for value in spec.values for method in spec.methods]
-    eval_cell = functools.partial(_eval_point, spec, seed=seed)
-    values, methods = zip(*cells)
-    if jobs <= 1:
-        results = list(map(eval_cell, values, methods))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(eval_cell, values, methods))
-    rows = []
-    for (value, method), (p, err, c_used, clamped, ms) in zip(cells, results):
-        rows.append({
-            "axis": spec.axis,
-            "axis_value": repr(float(value)),
-            "method": method,
-            "p_out": repr(float(p)),
-            "err_est": repr(float(err)),
-            "c_used": repr(float(c_used)),
-            "elapsed_ms": format(ms, ".3f"),
-            "scenario": spec.label,
-            "clamped": bool(clamped),
-        })
-    return rows
+def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None, jobs=1):
+    """Run one sweep per parsed config dict, in order, into one CSV.
+
+    Each of seed, methods and mc_samples that is given overwrites its config
+    key (mc.seed, methods, mc.samples), so a flag and its key share one
+    check.  Every config is checked before any point is evaluated.  Returns
+    the specs and the rows written."""
+    flags = {"mc.seed": seed, "methods": methods, "mc.samples": mc_samples}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    specs = [load_sweep_spec({**cfg, **flags}) for cfg in cfgs]
+    rows = [row for spec in specs for row in run_sweep(spec, jobs)]
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows([row[col] for col in CSV_HEADER] for row in rows)
+    return specs, rows
 
 
-def _write_csv(rows, out_path):
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(row[col] for col in CSV_HEADER) + "\n")
+def figure_main(name: str, scenarios, mc_samples=None):
+    """A figure script: sweep `scenarios` into <out-dir>/<name>.csv and .svg.
+
+    Takes --out-dir and --seed, and --mc-samples (default `mc_samples`) when
+    `mc_samples` is given."""
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--out-dir", type=pathlib.Path, default="results")
+    if mc_samples is not None:
+        ap.add_argument("--mc-samples", type=int, default=mc_samples)
+    ap.add_argument("--seed", type=int, default=McConfig.seed)
+    args = ap.parse_args()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out_dir / f"{name}.csv"
+    _, rows = sweep(scenarios, csv_path, seed=args.seed,
+                    mc_samples=vars(args).get("mc_samples"))
+    emit_plot(str(csv_path), str(args.out_dir / f"{name}.svg"))
+    print(f"wrote {csv_path} and companion SVG ({len(rows)} rows)")
 
 
 def _write_manifest(out_path, config_bytes, seed, jobs, rows):
@@ -134,29 +142,22 @@ def _cmd_sweep(args) -> int:
         with open(args.config, "rb") as fh:
             config_bytes = fh.read()
         cfg = parse_config(config_bytes.decode("utf-8"))
-        spec = load_sweep_spec(cfg)
-        if args.methods:
-            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            spec = dataclasses.replace(spec, methods=methods)
-        if args.mc_samples is not None:
-            spec = dataclasses.replace(spec, mc_samples=args.mc_samples)
-        seed = _resolve_seed(args.seed, spec.mc_seed)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rows = run_sweep(spec, seed=seed, jobs=args.jobs)
+        (spec,), rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
+                              mc_samples=args.mc_samples, jobs=args.jobs)
     except (SpecfunError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_csv(rows, args.out)
-    manifest = _write_manifest(args.out, config_bytes, seed, args.jobs, rows)
+    manifest = _write_manifest(args.out, config_bytes, spec.mc.seed, args.jobs, rows)
     print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest})")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    seed = _resolve_seed(args.seed, None)
+    seed = resolve_seed(args.seed, "--seed")
     n_checks = n_fail = 0
     for suite, results, seconds in run_level(args.level, seed=seed):
         for res in results:

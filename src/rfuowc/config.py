@@ -8,6 +8,8 @@ the keys of KEYS, and a key of MODE_KEYS only in the mode that reads it.
 
 from __future__ import annotations
 
+import os
+import re
 from dataclasses import dataclass
 
 from .channels import (
@@ -21,7 +23,7 @@ from .mc import McConfig
 from .system import OutageQuery, SystemConfig
 
 __all__ = ["ConfigError", "SweepSpec", "KEYS", "parse_config", "load_sweep_spec",
-           "db_to_linear", "dbm_to_watts"]
+           "resolve_seed", "db_to_linear", "dbm_to_watts"]
 
 METHODS = ("closed_form", "quadrature", "monte_carlo")
 
@@ -55,11 +57,18 @@ def _coerce(raw: str):
         return raw
 
 
+# a line up to its first '#' outside double quotes
+_BODY = re.compile(r'(?:[^"#]|"[^"]*")*')
+
+
 def parse_config(text: str) -> dict:
     """Parse 'key = value' lines into a flat dict, applying unit suffixes."""
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _BODY.match(line).group()
+        if line[len(body):].startswith('"'):
+            raise ConfigError(f"line {lineno}: unclosed quote in {line!r}")
+        body = body.strip()
         if not body:
             continue
         if "=" not in body:
@@ -96,23 +105,16 @@ def _values_list(raw) -> list[float]:
     if ":" in raw and "," not in raw:
         lo, hi = raw.split(":", 1)
         try:
-            lo_i, hi_i = int(lo), int(hi)
+            vals = [float(v) for v in range(int(lo), int(hi) + 1)]
         except ValueError as exc:
             raise ConfigError(f"range values must be integers: {raw!r}") from exc
-        if hi_i < lo_i:
-            raise ConfigError(f"empty range {raw!r}")
-        return [float(v) for v in range(lo_i, hi_i + 1)]
-    vals = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    else:
         try:
-            vals.append(float(piece))
+            vals = [float(piece) for piece in raw.split(",") if piece.strip()]
         except ValueError as exc:
-            raise ConfigError(f"bad sweep value {piece!r}") from exc
+            raise ConfigError(f"bad sweep values {raw!r}") from exc
     if not vals:
-        raise ConfigError("empty sweep values")
+        raise ConfigError(f"empty sweep values {raw!r}")
     return vals
 
 
@@ -181,84 +183,68 @@ def _egg_from(cfg: dict) -> EggParams:
 
 def _build_point(cfg: dict) -> tuple[SystemConfig, OutageQuery]:
     """The system and threshold that a complete config dict describes."""
-    try:
-        egg = _egg_from(cfg)
-        pointing = PointingParams(a0=float(cfg["pointing.a0"]),
-                                  xi=float(cfg["pointing.xi"]))
-        n_relays = _integer(cfg, "rf.n_relays")
-        query = OutageQuery(float(cfg["gamma_th"]))
-        if cfg["mode"] == "direct":
-            mu1, mu2 = cfg["direct.mu1"], cfg["direct.mu2"]
-            scale = cfg["direct.uowc_scale"]
-            if scale == "track" or (scale is None and mu2 is None):
-                scale = mu1
-            system = SystemConfig.from_direct_snr(
-                mu1=float(mu1), n_relays=n_relays, egg=egg, pointing=pointing,
-                uowc_scale=None if scale is None else float(scale),
-                mu2=None if mu2 is None else float(mu2),
-                rho_convention=cfg["rho_convention"])
-        else:
-            rf = RfLinkParams(
-                p1=float(cfg["rf.p1"]), sigma1_sq=float(cfg["rf.noise"]),
-                g0=float(cfg["rf.g0"]), radius_r=float(cfg["rf.radius"]),
-                height_l=float(cfg["rf.height"]), n_relays=n_relays)
-            uowc = UowcLinkParams(*(float(cfg[f"uowc.{k}"]) for k in
-                                    ("eta", "p2", "n0", "pr", "bandwidth")))
-            system = SystemConfig.from_link(
-                rf, uowc, egg, pointing, gain_convention=cfg["gain_convention"],
-                rho_convention=cfg["rho_convention"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    egg = _egg_from(cfg)
+    pointing = PointingParams(a0=float(cfg["pointing.a0"]),
+                              xi=float(cfg["pointing.xi"]))
+    n_relays = _integer(cfg, "rf.n_relays")
+    query = OutageQuery(float(cfg["gamma_th"]))
+    if cfg["mode"] == "direct":
+        mu1, mu2 = cfg["direct.mu1"], cfg["direct.mu2"]
+        scale = cfg["direct.uowc_scale"]
+        if scale == "track" or (scale is None and mu2 is None):
+            scale = mu1
+        system = SystemConfig.from_direct_snr(
+            mu1=float(mu1), n_relays=n_relays, egg=egg, pointing=pointing,
+            uowc_scale=None if scale is None else float(scale),
+            mu2=None if mu2 is None else float(mu2),
+            rho_convention=cfg["rho_convention"])
+    else:
+        rf = RfLinkParams(
+            p1=float(cfg["rf.p1"]), sigma1_sq=float(cfg["rf.noise"]),
+            g0=float(cfg["rf.g0"]), radius_r=float(cfg["rf.radius"]),
+            height_l=float(cfg["rf.height"]), n_relays=n_relays)
+        uowc = UowcLinkParams(*(float(cfg[f"uowc.{k}"]) for k in
+                                ("eta", "p2", "n0", "pr", "bandwidth")))
+        system = SystemConfig.from_link(
+            rf, uowc, egg, pointing, gain_convention=cfg["gain_convention"],
+            rho_convention=cfg["rho_convention"])
     return system, query
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """A sweep: cfg holds every key of KEYS, and each axis value sets one."""
+    """A checked sweep: points[i] is the system and threshold at values[i]."""
 
     axis: str
     values: list[float]
+    points: list[tuple[SystemConfig, OutageQuery]]
     methods: list[str]
-    cfg: dict
     label: str
-    mc_samples: int
-    mc_seed: int | None
-    mc_chunk: int
+    mc: McConfig
 
-    def __post_init__(self):
-        if self.axis not in AXIS_KEYS:
-            raise ConfigError(
-                f"unknown axis {self.axis!r}; expected one of {tuple(AXIS_KEYS)}")
-        if not self.values:
-            raise ConfigError("sweep needs at least one axis value")
-        if sorted(self.values) != self.values or len(set(self.values)) != len(self.values):
-            raise ConfigError("sweep values must be strictly increasing")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise ConfigError(f"unknown methods {bad}; expected subset of {METHODS}")
-        if not self.methods:
-            raise ConfigError("need at least one method")
-        if self.mc_samples < 1 or self.mc_chunk < 1:
-            raise ConfigError("mc.samples and mc.chunk must be >= 1")
 
-    def point(self, value: float) -> tuple[SystemConfig, OutageQuery]:
-        """System and threshold at one axis value."""
-        return _build_point({**self.cfg, AXIS_KEYS[self.axis]: value})
+def resolve_seed(seed, source: str) -> int:
+    """The Monte Carlo seed: `seed` (read from `source`), else RFUOWC_SEED,
+    else the sampler's default.  It must fit in 64 bits."""
+    if seed is None:
+        source, seed = "RFUOWC_SEED", os.environ.get("RFUOWC_SEED", McConfig.seed)
+    try:
+        return McConfig(n_samples=1, seed=int(seed)).seed
+    except ValueError as exc:
+        raise ConfigError(f"{source} must be an integer that fits in 64 bits, "
+                          f"got {seed!r}") from exc
 
 
 def load_sweep_spec(cfg: dict) -> SweepSpec:
-    """Validate a parsed config dict and assemble the sweep description.
-
-    Every axis value's point is built here once, so a bad value fails now,
-    before any outage is computed.
-    """
+    """Validate a parsed config dict and build every axis value's point once,
+    so a bad value fails now, before any outage is computed."""
     unknown = sorted(set(cfg) - set(KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
     given, cfg = cfg, {**KEYS, **cfg}
     axis, mode = cfg["axis"], cfg["mode"]
-    if axis is None:
-        raise ConfigError("config needs an 'axis' key")
+    if axis not in AXIS_KEYS:
+        raise ConfigError(f"axis must be one of {tuple(AXIS_KEYS)}, got {axis!r}")
     if mode not in MODE_KEYS:
         raise ConfigError(f"mode must be 'direct' or 'physical', got {mode!r}")
     if AXIS_MODE.get(axis, mode) != mode:
@@ -267,13 +253,20 @@ def load_sweep_spec(cfg: dict) -> SweepSpec:
                for k in keys if k in given]
     if foreign:
         raise ConfigError(f"mode = {mode} does not read {foreign}")
-    spec = SweepSpec(
-        axis=axis, values=_values_list(cfg["values"]),
-        methods=[m.strip() for m in str(cfg["methods"]).split(",") if m.strip()],
-        cfg=cfg, label=str(cfg["label"]),
-        mc_samples=_integer(cfg, "mc.samples"),
-        mc_seed=None if cfg["mc.seed"] is None else _integer(cfg, "mc.seed"),
-        mc_chunk=_integer(cfg, "mc.chunk"))
-    for value in spec.values:
-        spec.point(value)
-    return spec
+    values = _values_list(cfg["values"])
+    if sorted(set(values)) != values:
+        raise ConfigError("sweep values must be strictly increasing")
+    methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+    if not methods or not set(methods) <= set(METHODS):
+        raise ConfigError(f"methods must be a nonempty subset of {METHODS}, "
+                          f"got {cfg['methods']!r}")
+    seed = resolve_seed(None if cfg["mc.seed"] is None else _integer(cfg, "mc.seed"),
+                        "mc.seed")
+    try:
+        mc = McConfig(n_samples=_integer(cfg, "mc.samples"), seed=seed,
+                      chunk_size=_integer(cfg, "mc.chunk"))
+        points = [_build_point({**cfg, AXIS_KEYS[axis]: value}) for value in values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return SweepSpec(axis=axis, values=values, points=points, methods=methods,
+                     label=str(cfg["label"]), mc=mc)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import io
+from xml.sax.saxutils import escape
 
 __all__ = ["PlotError", "render_svg", "emit_plot"]
 
@@ -106,7 +107,7 @@ def render_svg(csv_path: str) -> str:
         out.write(f'<text x="{_fmt(xx)}" y="{_fmt(_H-_MB+18)}" text-anchor="middle" '
                   f'font-family="monospace" font-size="12">{_fmt(xv)}</text>\n')
     out.write(f'<text x="{_fmt((_ML+_W-_MR)/2)}" y="{_fmt(_H-16)}" text-anchor="middle" '
-              f'font-family="monospace" font-size="13">{axis_label}</text>\n')
+              f'font-family="monospace" font-size="13">{escape(axis_label)}</text>\n')
     out.write(f'<text x="16" y="{_fmt((_MT+_H-_MB)/2)}" text-anchor="middle" '
               f'font-family="monospace" font-size="13" '
               f'transform="rotate(-90 16 {_fmt((_MT+_H-_MB)/2)})">outage probability</text>\n')
@@ -124,7 +125,7 @@ def render_svg(csv_path: str) -> str:
     ly = _MT + 10.0
     for idx, key in enumerate(groups):
         color = _PALETTE[idx % len(_PALETTE)]
-        label = f"{key[0]} {key[1]}".strip()
+        label = escape(f"{key[0]} {key[1]}".strip())
         out.write(f'<line x1="{_fmt(_ML+10)}" y1="{_fmt(ly)}" x2="{_fmt(_ML+34)}" '
                   f'y2="{_fmt(ly)}" stroke="{color}" stroke-width="2"/>\n')
         out.write(f'<text x="{_fmt(_ML+40)}" y="{_fmt(ly+4)}" font-family="monospace" '

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -7,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 
 import pytest
 
@@ -50,6 +50,12 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def legend_texts(svg_path):
+    """The legend entries of a rendered SVG, which must be well-formed XML."""
+    texts = xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("text")
+    return [t.firstChild.data for t in texts if t.getAttribute("font-size") == "11"]
+
+
 class TestConfigParsing:
     def test_basic_types(self):
         cfg = parse_config('a = 1\nb = 2.5\nc = "text"\nd = true\n# comment\n')
@@ -69,6 +75,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config('k_db = "loud"\n')
 
+    def test_hash_inside_quotes_is_part_of_the_value(self):
+        cfg = parse_config('label = "fig #2"  # the comment\nmethods = "quadrature"#x\n')
+        assert cfg == {"label": "fig #2", "methods": "quadrature"}
+
+    @pytest.mark.parametrize("line", ['label = "fig #2', 'label = fig"2  # x'])
+    def test_unclosed_quote_is_a_config_error(self, tmp_path, capsys, line):
+        with pytest.raises(ConfigError, match="unclosed quote"):
+            parse_config(line + "\n")
+        assert sweep_exit(tmp_path, BASE_CFG + line + "\n") == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_values_forms(self):
         spec = load_sweep_spec(parse_config(BASE_CFG))
         assert spec.values == [1.0, 2.0, 3.0]
@@ -76,9 +93,9 @@ class TestConfigParsing:
         assert load_sweep_spec(cfg).values == [1.0, 5.0, 9.0]
 
     def test_mc_chunk_defaults_to_the_sampler_default(self):
-        assert load_sweep_spec(parse_config(BASE_CFG)).mc_chunk == McConfig.chunk_size
+        assert load_sweep_spec(parse_config(BASE_CFG)).mc.chunk_size == McConfig.chunk_size
         cfg = parse_config(BASE_CFG + "mc.chunk = 4096\n")
-        assert load_sweep_spec(cfg).mc_chunk == 4096
+        assert load_sweep_spec(cfg).mc.chunk_size == 4096
 
     def test_decreasing_values_rejected(self):
         cfg = parse_config(BASE_CFG.replace('values = "1:3"', 'values = "3,1"'))
@@ -189,6 +206,50 @@ class TestSweepCommand:
         assert all(r["method"] == "closed_form" for r in rows)
         assert all(math.isnan(float(r["p_out"])) for r in rows)
 
+    def test_each_point_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        from_direct_snr = SystemConfig.from_direct_snr
+
+        def counting(**kwargs):
+            built.append(kwargs["n_relays"])
+            return from_direct_snr(**kwargs)
+
+        monkeypatch.setattr(SystemConfig, "from_direct_snr", counting)
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv"), "--methods",
+                     "closed_form,quadrature,monte_carlo", "--mc-samples", "1000"]) == 0
+        assert len(read_rows(tmp_path / "x.csv")) == 9
+        assert built == [1, 2, 3]
+
+    def test_jobs_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep", cfg, "--out", out, "--jobs", "5000",
+                     "--methods", "quadrature"]) == 0
+        assert workers == [3]
+        assert len(read_rows(out)) == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        assert sweep_exit(tmp_path, BASE_CFG, "--jobs", jobs) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace('axis = "n_relays"',
                                                    'axis = "altitude"'))
@@ -237,8 +298,7 @@ def swept_systems(text, monkeypatch):
                             c_used=cfg.egg.c)
 
     monkeypatch.setattr(cli, "outage_quadrature", fake_quadrature)
-    spec = load_sweep_spec(parse_config(text))
-    cli.run_sweep(dataclasses.replace(spec, methods=["quadrature"]), seed=1)
+    cli.run_sweep(load_sweep_spec({**parse_config(text), "methods": "quadrature"}))
     return seen
 
 
@@ -361,11 +421,6 @@ class TestBadSweepInputs:
         assert sweep_exit(tmp_path, text) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_mc_samples_checked_on_replace(self):
-        spec = load_sweep_spec(parse_config(BASE_CFG))
-        with pytest.raises(ConfigError, match="mc.samples"):
-            dataclasses.replace(spec, mc_samples=0)
-
     @pytest.mark.parametrize("key", ["pointing.xi2", "direct.mu"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         text = BASE_CFG + f"{key} = 0.5\n"
@@ -399,7 +454,7 @@ class TestBadSweepInputs:
         # mc.* are read only by Monte Carlo, but are not tied to a mode
         spec = load_sweep_spec(parse_config(PHYSICAL_CFG + "mc.seed = 5\n"
                                             "mc.samples = 10\n"))
-        assert (spec.mc_seed, spec.mc_samples) == (5, 10)
+        assert (spec.mc.seed, spec.mc.n_samples) == (5, 10)
 
     def test_mode_keys_are_config_keys(self):
         mode_keys = [k for keys in MODE_KEYS.values() for k in keys]
@@ -507,6 +562,30 @@ class TestPlotCommand:
         assert b1 == open(svg2, "rb").read()
         # one curve per (scenario, method) group
         assert b1.decode().count("<polyline") == 2
+
+    def test_label_with_comma_and_quote_survives_csv_and_plot(self, tmp_path):
+        label = 'salty, "weak" #2'
+        text = BASE_CFG.replace('label = "demo"', f'label = "{label}"')
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep", cfg, "--out", out, "--methods", "quadrature"]) == 0
+        with open(out, newline="") as fh:
+            assert all(len(row) == len(cli.CSV_HEADER) for row in csv.reader(fh))
+        assert [r["scenario"] for r in read_rows(out)] == [label] * 3
+        svg = str(tmp_path / "x.svg")
+        assert main(["plot", out, svg]) == 0
+        assert legend_texts(svg) == [f"{label} quadrature"]
+
+    @pytest.mark.parametrize("label", ["salty & fresh", "depth <5 m"])
+    def test_svg_text_is_escaped(self, tmp_path, label):
+        path = tmp_path / "mini.csv"
+        path.write_text(
+            "axis,axis_value,method,p_out,err_est,c_used,elapsed_ms,scenario\n"
+            f"gamma_th,1.0,quadrature,0.01,1e-9,35.0,1.0,{label}\n"
+            f"gamma_th,10.0,quadrature,0.1,1e-9,35.0,1.0,{label}\n")
+        svg = str(tmp_path / "x.svg")
+        assert main(["plot", str(path), svg]) == 0
+        assert legend_texts(svg) == [f"{label} quadrature"]
 
     def test_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
