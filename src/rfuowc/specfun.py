@@ -57,9 +57,9 @@ __all__ = [
 # counting a factor of scale B as the B factors it folds.
 MAX_INTEGER_C = 120
 
-# Relative tolerance of every G evaluation; the residue series runs at most
-# _MAX_TERMS terms per ladder and the contour integral at most
-# _CONTOUR_POINTS trapezoid nodes.
+# Relative tolerance of every G evaluation; the residue series spans at most
+# _MAX_TERMS units of s (a ladder Gamma(b - B s) runs B * _MAX_TERMS terms)
+# and the contour integral at most _CONTOUR_POINTS trapezoid nodes.
 REL_TOL = 1e-10
 _MAX_TERMS = 768
 _CONTOUR_POINTS = 400_000
@@ -561,7 +561,8 @@ class _SeriesTable:
     """z-independent residue-series coefficients for one (spec, kmax).
 
     Ladder Gamma(b - B s) of _kernel_factors has poles at s = (b + k) / B and
-    runs B * kmax terms, so that every ladder spans the same range of s; a
+    runs B * kmax terms, so that every ladder spans the same kmax units of s
+    (_series_attempt sizes kmax to the argument); a
     rational factor 1 / (b - s) has one, at s = b.  A pole where r numerator
     factors and r' denominator gammas have one has order r - r', is kept on
     the first factor that holds it, and is null at order <= 0.  Its residue
@@ -702,11 +703,13 @@ def _series_attempt(spec, ln_z):
     loss = d * math.exp(min(ln_zr / d, 30.0))
     if loss > -0.8 * math.log(REL_TOL):
         return None
-    # past the terms' peak, in whole multiples of 16, so that calls at nearby
-    # arguments share a table
+    # a plain G needs guess units of s to pass its terms' peak; the kernel
+    # of order d decays about d times faster past it, so kmax is the least
+    # power of two (at least 2) with kmax * d >= guess.  Powers of two let
+    # calls at nearby arguments share a table.
     peak = math.exp(min(ln_zr / d, 12.0)) if ln_zr > 0 else 0.0
     guess = int(24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0))
-    kmax = min(_MAX_TERMS, 16 * -(-max(48, guess) // 16))
+    kmax = min(_MAX_TERMS, 1 << max(1, (-(-guess // d) - 1).bit_length()))
     while True:
         tab = _series_table(spec, kmax)
         if tab.degenerate:
@@ -975,6 +978,13 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     return ln_i, rel + tails + _EPS * abs(ln_i)
 
 
+@functools.lru_cache(maxsize=512)
+def _folded_spec(a: float, xi2: float, c: int):
+    """The H-function spec of folded_gg_factor_log, built once per branch."""
+    return MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
+                       scales=(1, 1, c))
+
+
 def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     """(ln G, relative error bound) of the closed form's factor of one
     generalized-gamma branch at z = exp(ln_z), for shape a > 0, xi2 > 0 and
@@ -995,9 +1005,7 @@ def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
         raise ValueError("log-argument must be finite")
-    spec = MeijerGSpec(m=3, n=0, a=(xi2 / c + 1.0,), b=(a, xi2 / c, 0.0),
-                       scales=(1, 1, c))
-    got = _series_attempt(spec, ln_z)
+    got = _series_attempt(_folded_spec(a, xi2, c), ln_z)
     if got is not None and got[2] <= _FACTOR_TOL:
         return got[1], got[2]
     if a == 1 and c == 1:

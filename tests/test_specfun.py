@@ -662,6 +662,45 @@ def test_folded_factor_matches_the_contour_oracle():
     assert checked >= 20  # most of them on the real-line form
 
 
+def test_series_table_is_sized_to_the_argument(monkeypatch):
+    # The closed form's factors on the sweep's range of ln z, and a folded
+    # factor (c = 3) whose first table fails the tail test and whose doubled
+    # one serves.  Each served value is the one a table of 48 units of s
+    # gives, bit for bit: the terms dropped lie below e^-42 of the largest.
+    # The G2 tables hold at most a tenth of the entries of 48 units; G1 (the
+    # weak-pointing exponential factor, order 2) and the c = 3 factor span at
+    # most 32 and 16 units.
+    built = []
+
+    def recording(spec, kmax):
+        built.append(sf._SeriesTable(spec, kmax))
+        return built[-1]
+
+    monkeypatch.setattr(sf, "_series_table", recording)
+    cases = []
+    for key in SWEEP_PRESETS:
+        spec = _folded_factor_at(key, 1.0, 0)[0]
+        most = (48 * (spec.scales[-1] + 1) + 1) // 10
+        cases.append((spec, np.linspace(-700.0, 260.0, 49), most))
+    cases.append((SPEC_OUTAGE, np.linspace(-700.0, 2.5, 50), 2 * 32 + 1))
+    cases.append((sf._folded_spec(2.0, 0.3695, 3), [2.5], 4 * 16 + 1))
+    served = doubled = 0
+    for spec, ln_zs, most in cases:
+        ref_tab = sf._SeriesTable(spec, 48)
+        for ln_z in ln_zs:
+            built.clear()
+            got = sf._series_attempt(spec, float(ln_z))
+            if got is None:
+                continue
+            served += 1
+            doubled += len(built) > 1
+            assert built[-1].s.size <= most, ln_z
+            sign, logabs, rel, tail_ok = sf._series_eval(ref_tab, float(ln_z))
+            assert tail_ok and (got[0], got[1]) == (sign, logabs), ln_z
+            assert abs(got[2] - rel) <= 1e-15 * rel, ln_z
+    assert served >= 200 and doubled == 1
+
+
 def test_trapezoid_rule_refuses_a_window_past_its_cap_before_evaluating():
     calls = []
 
