@@ -34,4 +34,4 @@ SCENARIOS = [
 ]
 
 if __name__ == "__main__":
-    figure_main("fig3_avg_snr", SCENARIOS, mc_samples=500_000)
+    figure_main("fig3_avg_snr", SCENARIOS)

@@ -222,12 +222,19 @@ def relay_constant_c(mu1: float, n_relays: int) -> float:
     return 1.0 + mu1 * math.fsum(1.0 / k for k in range(1, n + 1))
 
 
-def _check_n(n_relays) -> int:
-    """The relay count as an int; a fractional or out-of-range count
+def _whole(name: str, value) -> int:
+    """`value` as an int; a bool or a value that is not a whole number
     raises ValueError (an integral float such as 3.0 is accepted)."""
-    n = int(n_relays)
-    if n != n_relays:
-        raise ValueError(f"n_relays must be a whole number, got {n_relays!r}")
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _check_n(n_relays) -> int:
+    """The relay count as an int, which must be whole and in range."""
+    n = _whole("n_relays", n_relays)
     if not (1 <= n <= MAX_RELAYS):
         raise ValueError(f"n_relays must be in 1..{MAX_RELAYS}")
     return n

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -57,30 +56,22 @@ def _eval_point(point, method: str, mc: McConfig):
     return (*out, (time.perf_counter() - t0) * 1e3)
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1):
-    """Evaluate the sweep; rows ordered by axis value, then method order.
-
-    At most one worker process per (axis value, method) cell is started."""
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    cells = [(value, point, method) for value, point in zip(spec.values, spec.points)
-             for method in spec.methods]
-    values, points, methods = zip(*cells)
-    mcs = [spec.mc] * len(cells)
-    workers = min(jobs, len(cells))
-    if workers == 1:
-        results = list(map(_eval_point, points, methods, mcs))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_point, points, methods, mcs))
-    return [{"axis": spec.axis, "axis_value": repr(float(value)), "method": method,
-             "p_out": repr(float(p)), "err_est": repr(float(err)),
-             "c_used": repr(float(c_used)), "elapsed_ms": format(ms, ".3f"),
-             "scenario": spec.label, "clamped": bool(clamped)}
-            for value, method, (p, err, c_used, clamped, ms) in zip(values, methods, results)]
+def run_sweep(spec: SweepSpec):
+    """Evaluate the sweep in this process, one (axis value, method) cell at a
+    time; rows ordered by axis value, then method order."""
+    rows = []
+    for value, point in zip(spec.values, spec.points):
+        for method in spec.methods:
+            p, err, c_used, clamped, ms = _eval_point(point, method, spec.mc)
+            rows.append({"axis": spec.axis, "axis_value": repr(float(value)),
+                         "method": method, "p_out": repr(float(p)),
+                         "err_est": repr(float(err)), "c_used": repr(float(c_used)),
+                         "elapsed_ms": format(ms, ".3f"), "scenario": spec.label,
+                         "clamped": bool(clamped)})
+    return rows
 
 
-def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None, jobs=1):
+def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None):
     """Run one sweep per parsed config dict, in order, into one CSV.
 
     Each of seed, methods and mc_samples that is given overwrites its config
@@ -90,7 +81,7 @@ def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None, jobs=1):
     flags = {"mc.seed": seed, "methods": methods, "mc.samples": mc_samples}
     flags = {key: value for key, value in flags.items() if value is not None}
     specs = [load_sweep_spec({**cfg, **flags}) for cfg in cfgs]
-    rows = [row for spec in specs for row in run_sweep(spec, jobs)]
+    rows = [row for spec in specs for row in run_sweep(spec)]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -117,12 +108,11 @@ def figure_main(name: str, scenarios, mc_samples=None):
     print(f"wrote {csv_path} and companion SVG ({len(rows)} rows)")
 
 
-def _write_manifest(out_path, config_bytes, seed, jobs, rows):
+def _write_manifest(out_path, config_bytes, seed, rows):
     manifest = {
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "tool_version": __version__,
         "seed": seed,
-        "jobs": jobs,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "points": [
             {"axis_value": row["axis_value"], "method": row["method"],
@@ -147,11 +137,11 @@ def _cmd_sweep(args) -> int:
         return EXIT_CONFIG
     try:
         (spec,), rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
-                              mc_samples=args.mc_samples, jobs=args.jobs)
+                              mc_samples=args.mc_samples)
     except (SpecfunError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    manifest = _write_manifest(args.out, config_bytes, spec.mc.seed, args.jobs, rows)
+    manifest = _write_manifest(args.out, config_bytes, spec.mc.seed, rows)
     print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest})")
     return EXIT_OK
 
@@ -199,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("config", help="flat key=value config file")
     p_sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers for sweep points")
     p_sweep.add_argument("--seed", type=int, default=None,
                          help="Monte Carlo seed (overrides config and RFUOWC_SEED)")
     p_sweep.add_argument("--mc-samples", type=int, default=None,

@@ -156,14 +156,6 @@ AXIS_MODE = {axis: mode for axis, key in AXIS_KEYS.items()
 EGG_KEYS = ("egg.w", "egg.lam", "egg.a", "egg.b", "egg.c")
 
 
-def _integer(cfg: dict, key: str) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _egg_from(cfg: dict) -> EggParams:
     custom = {k[len("egg."):]: cfg[k] for k in EGG_KEYS if cfg[k] is not None}
     preset_key = cfg["preset"]
@@ -186,7 +178,7 @@ def _build_point(cfg: dict) -> tuple[SystemConfig, OutageQuery]:
     egg = _egg_from(cfg)
     pointing = PointingParams(a0=float(cfg["pointing.a0"]),
                               xi=float(cfg["pointing.xi"]))
-    n_relays = _integer(cfg, "rf.n_relays")
+    n_relays = cfg["rf.n_relays"]
     query = OutageQuery(float(cfg["gamma_th"]))
     if cfg["mode"] == "direct":
         mu1, mu2 = cfg["direct.mu1"], cfg["direct.mu2"]
@@ -227,9 +219,11 @@ def resolve_seed(seed, source: str) -> int:
     """The Monte Carlo seed: `seed` (read from `source`), else RFUOWC_SEED,
     else the sampler's default.  It must fit in 64 bits."""
     if seed is None:
-        source, seed = "RFUOWC_SEED", os.environ.get("RFUOWC_SEED", McConfig.seed)
+        # read like a config value
+        source = "RFUOWC_SEED"
+        seed = _coerce(os.environ.get(source, str(McConfig.seed)))
     try:
-        return McConfig(n_samples=1, seed=int(seed)).seed
+        return McConfig(n_samples=1, seed=seed).seed
     except ValueError as exc:
         raise ConfigError(f"{source} must be an integer that fits in 64 bits, "
                           f"got {seed!r}") from exc
@@ -260,11 +254,9 @@ def load_sweep_spec(cfg: dict) -> SweepSpec:
     if not methods or not set(methods) <= set(METHODS):
         raise ConfigError(f"methods must be a nonempty subset of {METHODS}, "
                           f"got {cfg['methods']!r}")
-    seed = resolve_seed(None if cfg["mc.seed"] is None else _integer(cfg, "mc.seed"),
-                        "mc.seed")
+    seed = resolve_seed(cfg["mc.seed"], "mc.seed")
     try:
-        mc = McConfig(n_samples=_integer(cfg, "mc.samples"), seed=seed,
-                      chunk_size=_integer(cfg, "mc.chunk"))
+        mc = McConfig(n_samples=cfg["mc.samples"], seed=seed, chunk_size=cfg["mc.chunk"])
         points = [_build_point({**cfg, AXIS_KEYS[axis]: value}) for value in values]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

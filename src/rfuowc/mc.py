@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channels import EggParams, PointingParams
+from .channels import EggParams, PointingParams, _whole
 from .system import SystemConfig, OutageQuery
 
 __all__ = [
@@ -52,11 +52,13 @@ class McConfig:
     chunk_size: int = 1 << 18
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "chunk_size"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
 
     def chunks(self):

@@ -79,15 +79,23 @@ class SystemConfig:
         n = ch._check_n(self.n_relays)
         object.__setattr__(self, "n_relays", n)
         object.__setattr__(self, "c_const", ch.relay_constant_c(self.mu1, n))
-        mean_i = ch.egg_moment(1, self.egg, self.pointing)
-        mu2 = self.uowc_scale * mean_i ** 2
-        if self.rho_convention == "as-written":
-            rho = mu2 * ch.egg_moment(2, self.egg, self.pointing) / mean_i ** 2 \
-                / mean_i ** 2
-        elif self.rho_convention == "mu2":
-            rho = mu2
-        else:
-            raise ValueError(f"unknown rho convention {self.rho_convention!r}")
+        try:
+            mean_i = ch.egg_moment(1, self.egg, self.pointing)
+            mu2 = self.uowc_scale * mean_i ** 2
+            if self.rho_convention == "as-written":
+                rho = mu2 * ch.egg_moment(2, self.egg, self.pointing) / mean_i ** 2 \
+                    / mean_i ** 2
+            elif self.rho_convention == "mu2":
+                rho = mu2
+            else:
+                raise ValueError(f"unknown rho convention {self.rho_convention!r}")
+        except (OverflowError, ZeroDivisionError):
+            # a moment, or its square, out of the range of a double
+            rho = math.nan
+        if not 0.0 < rho < math.inf:
+            raise ValueError("the irradiance moments give no finite, positive "
+                             f"optical SNR scale rho (got {rho!r}) for "
+                             f"{self.egg} and {self.pointing}")
         object.__setattr__(self, "rho", rho)
 
     @classmethod
@@ -103,7 +111,8 @@ class SystemConfig:
         if (uowc_scale is None) == (mu2 is None):
             raise ValueError("specify exactly one of uowc_scale and mu2")
         if uowc_scale is None:
-            uowc_scale = mu2 / ch.egg_moment(1, egg, pointing) ** 2
+            # at unit scale the 'mu2' convention derives, and checks, rho = E[I]^2
+            uowc_scale = mu2 / cls(mu1, n_relays, 1.0, egg, pointing, "mu2").rho
         return cls(mu1, n_relays, uowc_scale, egg, pointing, rho_convention)
 
     @classmethod

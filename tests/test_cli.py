@@ -176,16 +176,6 @@ class TestSweepCommand:
 
         assert strip_timing(out1) == strip_timing(out2)
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out1 = str(tmp_path / "serial.csv")
-        out2 = str(tmp_path / "parallel.csv")
-        assert main(["sweep", cfg, "--out", out1]) == 0
-        assert main(["sweep", cfg, "--out", out2, "--jobs", "2"]) == 0
-        pick = lambda p: [(r["axis_value"], r["method"], r["p_out"])
-                          for r in read_rows(p)]
-        assert pick(out1) == pick(out2)
-
     def test_seed_precedence(self, tmp_path, monkeypatch):
         cfg_text = BASE_CFG.replace("mc.seed = 123\n", "")
         cfg = write_cfg(tmp_path, cfg_text)
@@ -221,34 +211,18 @@ class TestSweepCommand:
         assert len(read_rows(tmp_path / "x.csv")) == 9
         assert built == [1, 2, 3]
 
-    def test_jobs_capped_at_the_cell_count(self, tmp_path, monkeypatch):
-        workers = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out = str(tmp_path / "x.csv")
-        assert main(["sweep", cfg, "--out", out, "--jobs", "5000",
-                     "--methods", "quadrature"]) == 0
-        assert workers == [3]
-        assert len(read_rows(out)) == 3
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
-        assert sweep_exit(tmp_path, BASE_CFG, "--jobs", jobs) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sweep_exit(tmp_path, BASE_CFG, "--jobs", "2")
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_manifest_has_no_jobs_key(self, tmp_path):
+        assert sweep_exit(tmp_path, BASE_CFG, "--mc-samples", "1000") == 0
+        manifest = json.load(open(tmp_path / "x.csv.manifest.json"))
+        assert sorted(manifest) == ["config_sha256", "points", "seed", "timestamp",
+                                    "tool_version"]
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace('axis = "n_relays"',
@@ -415,8 +389,16 @@ class TestBadSweepInputs:
         BASE_CFG + "mc.chunk = 0\n",
         BASE_CFG.replace("direct.mu1 = 100", "direct.mu1 = nan"),
         BASE_CFG.replace("direct.uowc_scale = 100", "direct.uowc_scale = inf"),
+        # xi^2 underflows to 0, so the mean irradiance is 0
+        BASE_CFG.replace("pointing.xi = 0.6079", "pointing.xi = 1e-200"),
+        BASE_CFG.replace("pointing.xi = 0.6079", "pointing.xi = 1e-200")
+        .replace("direct.uowc_scale = 100", "direct.mu2 = 100"),
+        # the squared mean irradiance overflows
+        BASE_CFG.replace('preset = "salty/4.7"', "\n".join([
+            "egg.w = 0.2", "egg.lam = 0.4", "egg.a = 0.5", "egg.b = 1e300",
+            "egg.c = 3"])),
     ], ids=["fractional-relays", "too-many-relays", "zero-chunk", "nan-mu1",
-            "infinite-scale"])
+            "infinite-scale", "tiny-xi", "tiny-xi-mu2", "huge-egg-scale"])
     def test_bad_numbers_in_config(self, tmp_path, capsys, text):
         assert sweep_exit(tmp_path, text) == 2
         assert capsys.readouterr().err.startswith("config error:")

@@ -69,6 +69,23 @@ class TestStreams:
         with pytest.raises(ValueError):
             McConfig(n_samples=1, chunk_size=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_samples=1e5 + 0.5), dict(n_samples=True), dict(n_samples=math.inf),
+        dict(seed=1.5), dict(seed=True), dict(chunk_size=4096.5),
+        dict(chunk_size=False),
+    ], ids=["fractional-samples", "bool-samples", "infinite-samples",
+            "fractional-seed", "bool-seed", "fractional-chunk", "bool-chunk"])
+    def test_counts_and_seed_must_be_whole(self, kwargs):
+        # a fractional or bool seed once ran the stream of its int() silently
+        with pytest.raises(ValueError, match="whole number"):
+            McConfig(**{"n_samples": 10, **kwargs})
+
+    def test_integral_floats_are_stored_as_ints(self):
+        mc = McConfig(n_samples=1e5, seed=7.0, chunk_size=1e4)
+        assert (mc.n_samples, mc.seed, mc.chunk_size) == (100_000, 7, 10_000)
+        assert all(type(v) is int for v in (mc.n_samples, mc.seed, mc.chunk_size))
+        assert sum(mc.chunks()) == 100_000
+
 
 class TestSamplers:
     def test_rf_best_snr_mean_single(self):

@@ -107,9 +107,12 @@ class TestSystemConfig:
         dict(mu1=0.0), dict(mu1=-1.0), dict(mu1=math.nan), dict(mu1=math.inf),
         dict(n_relays=0), dict(n_relays=65), dict(n_relays=2.5),
         dict(uowc_scale=0.0), dict(uowc_scale=math.nan), dict(uowc_scale=math.inf),
+        # xi^2 underflows to 0, so E[I] = 0; E[I]^2 overflows
+        dict(pointing=PointingParams(a0=0.5, xi=1e-200)),
+        dict(egg=EggParams(w=0.2, lam=0.4, a=0.5, b=1e300, c=3.0)),
     ], ids=["mu1-zero", "mu1-negative", "mu1-nan", "mu1-inf", "no-relays",
             "too-many-relays", "fractional-relays", "scale-zero", "scale-nan",
-            "scale-inf"])
+            "scale-inf", "zero-mean-irradiance", "huge-mean-irradiance"])
     def test_rejects_out_of_range_fields(self, kwargs):
         args = dict(mu1=100.0, n_relays=3, uowc_scale=100.0,
                     egg=get_preset("salty/4.7").egg, pointing=WEAK)
