@@ -252,10 +252,15 @@ def egg_moment(n: int, egg: EggParams, pointing: PointingParams) -> float:
     n = int(n)
     xi2 = pointing.xi2
     point = xi2 / (n + xi2)
-    exp_part = egg.w * (egg.lam * pointing.a0) ** n * math.factorial(n)
-    gg_part = ((1.0 - egg.w) * (egg.b * pointing.a0) ** n
-               * math.exp(math.lgamma(egg.a + n / egg.c) - math.lgamma(egg.a)))
-    return (exp_part + gg_part) * point
+    try:
+        moment = point * (egg.w * (egg.lam * pointing.a0) ** n * math.factorial(n)
+                          + (1.0 - egg.w) * (egg.b * pointing.a0) ** n
+                          * math.exp(math.lgamma(egg.a + n / egg.c) - math.lgamma(egg.a)))
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise ValueError(f"irradiance moment {n} is beyond the range of a double")
+    return moment
 
 
 def uowc_snr_pdf(x, rho: float, egg: EggParams, pointing: PointingParams):

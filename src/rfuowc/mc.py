@@ -189,8 +189,9 @@ def mc_moments(orders, egg: EggParams, pointing: PointingParams,
             i = sample_egg_irradiance(rng, egg, n) * sample_pointing(rng, pointing, n)
             block = {}
             for k in drawn:
-                ik = i ** k
-                block[k] = (float(np.sum(ik)), float(np.sum(ik * ik)))
+                with np.errstate(over="ignore"):  # checked on the totals
+                    ik = i ** k
+                    block[k] = (float(np.sum(ik)), float(np.sum(ik * ik)))
             sums.append(block)
         return sums
 
@@ -198,7 +199,12 @@ def mc_moments(orders, egg: EggParams, pointing: PointingParams,
     count = mc.n_samples
     est = {0: McEstimate(mean=1.0, std_err=0.0, n=count)}
     for k in drawn:
-        mean = math.fsum(b[k][0] for b in blocks) / count
-        var = max(math.fsum(b[k][1] for b in blocks) / count - mean * mean, 0.0)
-        est[k] = McEstimate(mean=mean, std_err=math.sqrt(var / count), n=count)
+        try:  # fsum raises on finite block sums whose total overflows
+            mean = math.fsum(b[k][0] for b in blocks) / count
+            var = math.fsum(b[k][1] for b in blocks) / count - mean * mean
+        except OverflowError:
+            var = math.inf
+        if not math.isfinite(var):
+            raise ValueError(f"irradiance moment {2 * k} is beyond the range of a double")
+        est[k] = McEstimate(mean=mean, std_err=math.sqrt(max(var, 0.0) / count), n=count)
     return [est[int(n)] for n in orders]

@@ -36,8 +36,9 @@ class OutageQuery:
     gamma_th: float
 
     def __post_init__(self):
-        if not (self.gamma_th > 0.0) or not math.isfinite(self.gamma_th):
-            raise ValueError("gamma_th must be positive and finite")
+        # a subnormal threshold would put quadrature's saturation point at 0
+        if not np.finfo(float).tiny <= self.gamma_th < math.inf:
+            raise ValueError(f"gamma_th must be a normal positive double, got {self.gamma_th!r}")
 
 
 @dataclass(frozen=True)
@@ -165,19 +166,11 @@ def end_to_end_snr(gamma1, gamma2, c_const):
 
 
 def _finalize(value: float, method: str, err_est: float, c_used: float):
-    clamped = False
-    if value < 0.0:
-        if value < -1e-9:
-            raise QuadratureError(
-                f"{method} produced {value:.3e}, below the clamp window")
-        value, clamped = 0.0, True
-    if value > 1.0:
-        if value > 1.0 + 1e-9:
-            raise QuadratureError(
-                f"{method} produced {value:.6e} > 1, outside the clamp window")
-        value, clamped = 1.0, True
-    return OutageResult(value=value, method=method, err_est=err_est,
-                        c_used=c_used, clamped=clamped)
+    """The result; a value within 1e-9 outside [0, 1] is clamped, others and NaN raise."""
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise QuadratureError(f"{method} produced {value!r}, outside the clamp window")
+    return OutageResult(value=min(max(value, 0.0), 1.0), method=method, err_est=err_est,
+                        c_used=c_used, clamped=value < 0.0 or value > 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,69 +239,65 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
 # quadrature
 # ---------------------------------------------------------------------------
 
-# error target of the outage integral: max(_EPSABS, _EPSREL * |P_out|)
-_EPSABS = 1e-14
-_EPSREL = 3e-9
+# the error target relative to |P_out|; F1 >= 1 - e^-_SATURATION left of x_s;
+# the optical CDF's accuracy, which the tests pin against mpmath; the tail
+# mass each branch may leave past x_r
+_EPSREL, _SATURATION, _CDF_RTOL, _TAIL = 3e-9, 40.0, 1e-12, 1e-18
 
 
 def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
                       floor_c: bool = False) -> OutageResult:
-    """Outage probability by integrating the first-hop CDF against the
-    optical SNR density on a log axis."""
+    """Outage probability P = int F1(gamma_th (1 + C/x)) dF2(x) of the
+    first-hop CDF F1 against the optical SNR CDF F2, on a log axis between
+    the two end pieces of _bracket, to 3e-9 |P|; err_est charges all three."""
     sys_e = cfg.floored() if floor_c else cfg
     egg, pointing, rho = sys_e.egg, sys_e.pointing, sys_e.rho
     n, mu1, c_const = sys_e.n_relays, sys_e.mu1, sys_e.c_const
     gth = q.gamma_th
+    ln_gc = math.log(gth) + math.log(c_const)
+
+    def first_hop(u):
+        return ch.rf_snr_cdf(gth + np.exp(ln_gc - u), mu1, n)
 
     def integrand(u):
-        x = np.exp(u)
-        cdf1 = ch.rf_snr_cdf(gth + gth * c_const / x, mu1, n)
-        return cdf1 * ch._pdf_times_x(u, rho, egg, pointing)
+        return first_hop(u) * ch._pdf_times_x(u, rho, egg, pointing)
 
-    u_lo, u_hi, trunc = _bracket(rho, egg, pointing)
-    knots = _knots(sys_e, gth, u_lo, u_hi)
-    value, err = adaptive_quad(integrand, u_lo, u_hi, epsabs=_EPSABS,
-                               epsrel=_EPSREL, points=knots)
-    return _finalize(value, "quadrature", err + trunc,
-                     sys_e.egg.c)
-
-
-def _bracket(rho, egg, pointing):
-    """Log-axis integration window with negligible truncated mass: on each
-    side the first rung of a fixed ladder, all rungs evaluated in one call,
-    whose CDF (left) or exponential-tail estimate (right) is below 1e-15."""
-    anchors = [math.log(egg.lam * pointing.a0 * rho),
-               math.log(egg.b * pointing.a0 * rho)]
-    left = min(anchors) - 3.0 - 4.0 * np.arange(80)
-    low = np.nonzero(ch.uowc_snr_cdf(np.exp(left), rho, egg, pointing) < 1e-15)[0]
-    if low.size == 0:
-        raise QuadratureError("left tail of the optical SNR does not vanish")
-    right = max(anchors) + 2.0 / min(egg.c, 2.0) + 2.0 * np.arange(80)
-    w = ch._pdf_times_x(right, rho, egg, pointing)
-    prev, cur = w[:-1], w[1:]
-    falling = (cur > 0.0) & (prev > cur)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(falling, np.log(prev) - np.log(cur), 1.0) / 2.0
-        trunc = np.where(falling, cur / np.maximum(slope, 0.2), 0.0)
-    stop = np.concatenate([[w[0] == 0.0], (falling & (trunc < 1e-15)) | (cur == 0.0)])
-    hits = np.nonzero(stop)[0]
-    if hits.size == 0:
-        raise QuadratureError("right tail of the optical SNR does not decay")
-    k = hits[0]
-    return left[low[0]], right[k] + 1.0, (trunc[k - 1] if k else 0.0) + 1e-15
+    u_s, u_r, left, left_err, tail = _bracket(sys_e, gth)
+    # F1 only falls with x, so past x_r it is at most F1 there
+    value, err = left, left_err + first_hop(u_r) * tail
+    if u_s < u_r:
+        # knots about each branch's scale, and the knee where F1's argument doubles
+        knots = [ln_gc - math.log(mu1)] + [
+            math.log(anchor * pointing.a0 * rho) + t / s for anchor in (egg.lam, egg.b)
+            for t in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+            for s in (max(1.0, egg.c / 4.0), 1.0)]
+        body, body_err = adaptive_quad(integrand, u_s, u_r, epsabs=_EPSREL * left,
+                                       epsrel=_EPSREL, points=knots)
+        value, err = value + body, err + body_err
+    return _finalize(value, "quadrature", err, sys_e.egg.c)
 
 
-def _knots(cfg, gth, u_lo, u_hi):
-    egg = cfg.egg
-    pts = []
-    for anchor in (egg.lam, egg.b):
-        ua = math.log(anchor * cfg.pointing.a0 * cfg.rho)
-        for t in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
-            pts.append(ua + t / max(1.0, egg.c / 4.0))
-            pts.append(ua + t)
-    # knee where the first-hop CDF argument doubles
-    pts.append(math.log(gth * cfg.c_const / max(cfg.mu1, 1e-300) + 1e-300))
-    return [p for p in pts if u_lo < p < u_hi]
+def _bracket(cfg, gth):
+    """The log-axis window [u_s, u_r] and its end pieces: (u_s, u_r, F2(x_s),
+    its error, a bound on 1 - F2(x_r)).  1 - F2 is below the sum of w Q(a, z)
+    over the branches (w, a, b, c), with Gamma(a, z) <= z^(a-1) e^-z max(1,
+    z / (z - a + 1)) for z > a - 1; each branch takes the least z on a ladder
+    up from max(40, a) where that bound is below 1e-18, and x_r is the largest
+    x those z give.  x_s is the lesser of x_r and gamma_th C / (mu1 (40 + ln N)),
+    left of which F1 >= (1 - e^(-40 - ln N))^N >= 1 - e^-40, so the integral
+    there is F2(x_s) within e^-40 F2(x_s), plus the CDF's own error."""
+    u_r, tail = -math.inf, 0.0
+    for weight, a, b, c in (br for br in cfg.egg.branches if br[0] > 0.0):
+        z = max(40.0, a)
+        while (q := weight * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a))
+               * max(1.0, z / (z - a + 1.0))) >= _TAIL:
+            z *= 2.0 ** 0.125
+        u_r = max(u_r, math.log(b * cfg.pointing.a0 * cfg.rho) + math.log(z) / c)
+        tail += q
+    u_s = min(u_r, math.log(gth) + math.log(cfg.c_const)
+              - math.log(cfg.mu1 * (_SATURATION + math.log(cfg.n_relays))))
+    left = float(ch.uowc_snr_cdf(math.exp(u_s), cfg.rho, cfg.egg, cfg.pointing))
+    return u_s, u_r, left, (math.exp(-_SATURATION) + _CDF_RTOL) * left, tail
 
 
 def flooring_gap_report(cfg: SystemConfig, q: OutageQuery) -> float:

@@ -194,6 +194,13 @@ class TestIrradianceMoments:
         with pytest.raises(ValueError):
             egg_moment(-1, get_preset("salty/4.7").egg, WEAK)
 
+    def test_moment_beyond_a_double_is_a_value_error(self):
+        # (b A0)^2 overflows: a typed error, not a bare OverflowError
+        egg = EggParams(w=0.2, lam=0.4, a=0.5, b=1e200, c=3.0)
+        assert math.isfinite(egg_moment(1, egg, WEAK))
+        with pytest.raises(ValueError, match="moment 2 is beyond"):
+            egg_moment(2, egg, WEAK)
+
 
 class TestBudget:
     """The optical scale and rho that SystemConfig derives from a physical

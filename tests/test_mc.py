@@ -233,6 +233,12 @@ class TestMoments:
             mc_moments((1, 1.5), get_preset("salty/4.7").egg, WEAK,
                        McConfig(n_samples=10, seed=1))
 
+    def test_moment_whose_square_is_beyond_a_double_raises(self):
+        # I ~ 1e300: the mean is finite but its standard error is not
+        egg = EggParams(w=0.2, lam=0.4, a=0.5, b=1e300, c=3.0)
+        with pytest.raises(ValueError, match="moment 2 is beyond"):
+            mc_moments((1,), egg, WEAK, McConfig(n_samples=1000, seed=1))
+
     def test_orders_share_one_set_of_draws(self):
         egg = get_preset("fresh/16.5").egg
         mc = McConfig(n_samples=200_000, seed=3, chunk_size=65_536)

@@ -13,6 +13,7 @@ import rfuowc.channels as ch
 from rfuowc.channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams, \
     WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_avg_power_gain, \
     rf_snr_cdf, uowc_snr_cdf
+from rfuowc.quadrature import QuadratureError
 import rfuowc.specfun as sf
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import (
@@ -152,6 +153,8 @@ class TestSystemConfig:
             OutageQuery(0.0)
         with pytest.raises(ValueError):
             OutageQuery(-2.0)
+        with pytest.raises(ValueError, match="normal"):
+            OutageQuery(5e-324)  # subnormal
 
 
 # float.hex of (mu1, C, rho), plain and floored, recorded from the link
@@ -215,6 +218,7 @@ class TestOutage:
                        lambda c, q: outage_quadrature(c, q, floor_c=True)):
             assert method(cfg, OutageQuery(1e-12)).value <= 1e-6
             assert method(cfg, OutageQuery(1e12 * cfg.mu1)).value >= 1.0 - 1e-6
+            assert method(cfg, OutageQuery(1e306)).value == 1.0
 
     def test_closed_form_matches_quadrature(self):
         for key, gth in (("salty/4.7", 10.0), ("fresh/7.1", 1.0)):
@@ -332,6 +336,14 @@ def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
     assert loose.err_est >= 500.0 * base.err_est
 
 
+def test_a_nan_outage_is_refused(monkeypatch):
+    # NaN fails every comparison, so a clamp test of the form "v < 0" passed it on
+    import rfuowc.system as system
+    monkeypatch.setattr(system, "folded_gg_factor_log", lambda *args: (math.nan, 0.0))
+    with pytest.raises(QuadratureError, match="nan"):
+        outage_closed_form(grid_cfg(), OutageQuery(10.0))
+
+
 def test_refusal_names_the_threshold_it_applies(monkeypatch):
     # salty/7.1 at gamma_th = 1000: the series refuses the first relay
     # term's folded factor, so the real-line value is checked and refused
@@ -399,14 +411,163 @@ class TestFlooringGap:
         assert gap > 1e-8
 
 
+def _mp_branches(u, cfg):
+    """(w, a, z, z^(xi^2/c) Gamma(a - xi^2/c, z) / Gamma(a)) of each optical
+    branch at ln x = u, in mpmath."""
+    import mpmath
+    mpf = mpmath.mpf
+    xi2 = mpf(cfg.pointing.xi) ** 2
+    for w, a, b, c in cfg.egg.branches:
+        w, a, b, c = map(mpf, (w, a, b, c))
+        z = mpmath.exp(c * (u - mpmath.log(b * mpf(cfg.pointing.a0) * mpf(cfg.rho))))
+        s = a - xi2 / c
+        if z < 1e-20:  # the first terms of Gamma(s) - gamma(s, z)
+            upper = mpmath.gamma(s) - z ** s / s + z ** (s + 1) / (s + 1)
+        else:
+            upper = mpmath.gammainc(s, z)
+        yield w, a, z, z ** (xi2 / c) * upper / mpmath.gamma(a)
+
+
+def _mp_cdf(u, cfg):
+    import mpmath
+    return mpmath.fsum(w * (mpmath.gammainc(a, 0, z, regularized=True) + g)
+                       for w, a, z, g in _mp_branches(u, cfg))
+
+
+def _mp_tail(u, cfg):
+    """1 - F2(e^u) without cancelling against 1."""
+    import mpmath
+    return mpmath.fsum(w * (mpmath.gammainc(a, z, regularized=True) - g)
+                       for w, a, z, g in _mp_branches(u, cfg))
+
+
+def _mp_first_hop_miss(u, cfg, gth):
+    """1 - F1(gamma_th (1 + C / e^u)), the first-hop CDF's distance from 1."""
+    import mpmath
+    t = mpmath.mpf(gth) * (1 + mpmath.mpf(cfg.c_const) * mpmath.exp(-u)) / cfg.mu1
+    return -mpmath.expm1(cfg.n_relays * mpmath.log1p(-mpmath.exp(-t)))
+
+
+def _mp_outage(cfg, gth):
+    """The mixing integral in mpmath, cut on its own terms: left of
+    x_l = gamma_th C / (60 mu1 - gamma_th) it is F2(x_l) to within N e^-60,
+    and each branch's mass past its anchor plus ln(80) / c is at most Q(a, 80)."""
+    import mpmath
+    mpf = mpmath.mpf
+    gth_mp, cc, mu1 = mpf(gth), mpf(cfg.c_const), mpf(cfg.mu1)
+    u_l = mpmath.log(gth_mp * cc / (60 * mu1 - gth_mp))
+    ends, knots = [], {u_l + 2, u_l + 4}
+    for _, _, b, c in cfg.egg.branches:
+        anchor = mpmath.log(mpf(b) * mpf(cfg.pointing.a0) * mpf(cfg.rho))
+        ends.append(anchor + mpmath.log(80) / c)
+        knots.update(anchor + k for k in (-4, -2, -1, 0, 1, 2))
+    pts = [u_l] + sorted(k for k in knots if u_l < k < max(ends)) + [max(ends)]
+    xi2 = mpf(cfg.pointing.xi) ** 2
+
+    def integrand(u):
+        f1 = 1 - _mp_first_hop_miss(u, cfg, gth)
+        return f1 * xi2 * mpmath.fsum(w * g for w, _, _, g in _mp_branches(u, cfg))
+
+    return _mp_cdf(u_l, cfg) + mpmath.quad(integrand, pts)
+
+
 class TestBracket:
     @pytest.mark.parametrize("mu1", (1e2, 1e4))
     @pytest.mark.parametrize("key", sorted(WATER_PRESETS))
     @pytest.mark.parametrize("pointing", (WEAK, STRONG), ids=("weak", "strong"))
     def test_window_leaves_out_no_more_than_it_claims(self, key, pointing, mu1):
+        # left of x_s the integral is within [(1 - miss(x_s)) F2, F2] in
+        # mpmath, F1 only falling with x; that range must lie inside the
+        # left piece's claim.  Right of x_r the optical mass, in mpmath, must
+        # be within the bound, which is below 1e-18 per branch
+        mpmath = pytest.importorskip("mpmath")
         cfg = grid_cfg(key, mu1=mu1, pointing=pointing)
-        for sys_ in (cfg, cfg.floored()):
-            args = (sys_.rho, sys_.egg, sys_.pointing)
-            u_lo, u_hi, trunc = _bracket(*args)
-            assert uowc_snr_cdf(math.exp(u_lo), *args) < 1e-15
-            assert 1.0 - uowc_snr_cdf(math.exp(u_hi), *args) <= trunc
+        with mpmath.workdps(30):
+            for sys_ in (cfg, cfg.floored()):
+                for gth in (1e-9, 1.0, 100.0, 1e4):
+                    u_s, u_r, left, left_err, tail = _bracket(sys_, gth)
+                    f2 = _mp_cdf(mpmath.mpf(u_s), sys_)
+                    miss = _mp_first_hop_miss(mpmath.mpf(u_s), sys_, gth)
+                    assert miss <= math.exp(-40.0)
+                    assert left - left_err <= (1 - miss) * f2 <= f2 <= left + left_err, gth
+                    assert left_err <= 2e-12 * left
+                    assert 0 <= _mp_tail(mpmath.mpf(u_r), sys_) <= tail <= 2e-18
+                    assert u_s < u_r
+
+
+@pytest.mark.parametrize("a", (1e-3, 0.05, 0.5307, 1.0, 5.0, 20.0, 300.0))
+def test_tail_bound_covers_the_upper_incomplete_gamma(a):
+    # one branch (w = 0 drops the exponential one): at the z it stopped at,
+    # the bound on Q(a, z) must hold in mpmath, which for a > 1 needs the
+    # factor z / (z - a + 1)
+    mpmath = pytest.importorskip("mpmath")
+    egg = EggParams(w=0.0, lam=0.4, a=a, b=1.2154, c=3.0)
+    cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=egg,
+                                       pointing=WEAK, uowc_scale=100.0)
+    _, u_r, _, _, tail = _bracket(cfg, 10.0)
+    with mpmath.workdps(30):
+        z = mpmath.exp(3 * (mpmath.mpf(u_r) - mpmath.log(egg.b * WEAK.a0 * cfg.rho)))
+        assert mpmath.gammainc(a, z, regularized=True) <= tail * (1 + 1e-12)
+    assert tail < 1e-18
+
+
+def test_quadrature_keeps_relative_accuracy_at_small_outage():
+    # the left piece is exact and the target relative to P, so quadrature
+    # follows P down to 1e-14; err_est bounds the real error there
+    mpmath = pytest.importorskip("mpmath")
+    cfg = grid_cfg(pointing=PointingParams(a0=0.8, xi=2.0)).floored()
+    for gth in (1e-12, 1e-9, 1e-6):
+        with mpmath.workdps(20):
+            ref = float(_mp_outage(cfg, gth))
+        res = outage_quadrature(cfg, OutageQuery(gth))
+        assert abs(res.value - ref) <= 1e-8 * ref, gth
+        assert abs(res.value - ref) <= res.err_est, gth
+        assert res.err_est <= 3e-9 * ref, gth
+
+
+# a box of off-preset scenarios: salty/4.7's w, lam and b, with these shapes,
+# exponents and jitters (xi^2 = 1 and 4 are integers), mu1 = 100, optical
+# scale 100, a0 = 0.5
+BOX_A = (1e-3, 0.05, 0.5307, 5.0)
+BOX_C = (0.6, 1.0, 3.0, 35.74, 130.0)
+BOX_XI = (0.3, 1.0, 1.5, 2.0, 5.0)
+BOX_GAMMA_TH = (1e-9, 10.0, 1e6)
+BOX_N = (1, 8, 64)
+
+
+def box_cfg(a, c, xi, n):
+    base = get_preset("salty/4.7").egg
+    return SystemConfig.from_direct_snr(
+        mu1=100.0, n_relays=n, egg=replace(base, a=a, c=c),
+        pointing=PointingParams(a0=0.5, xi=xi), uowc_scale=100.0)
+
+
+def test_quadrature_answers_every_point_of_the_off_preset_box():
+    # xi = 0.3 and a c <= 0.05 give the optical SNR a left tail ~ x^0.09 or
+    # flatter, which no fixed window could cut below 1e-15
+    count = 0
+    for a in BOX_A:
+        for c in BOX_C:
+            for xi in BOX_XI:
+                for n in BOX_N:
+                    cfg = box_cfg(a, c, xi, n)
+                    for gth in BOX_GAMMA_TH:
+                        res = outage_quadrature(cfg, OutageQuery(gth))
+                        assert 0.0 <= res.value <= 1.0, (a, c, xi, n, gth)
+                        assert math.isfinite(res.err_est), (a, c, xi, n, gth)
+                        count += 1
+    assert count == 900
+
+
+@pytest.mark.parametrize("a,c,xi,gth,n", [
+    (0.5307, 3.0, 0.3, 1e-9, 8), (5.0, 35.74, 0.3, 10.0, 1),
+    (1e-3, 0.6, 0.3, 10.0, 8), (1e-3, 1.0, 1.5, 10.0, 8),
+    (0.05, 0.6, 2.0, 1e-9, 1), (1e-3, 35.74, 5.0, 1e-9, 64)])
+def test_box_quadrature_agrees_with_monte_carlo(a, c, xi, gth, n):
+    # each point has xi = 0.3 or a c <= 0.05, the tails the old window refused
+    from rfuowc.mc import McConfig, mc_outage
+    cfg, q = box_cfg(a, c, xi, n), OutageQuery(gth)
+    p = outage_quadrature(cfg, q).value
+    est = mc_outage(cfg, q, McConfig(n_samples=1 << 20, seed=20240717))
+    sigma = max(est.std_err, math.sqrt(p * (1.0 - p) / est.n))
+    assert abs(est.mean - p) <= 4.0 * sigma
