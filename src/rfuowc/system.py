@@ -166,9 +166,14 @@ def end_to_end_snr(gamma1, gamma2, c_const):
 
 
 def _finalize(value: float, method: str, err_est: float, c_used: float):
-    """The result; a value within 1e-9 outside [0, 1] is clamped, others and NaN raise."""
+    """The result; a value within 1e-9 outside [0, 1] is clamped.  Others and
+    NaN raise the error of the method that made them: CapabilityError from
+    the closed form, naming the methods that answer, else QuadratureError."""
     if not -1e-9 <= value <= 1.0 + 1e-9:
-        raise QuadratureError(f"{method} produced {value!r}, outside the clamp window")
+        message = f"{method} produced {value!r}, outside the clamp window"
+        if method == "closed_form":
+            raise CapabilityError(f"{message}; use quadrature or Monte Carlo")
+        raise QuadratureError(message)
     return OutageResult(value=min(max(value, 0.0), 1.0), method=method, err_est=err_est,
                         c_used=c_used, clamped=value < 0.0 or value > 1.0)
 
@@ -257,7 +262,9 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
     ln_gc = math.log(gth) + math.log(c_const)
 
     def first_hop(u):
-        return ch.rf_snr_cdf(gth + np.exp(ln_gc - u), mu1, n)
+        # an argument past the largest double is inf, where F1 is 1
+        with np.errstate(over="ignore"):
+            return ch.rf_snr_cdf(gth + np.exp(ln_gc - u), mu1, n)
 
     def integrand(u):
         return first_hop(u) * ch._pdf_times_x(u, rho, egg, pointing)
@@ -266,15 +273,32 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
     # F1 only falls with x, so past x_r it is at most F1 there
     value, err = left, left_err + first_hop(u_r) * tail
     if u_s < u_r:
-        # knots about each branch's scale, and the knee where F1's argument doubles
-        knots = [ln_gc - math.log(mu1)] + [
-            math.log(anchor * pointing.a0 * rho) + t / s for anchor in (egg.lam, egg.b)
-            for t in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
-            for s in (max(1.0, egg.c / 4.0), 1.0)]
         body, body_err = adaptive_quad(integrand, u_s, u_r, epsabs=_EPSREL * left,
-                                       epsrel=_EPSREL, points=knots)
+                                       epsrel=_EPSREL, points=_knots(sys_e, gth))
         value, err = value + body, err + body_err
     return _finalize(value, "quadrature", err, sys_e.egg.c)
+
+
+def _knots(cfg, gth):
+    """The first partition's breakpoints on the log axis u = ln x, placed so
+    that one K15/G7 sweep meets the target on almost every point.
+
+    The first hop: with y = e^(u_k - u) about the knee u_k = ln(gamma_th C /
+    mu1), 1 - F1 is about N e^-y left of it (knots at u_k - 3..0, y = 20 down
+    to 1) and F1 about e^(-N (u - u_k)) right of it (knots at u_k + 1/N ..
+    16/N).  Each branch (w, a, b, c) is a function of ln z = c (u - ln(b a0
+    rho)): a power of z on the left with a correction of order z^a (knots
+    at ln z = -1, -2, -4, .., -2048), then the edge e^-z (knots at ln z = 0,
+    1, 2, 4; Q(a, e^4) < 1e-18 for a <= 5)."""
+    u_k = math.log(gth) + math.log(cfg.c_const) - math.log(cfg.mu1)
+    knots = [u_k + t for t in (-3.0, -2.0, -1.0, 0.0)]
+    knots += [u_k + t / cfg.n_relays for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    ln_zs = [-2.0 ** k for k in range(12)] + [0.0, 1.0, 2.0, 4.0]
+    for weight, _, b, c in cfg.egg.branches:
+        if weight > 0.0:
+            anchor = math.log(b * cfg.pointing.a0 * cfg.rho)
+            knots += [anchor + ln_z / c for ln_z in ln_zs]
+    return knots
 
 
 def _bracket(cfg, gth):

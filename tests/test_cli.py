@@ -196,6 +196,18 @@ class TestSweepCommand:
         assert all(r["method"] == "closed_form" for r in rows)
         assert all(math.isnan(float(r["p_out"])) for r in rows)
 
+    def test_closed_form_outside_the_clamp_window_is_a_nan_row(self, tmp_path):
+        # N = 60..64 at gamma_th = 1e-9: the closed form's relay sum cancels
+        # to values outside [0, 1], which it refuses as beyond its capability
+        text = BASE_CFG.replace('values = "1:3"', 'values = "60:64"') \
+            .replace("gamma_th = 10", "gamma_th = 1e-9")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "relays.csv")
+        assert main(["sweep", cfg, "--out", out, "--methods", "closed_form"]) == 0
+        rows = read_rows(out)
+        assert [r["axis_value"] for r in rows] == ["60.0", "61.0", "62.0", "63.0", "64.0"]
+        assert all(math.isnan(float(r["p_out"])) for r in rows)
+
     def test_each_point_is_built_once(self, tmp_path, monkeypatch):
         built = []
         from_direct_snr = SystemConfig.from_direct_snr

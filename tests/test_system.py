@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -340,8 +341,61 @@ def test_a_nan_outage_is_refused(monkeypatch):
     # NaN fails every comparison, so a clamp test of the form "v < 0" passed it on
     import rfuowc.system as system
     monkeypatch.setattr(system, "folded_gg_factor_log", lambda *args: (math.nan, 0.0))
-    with pytest.raises(QuadratureError, match="nan"):
+    with pytest.raises(CapabilityError, match="nan"):
         outage_closed_form(grid_cfg(), OutageQuery(10.0))
+
+
+def test_closed_form_outside_the_clamp_window_names_the_methods_that_answer():
+    # N = 64 at gamma_th = 1e-9: the alternating relay sum cancels to 691
+    # and quadrature answers there; its own value outside the window stays
+    # a QuadratureError
+    import rfuowc.system as system
+    cfg, q = grid_cfg(n=64), OutageQuery(1e-9)
+    with pytest.raises(CapabilityError, match="quadrature or Monte Carlo"):
+        outage_closed_form(cfg, q)
+    assert 0.0 < outage_quadrature(cfg, q).value < 1.0
+    with pytest.raises(QuadratureError, match="quadrature produced 2.0"):
+        system._finalize(2.0, "quadrature", 0.0, 1.0)
+
+
+def test_quadrature_reads_one_without_a_warning_at_the_largest_thresholds():
+    # the first hop's argument gamma_th (1 + C/x) passes the largest double
+    # at gamma_th = 1.7e308, where F1 is 1
+    cfg = grid_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gth in (1e300, 1e306, 1.7e308):
+            assert outage_quadrature(cfg, OutageQuery(gth)).value == 1.0, gth
+
+
+def _count_sweeps(monkeypatch):
+    """A list whose length counts the integrand sweeps of adaptive_quad."""
+    import rfuowc.quadrature as quadrature
+    sweeps, panels = [], quadrature._panels
+
+    def counted(*args):
+        sweeps.append(None)
+        return panels(*args)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("floor_c", (True, False))
+def test_quadrature_takes_about_one_sweep_a_point(monkeypatch, floor_c):
+    # _knots places the first partition on the first hop's ramp and on each
+    # branch's edge, so the first sweep almost always meets the target
+    sweeps = _count_sweeps(monkeypatch)
+    points = 0
+    for key in WATER_PRESETS:
+        for pointing in (WEAK, STRONG):
+            for mu1 in (1e2, 1e4):
+                for gth in (1.0, 10.0, 100.0):
+                    outage_quadrature(grid_cfg(key, mu1, 3, pointing), OutageQuery(gth),
+                                      floor_c=floor_c)
+                    points += 1
+    assert points == 72
+    assert len(sweeps) <= 1.1 * points
 
 
 def test_refusal_names_the_threshold_it_applies(monkeypatch):
@@ -542,9 +596,10 @@ def box_cfg(a, c, xi, n):
         pointing=PointingParams(a0=0.5, xi=xi), uowc_scale=100.0)
 
 
-def test_quadrature_answers_every_point_of_the_off_preset_box():
+def test_quadrature_answers_every_point_of_the_off_preset_box(monkeypatch):
     # xi = 0.3 and a c <= 0.05 give the optical SNR a left tail ~ x^0.09 or
     # flatter, which no fixed window could cut below 1e-15
+    sweeps = _count_sweeps(monkeypatch)
     count = 0
     for a in BOX_A:
         for c in BOX_C:
@@ -557,6 +612,22 @@ def test_quadrature_answers_every_point_of_the_off_preset_box():
                         assert math.isfinite(res.err_est), (a, c, xi, n, gth)
                         count += 1
     assert count == 900
+    # about one integrand sweep a point: 852 measured, bound 1,700
+    assert len(sweeps) <= 1700
+
+
+@pytest.mark.parametrize("xi,gth", [(1.5, 10.0), (5.0, 1e-9)])
+def test_quadrature_resolves_a_narrow_branch_edge(xi, gth):
+    # a = 5, c = 130: the branch's mass falls from Q(5, e) to 1e-18 within
+    # 0.03 of ln x; a first panel that runs past that edge with no knot on
+    # it can be 1e-9 relative off while K15 and G7 agree
+    mpmath = pytest.importorskip("mpmath")
+    cfg = box_cfg(5.0, 130.0, xi, 1)
+    with mpmath.workdps(20):
+        ref = float(_mp_outage(cfg, gth))
+    res = outage_quadrature(cfg, OutageQuery(gth))
+    assert abs(res.value - ref) <= res.err_est
+    assert abs(res.value - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("a,c,xi,gth,n", [
