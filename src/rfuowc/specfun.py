@@ -194,10 +194,10 @@ def _lgamma_pos(x):
         # Gamma(x) = Gamma(2 + e) * (x-1)(x-2)...(x-k+2) for k >= 2, and
         # Gamma(2 + e) / x or Gamma(2 + e) / (x (x+1)) for k = 1 or k = 0
         up = k >= 2.0
-        prod = np.where(k == 0.0, xs * (xs + 1.0), np.where(up, 1.0, xs))
-        for j in range(1, int(k.max()) - 1):
-            prod = np.where(k - 2.0 >= j, prod * (xs - j), prod)
-        log_prod = np.log(prod)
+        j = np.arange(1.0, k.max() - 1.0)
+        linear = np.column_stack([np.where(k == 0.0, xs * (xs + 1.0), np.where(up, 1.0, xs)),
+                                  np.where(k[:, None] - 2.0 >= j, xs[:, None] - j, 1.0)])
+        log_prod = np.log(np.prod(linear, axis=1))
         out[small] = poly * e + np.where(up, log_prod, -log_prod)
     return out
 
@@ -281,15 +281,15 @@ def ln_abs_gamma_signed(x):
     pole = (w <= 0.0) & (w == np.floor(w))
     pos = w > 0.0
     neg = ~pos & ~pole
-    if pos.any():
-        logabs[pos] = _lgamma_pos(w[pos])
+    # one array log-gamma call: Gamma(x) for x > 0, Gamma(1 - x) for x < 0
+    logabs[~pole] = _lgamma_pos(np.where(pos, w, 1.0 - w)[~pole])
     if neg.any():
         xn = w[neg]
         # reflection: |Gamma(x)| = pi / (|sin(pi x)| * Gamma(1 - x)); x less
         # its nearest integer is exact, so sin keeps its relative accuracy
         # near the poles, where mod(x, 2) would round the distance to them
         sinabs = np.abs(np.sin(np.pi * (xn - np.round(xn))))
-        logabs[neg] = _LOG_PI - np.log(sinabs) - _lgamma_pos(1.0 - xn)
+        logabs[neg] = _LOG_PI - np.log(sinabs) - logabs[neg]
         k = np.floor(xn)
         sign[neg] = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
     if pole.any():
@@ -569,7 +569,12 @@ class _SeriesTable:
     is c z^s P(ln z), P the coefficient of e^-1 in K(s + e) z^e / c in powers
     of ln z: the columns of poly (polyabs: the moduli summed into each), by
     power series in e (Luke, The Special Functions and Their Approximations,
-    vol. 1, 5.2)."""
+    vol. 1, 5.2).
+
+    Every ladder's poles sit in one array, and each factor is evaluated once
+    over all of them.  A pole's sums take its own ladder's factor first, then
+    the others in ascending order, which rounds them as a ladder-by-ladder
+    build does."""
 
     __slots__ = ("s", "logc", "sign", "logsize", "poly", "polyabs", "tail_idx",
                  "degenerate")
@@ -580,77 +585,84 @@ class _SeriesTable:
         runs = {f: -beta * kmax if gamma else 1
                 for f, (_, beta, power, gamma) in enumerate(factors)
                 if power > 0 and beta < 0 or not gamma}
-        poles = []
+        sizes = list(runs.values())
+        # each pole's ladder (its factor), b_h, B_h and k
+        ladder = np.repeat(list(runs), sizes)
+        b_h = np.repeat([factors[h][0] for h in runs], sizes)
+        B_h = np.repeat([-factors[h][1] for h in runs], sizes)
+        k = np.concatenate([np.arange(n, dtype=float) for n in sizes])
+        self.s = s = (b_h + k) / B_h
+        # the contour runs clockwise round the right poles
+        sign, order = -np.ones_like(s), np.zeros_like(s)
+        keep = np.ones(s.shape, dtype=bool)
         self.degenerate = False
-        for h, size in runs.items():
-            b_h, B_h = factors[h][0], -factors[h][1]
-            k = np.arange(size, dtype=float)
-            s = (b_h + k) / B_h
-            # the contour runs clockwise round the right poles
-            logc, sign = np.zeros_like(s), -np.ones_like(s)
-            logsize, order = np.zeros_like(s), np.zeros_like(s)
-            keep = np.ones(s.shape, dtype=bool)
-            expansions = []
-            for f in [h] + [f for f in range(len(factors)) if f != h]:
-                alpha, beta, power, gamma = factors[f]
-                # the factor's poles meet the ladder's exactly when this gap
-                # is an integer, up to the rounding of its two products
-                gap = B_h * alpha + beta * b_h
-                meet = abs(gap - round(gap)) <= 8.0 * _EPS * (
-                    1.0 + abs(B_h * alpha) + abs(beta * b_h))
-                x = (round(gap) + beta * k) / B_h if meet else alpha + beta * s
-                # Gamma(-n + beta e) = (-1)^n / (n! beta e) (1 + O(e)), and a
-                # rational factor is (beta e)^power at its zero
-                pole = meet & ((x <= 0.0) & (x == np.floor(x)) if gamma else x == 0.0)
+        terms = []
+        for f, (alpha, beta, power, gamma) in enumerate(factors):
+            # the factor's poles meet the ladder's exactly when this gap is
+            # an integer, up to the rounding of its two products
+            gap = B_h * alpha + beta * b_h
+            meet = np.abs(gap - np.round(gap)) <= 8.0 * _EPS * (
+                1.0 + np.abs(B_h * alpha) + np.abs(beta * b_h))
+            x = np.where(meet, (np.round(gap) + beta * k) / B_h, alpha + beta * s)
+            # Gamma(-n + beta e) = (-1)^n / (n! beta e) (1 + O(e)), and a
+            # rational factor is (beta e)^power at its zero
+            pole = meet & ((x <= 0.0) & (x == np.floor(x)) if gamma else x == 0.0)
+            if gamma:
+                la, sg = ln_abs_gamma_signed(np.where(pole, 1.0 - x, x))
+                la = np.where(pole, -la - math.log(abs(beta)), la)
+                sg = np.where(pole, np.where(np.mod(x, 2.0) == 0.0, 1.0, -1.0)
+                              * math.copysign(1.0, beta), sg)
+            else:
+                v = np.where(pole, beta, x)
+                la, sg = np.log(np.abs(v)), np.sign(v)
+            order = order + (power if gamma else -power) * pole
+            sign = sign * sg
+            if f in runs:  # an earlier factor's pole, if it runs that far
+                keep &= ~(pole & (-x < runs[f]) & (ladder > f))
+            # a left pole on a right one: no contour separates them
+            self.degenerate |= bool(gamma and power > 0 and beta > 0 and pole.any())
+            terms.append((x, pole, power * la, np.abs(la)))
+
+        def in_order(parts, own):
+            """Each pole's sum of parts[f], its own ladder's part first."""
+            total = 0.0 + np.stack(parts)[own, np.arange(own.size)]
+            for f, part in enumerate(parts):
+                total = total + np.where(own == f, 0.0, part)
+            return total
+
+        order = np.where(keep, order, 0.0)
+        self.logc = np.where(order > 0.0, in_order([t[2] for t in terms], ladder), -np.inf)
+        self.sign, self.logsize = sign, in_order([t[3] for t in terms], ladder)
+        poly = np.tile([1.0, 0.0, 0.0], (s.size, 1))
+        polyabs = poly.copy()
+        multi = order >= 2.0
+        if multi.any():
+            # log of the regular part: sum of beta psi(x) e + beta^2 psi'(x)
+            # e^2 / 2, where at a gamma's pole x = -n psi(n + 1) and
+            # pi^2 / 3 - psi'(n + 1) replace psi and psi', and a rational
+            # factor has 1 / x and -1 / x^2, and nothing at its pole
+            t1s, t2s = [], []
+            for (_, beta, power, gamma), (x, pole, _, _) in zip(factors, terms):
+                xm, pm = x[multi], pole[multi]
                 if gamma:
-                    la, sg = ln_abs_gamma_signed(np.where(pole, 1.0 - x, x))
-                    la = np.where(pole, -la - math.log(abs(beta)), la)
-                    sg = np.where(pole, np.where(np.mod(x, 2.0) == 0.0, 1.0, -1.0)
-                                  * math.copysign(1.0, beta), sg)
+                    g1, tri = _psi01(np.where(pm, 1.0 - xm, xm))
+                    g2 = np.where(pm, np.pi ** 2 / 3.0 - tri, tri)
                 else:
-                    v = np.where(pole, beta, x)
-                    la, sg = np.log(np.abs(v)), np.sign(v)
-                order = order + (power if gamma else -power) * pole
-                logc = logc + power * la
-                sign = sign * sg
-                logsize = logsize + np.abs(la)
-                if f < h and f in runs:  # an earlier factor's pole, if it runs that far
-                    keep &= ~(pole & (-x < runs[f]))
-                # a left pole on a right one: no contour separates them
-                self.degenerate |= bool(gamma and power > 0 and beta > 0 and pole.any())
-                expansions.append((x, pole, beta * power, beta * beta * power, gamma))
-            order = np.where(keep, order, 0.0)
-            logc = np.where(order > 0.0, logc, -np.inf)
-            poly = np.tile([1.0, 0.0, 0.0], (s.size, 1))
-            polyabs = poly.copy()
-            multi = order >= 2.0
-            if multi.any():
-                # log of the regular part: sum of beta psi(x) e + beta^2 psi'(x)
-                # e^2 / 2, where at a gamma's pole x = -n psi(n + 1) and
-                # pi^2 / 3 - psi'(n + 1) replace psi and psi', and a rational
-                # factor has 1 / x and -1 / x^2, and nothing at its pole
-                d1 = d1abs = d2 = d2abs = 0.0
-                for x, pole, c1, c2, gamma in expansions:
-                    xm, pm = x[multi], pole[multi]
-                    if gamma:
-                        g1, tri = _psi01(np.where(pm, 1.0 - xm, xm))
-                        g2 = np.where(pm, np.pi ** 2 / 3.0 - tri, tri)
-                    else:
-                        g1 = np.divide(1.0, xm, out=np.zeros_like(xm), where=~pm)
-                        g2 = -g1 * g1
-                    t1, t2 = c1 * g1, 0.5 * c2 * g2
-                    d1, d1abs = d1 + t1, d1abs + np.abs(t1)
-                    d2, d2abs = d2 + t2, d2abs + np.abs(t2)
-                # e^(r-1) coefficient of exp((d1 + ln z) e + d2 e^2)
-                r3 = order[multi] == 3.0
-                for cols, u1, u2 in ((poly, d1, d2), (polyabs, d1abs, d2abs)):
-                    cols[multi] = np.column_stack([np.where(r3, 0.5 * u1 * u1 + u2, u1),
-                                                   np.where(r3, u1, 1.0), 0.5 * r3])
-            # beyond order 3 the expansion would need higher polygammas
-            self.degenerate |= bool(np.any(order > 3.0))
-            poles.append((s, logc, sign, logsize, order, poly, polyabs))
-        self.s, self.logc, self.sign, self.logsize, order, poly, polyabs = (
-            np.concatenate(col) for col in zip(*poles))
+                    g1 = np.divide(1.0, xm, out=np.zeros_like(xm), where=~pm)
+                    g2 = -g1 * g1
+                t1s.append(beta * power * g1)
+                t2s.append(0.5 * (beta * beta * power) * g2)
+            own = ladder[multi]
+            d1, d2 = in_order(t1s, own), in_order(t2s, own)
+            d1abs = in_order([np.abs(t) for t in t1s], own)
+            d2abs = in_order([np.abs(t) for t in t2s], own)
+            # e^(r-1) coefficient of exp((d1 + ln z) e + d2 e^2)
+            r3 = order[multi] == 3.0
+            for cols, u1, u2 in ((poly, d1, d2), (polyabs, d1abs, d2abs)):
+                cols[multi] = np.column_stack([np.where(r3, 0.5 * u1 * u1 + u2, u1),
+                                               np.where(r3, u1, 1.0), 0.5 * r3])
+        # beyond order 3 the expansion would need higher polygammas
+        self.degenerate |= bool(np.any(order > 3.0))
         r = int(order.max(initial=1.0))
         self.poly, self.polyabs = poly[:, :r], polyabs[:, :r]
         # index of the last k of each ladder (they precede the rational
@@ -694,14 +706,17 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
     return math.copysign(1.0, total), L + math.log(abs(total)), rel_err, tail_ok
 
 
-def _series_attempt(spec, ln_z):
+def _series_attempt(spec, ln_z, tol=REL_TOL):
     """(sign, log_abs, rel_err) of the residue series, with adaptive term
-    count, or None when it cannot reach REL_TOL."""
-    # alternating-term cancellation grows like exp(d * z^(1/d)); skip the
-    # series outright when that alone would eat the tolerance
+    count, or None when it cannot reach tol."""
+    # alternating-term cancellation grows like exp(d * z^(1/d)), and the
+    # rounding estimate has never come out below eps times that (by a
+    # factor e^0.9 or more, on every table of the closed-form sweeps and of
+    # check_specfun); skip the series, before building a table, where that
+    # alone exceeds tol
     d, ln_zr = spec.reduced(ln_z)
     loss = d * math.exp(min(ln_zr / d, 30.0))
-    if loss > -0.8 * math.log(REL_TOL):
+    if loss > math.log(tol / _EPS):
         return None
     # a plain G needs guess units of s to pass its terms' peak; the kernel
     # of order d decays about d times faster past it, so kmax is the least
@@ -715,7 +730,7 @@ def _series_attempt(spec, ln_z):
         if tab.degenerate:
             return None
         sign, logabs, rel_err, tail_ok = _series_eval(tab, ln_z)
-        if tail_ok and rel_err <= REL_TOL:
+        if tail_ok and rel_err <= tol:
             return sign, logabs, rel_err
         if tail_ok or kmax >= _MAX_TERMS:
             return None
@@ -1005,8 +1020,8 @@ def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
     ln_z = float(ln_z)
     if not math.isfinite(ln_z):
         raise ValueError("log-argument must be finite")
-    got = _series_attempt(_folded_spec(a, xi2, c), ln_z)
-    if got is not None and got[2] <= _FACTOR_TOL:
+    got = _series_attempt(_folded_spec(a, xi2, c), ln_z, _FACTOR_TOL)
+    if got is not None:
         return got[1], got[2]
     if a == 1 and c == 1:
         ln_g, rel = _exp_factor_integral(xi2, ln_z)

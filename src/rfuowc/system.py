@@ -289,15 +289,19 @@ def _knots(cfg, gth):
     16/N).  Each branch (w, a, b, c) is a function of ln z = c (u - ln(b a0
     rho)): a power of z on the left with a correction of order z^a (knots
     at ln z = -1, -2, -4, .., -2048), then the edge e^-z (knots at ln z = 0,
-    1, 2, 4; Q(a, e^4) < 1e-18 for a <= 5)."""
+    1, 2, 4; Q(a, e^4) < 1e-18 for a <= 5).  For a > 5 the mass of z^a e^-z
+    sits past those, at ln z = ln a, about 1/sqrt(a) wide: knots at ln a +
+    t / sqrt(a), t = -8 .. 8."""
     u_k = math.log(gth) + math.log(cfg.c_const) - math.log(cfg.mu1)
     knots = [u_k + t for t in (-3.0, -2.0, -1.0, 0.0)]
     knots += [u_k + t / cfg.n_relays for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     ln_zs = [-2.0 ** k for k in range(12)] + [0.0, 1.0, 2.0, 4.0]
-    for weight, _, b, c in cfg.egg.branches:
+    for weight, a, b, c in cfg.egg.branches:
         if weight > 0.0:
             anchor = math.log(b * cfg.pointing.a0 * cfg.rho)
-            knots += [anchor + ln_z / c for ln_z in ln_zs]
+            bulk = ([math.log(a) + t / math.sqrt(a) for t in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
+                    if a > 5.0 else [])
+            knots += [anchor + ln_z / c for ln_z in ln_zs + bulk]
     return knots
 
 

@@ -459,6 +459,24 @@ class TestScaledLadders:
         assert plain == MeijerGSpec(m=2, n=0, a=(1.5,), b=(0.0, 0.5), scales=(1, 1))
 
 
+def test_series_table_evaluates_each_factor_once(monkeypatch):
+    # the folded factor at c = 35: ladders Gamma(a - s) and Gamma(-35 s) and
+    # the pole of 1 / (x - s), each gamma factor evaluated once over the
+    # poles of all three
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return ln_abs_gamma_signed(x)
+
+    spec = sf._folded_spec(0.5307, XI2, 35)
+    gammas = [f for f in sf._kernel_factors(spec) if f[3]]
+    monkeypatch.setattr(sf, "ln_abs_gamma_signed", counted)
+    tab = sf._SeriesTable(spec, 4)
+    assert len(gammas) == 2
+    assert calls == [tab.s.size] * len(gammas) == [4 + 35 * 4 + 1] * 2
+
+
 def test_numerator_pole_marks_the_table_degenerate():
     # a - b = 1: the left poles of Gamma(1 - a + s) fall on the right
     # ladder's, and no contour separates the two families
@@ -502,6 +520,7 @@ def test_exponential_factor_matches_mpmath(xi):
     mpmath = pytest.importorskip("mpmath")
     xi2 = xi * xi
     spec = MeijerGSpec(m=3, n=0, a=(xi2 + 1.0,), b=(1.0, xi2, 0.0))
+    assert spec == sf._folded_spec(1.0, xi2, 1)
     served = 0
     for ln_z in np.linspace(-6.0, 2.3, 23):
         ref = _mpmath_g(spec, math.exp(ln_z))

@@ -292,20 +292,13 @@ class TestOutage:
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_closed_form_stays_off_the_contour(monkeypatch):
-    # the benchmark's cf-threshold-sweep, 9 thresholds x 5 presets, whose
-    # factors cancel in the residue series from gamma_th = 316 (and the
-    # exponential one from ln z ~ 1.3): the contour is an oracle only
+def _cf_sweep_calls(monkeypatch):
+    """(reference key, config, query) of the benchmark's cf-threshold-sweep
+    points, 9 thresholds x 5 presets."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
     spec.loader.exec_module(workloads)
-    ref = json.loads((PERFBENCH / "reference.json").read_text())["values"]
-
-    def no_contour(*args):
-        raise AssertionError("the closed form called the contour")
-
-    monkeypatch.setattr(sf, "_mb_eval", no_contour)
     calls = []
     for p in workloads.WORKLOADS["cf-threshold-sweep"][1]:
         cfg = SystemConfig.from_direct_snr(
@@ -313,6 +306,19 @@ def test_closed_form_stays_off_the_contour(monkeypatch):
             pointing=PointingParams(*workloads.POINTINGS[p.pointing]), uowc_scale=p.mu1)
         calls.append((p.key, cfg, OutageQuery(p.gamma_th)))
     assert len(calls) == 45
+    return calls
+
+
+def test_closed_form_stays_off_the_contour(monkeypatch):
+    # the sweep's factors cancel in the residue series from gamma_th = 316
+    # (and the exponential one from ln z ~ 1.3): the contour is an oracle only
+    calls = _cf_sweep_calls(monkeypatch)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["values"]
+
+    def no_contour(*args):
+        raise AssertionError("the closed form called the contour")
+
+    monkeypatch.setattr(sf, "_mb_eval", no_contour)
     sf._series_table.cache_clear()
     cold = [outage_closed_form(cfg, q) for _, cfg, q in calls]
     warm = [outage_closed_form(cfg, q) for _, cfg, q in calls]
@@ -321,6 +327,17 @@ def test_closed_form_stays_off_the_contour(monkeypatch):
         assert abs(res.value / ref[key]["p_out"] - 1.0) <= 6e-15, key
         # each factor's own estimate, not the G tolerance, still covers the error
         assert abs(res.value - ref[key]["p_out"]) <= res.err_est, key
+
+
+def test_closed_form_builds_no_table_that_cannot_serve(monkeypatch):
+    # the exponential factor's first table at ln z ~ 4 (64 units of s) and
+    # the c = 35 factor's doubled one at ln z ~ 90 only ever missed 1e-12:
+    # their cancellation bound alone refuses them, before the build
+    calls = _cf_sweep_calls(monkeypatch)
+    sf._series_table.cache_clear()
+    for _, cfg, q in calls:
+        outage_closed_form(cfg, q)
+    assert sf._series_table.cache_info().misses <= 7
 
 
 def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
@@ -628,6 +645,27 @@ def test_quadrature_resolves_a_narrow_branch_edge(xi, gth):
     res = outage_quadrature(cfg, OutageQuery(gth))
     assert abs(res.value - ref) <= res.err_est
     assert abs(res.value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("a,c", [(50.0, 35.74), (50.0, 130.0), (300.0, 35.74), (300.0, 130.0)])
+def test_quadrature_finds_the_bulk_of_a_large_shape(monkeypatch, a, c):
+    # at a >= 50 the branch's mass sits at ln z = ln a, 1/sqrt(a) wide, past
+    # the edge knots at ln z <= 4; without knots on it the adaptive tree
+    # took 7 to 10 sweeps.  Each value was then (value, err_est):
+    before = {(50.0, 35.74): (0.26963443620125194, 8.4e-13),
+              (50.0, 130.0): (0.28086575132077096, 3.0e-13),
+              (300.0, 35.74): (0.26286736298089464, 1.8e-13),
+              (300.0, 130.0): (0.2788488109670752, 5.2e-13)}
+    sweeps = _count_sweeps(monkeypatch)
+    cfg, q = box_cfg(a, c, 1.0, 3), OutageQuery(10.0)
+    res = outage_quadrature(cfg, q)
+    assert len(sweeps) <= 3
+    value, err = before[(a, c)]
+    assert abs(res.value - value) <= res.err_est + err
+    if (a, c) == (50.0, 35.74):
+        from rfuowc.mc import McConfig, mc_outage
+        est = mc_outage(cfg, q, McConfig(n_samples=1 << 20, seed=20240717))
+        assert abs(est.mean - res.value) <= 4.0 * est.std_err
 
 
 @pytest.mark.parametrize("a,c,xi,gth,n", [
