@@ -676,7 +676,9 @@ def _series_table(spec: MeijerGSpec, kmax: int):
 
 
 def _series_eval(tab: _SeriesTable, ln_z: float):
-    """(sign, log_abs, rel_err_est, tail_ok) of the residue series at ln_z."""
+    """(sign, log_abs, rounding, tail_ok) of the residue series at ln_z:
+    rounding bounds the relative error of the sum, which is the series'
+    whole error only where tail_ok says its dropped terms are negligible."""
     ll = tab.logc + tab.s * ln_z
     L = np.max(ll)
     if L == -np.inf:  # every term vanishes: an exact zero
@@ -700,10 +702,8 @@ def _series_eval(tab: _SeriesTable, ln_z: float):
     wlog = float(np.sum((tab.logsize + np.abs(tab.s * ln_z)) * np.abs(vals)
                         + w * (polyabs - np.abs(poly))))
     wlog /= abs(total)
-    rel_err = _EPS * (wlog + 8.0 * cancel)
-    if not tail_ok:
-        rel_err += math.exp(tail_max - L) / abs(total) * len(tab.tail_idx)
-    return math.copysign(1.0, total), L + math.log(abs(total)), rel_err, tail_ok
+    rounding = _EPS * (wlog + 8.0 * cancel)
+    return math.copysign(1.0, total), L + math.log(abs(total)), rounding, tail_ok
 
 
 def _series_attempt(spec, ln_z, tol=REL_TOL):
@@ -729,11 +729,13 @@ def _series_attempt(spec, ln_z, tol=REL_TOL):
         tab = _series_table(spec, kmax)
         if tab.degenerate:
             return None
-        sign, logabs, rel_err, tail_ok = _series_eval(tab, ln_z)
-        if tail_ok and rel_err <= tol:
-            return sign, logabs, rel_err
-        if tail_ok or kmax >= _MAX_TERMS:
+        sign, logabs, rounding, tail_ok = _series_eval(tab, ln_z)
+        # a longer table has never brought a rounding estimate back under
+        # tol: refuse it as soon as it is over, tail test passed or not
+        if rounding > tol or (not tail_ok and kmax >= _MAX_TERMS):
             return None
+        if tail_ok:
+            return sign, logabs, rounding
         kmax = min(_MAX_TERMS, kmax * 2)
 
 
@@ -937,10 +939,11 @@ def _exp_factor_integral(xi2: float, ln_z: float):
     return ln_g, rel + math.exp(ln_tail - ln_i) + _EPS * abs(ln_g)
 
 
-def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
+def _gg_factor_integral(a: float, xi2: float, c: float, ln_z: float):
     """(ln G2, relative error bound) of the folded generalized-gamma factor
     G2 = H^{3,0}_{1,3}(z | (xi2/c + 1, 1); (a, 1), (xi2/c, 1), (0, c)) from
-    its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x)):
+    its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x)), for real
+    a, xi2, c > 0:
 
         G2(z) = int exp(a v - e^v + L(-xi2, (ln z - v) / c)) dv over the real line.
 
@@ -949,19 +952,16 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     concave lower bound of the log-integrand, whose largest value on the
     bracket of the integrand's peak sets the reference level; the second
     bounds the two dropped tails, Gamma(a, e^V) / xi2 right of V and
-    c z^a Gamma(-ac - 1, x(V)) left of it.  The window ends where those
-    bounds, with Gamma(s, y) <= y^(s-1) e^-y max(1, y / (y + 1 - s)), fall
-    e^-45 below the reference level.
-    """
-    def log_f(v):
-        ln_x = (ln_z - v) / c
-        ev = np.exp(v)
-        lg = ln_gamma_upper_scaled(-xi2, ln_x)
-        # |dL / d ln x| <= x + 1 scales the rounding of ln x
-        size = (np.abs(a * v) + ev * (1.0 + np.abs(v)) + np.abs(lg)
-                + (np.exp(ln_x) + 1.0) * 2.0 * (abs(ln_z) + np.abs(v)) / c)
-        return a * v - ev + lg, size
+    c z^a Gamma(-ac - 1, x(V)) left of it.  The window [lo, hi] ends where
+    those bounds, with Gamma(s, y) <= y^(s-1) e^-y max(1, y / (y + 1 - s)),
+    fall e^-45 below the reference level.
 
+    The trapezoid rule runs on the mapped axis v = v_ref + h sinh t, h the
+    peak's width, whose steps grow like |v - v_ref| in the slowly decaying
+    tails; the map moves the nodes, not the window or its tail bounds.  The
+    first rule's step puts its error at 1e-14, the agreement _trapezoid_log
+    asks for, on the strip where the mapped integrand stays below its peak.
+    """
     # the log-integrand rises left of ln a and falls right of
     # ln(a + (x(ln a) + 1) / c), where e^v outgrows its slope
     v_a = math.log(a)
@@ -971,9 +971,9 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
     lower = a * v - np.exp(v) - x - np.log(x + 1.0 + xi2)
     k = int(np.argmax(lower))
     v_ref, x_ref, ref = v[k], x[k], float(lower[k])
-    # step: at most the peak's width, from the lower bound's curvature
+    # the map's scale: at most the peak's width, from the lower bound's curvature
     curv = math.exp(v_ref) + x_ref / c ** 2 * (1.0 + (1.0 + xi2) / (x_ref + 1.0 + xi2) ** 2)
-    step = min(0.5, 1.0 / math.sqrt(curv))
+    h = min(0.5, 1.0 / math.sqrt(curv))
     # candidate ends 1/16 to 2^17 from v_ref, 2^(1/16) apart
     d = 2.0 ** (np.arange(337) / 16.0) / 16.0
     right, left = v_ref + d, v_ref - d
@@ -988,7 +988,40 @@ def _gg_factor_integral(a: float, xi2: float, c: int, ln_z: float):
         raise NonConvergenceError("folded factor: no window bounds its tails")
     i, j = int(np.argmax(ok_r)), int(np.argmax(ok_l))
     lo, hi = float(left[j]), float(right[i])
-    ln_i, rel = _trapezoid_log(log_f, lo, hi, math.ceil((hi - lo) / step))
+
+    def log_f(t):
+        jac = h * np.cosh(t)
+        v = v_ref + h * np.sinh(t)
+        ln_x = (ln_z - v) / c
+        ev = np.exp(v)
+        lg = ln_gamma_upper_scaled(-xi2, ln_x)
+        ln_jac = np.log(jac)
+        # the rounding of v / eps, its own and that of t through sinh;
+        # |dL / d ln x| <= x + 1 scales the rounding of ln x
+        dv = np.abs(v) + np.abs(t) * jac
+        size = (a * dv + ev * (1.0 + dv) + np.abs(lg) + np.abs(ln_jac)
+                + (np.exp(ln_x) + 1.0) * 2.0 * (abs(ln_z) + dv) / c)
+        return a * v - ev + lg + ln_jac, size
+
+    # At t + iy, Im v = h cosh t sin y, and the integrand's exp(-e^v) and
+    # e^-x grow by exp(e^v (1 - cos Im v)) and exp(x (1 - cos(Im v / c))).
+    # The strip |Im t| < y (sin y <= y) keeps that growth, at each end of the
+    # window, within the integrand's fall there from the peak: ref less its
+    # upper bound a v - e^v + min(-ln xi2, -x - ln x), and at least 45.  On
+    # the strip the rule's error is about 2 e^(-2 pi y / step) of the integral.
+    def room(v_end, ln_w):  # the widest angle, at most pi/2, at e^ln_w
+        ln_x = (ln_z - v_end) / c
+        fall = max(45.0, ref - a * v_end + math.exp(v_end)
+                   + max(math.log(xi2), math.exp(min(ln_x, 700.0)) + ln_x))
+        # 1 - cos angle = 2 sin(angle / 2)^2 <= fall e^-ln_w, kept above e^-700
+        ratio = math.exp(max(-700.0, min(0.0, math.log(fall) - ln_w)))
+        return 2.0 * math.asin(math.sqrt(0.5 * ratio))
+
+    strip = min(room(hi, hi) / math.hypot(h, hi - v_ref),
+                c * room(lo, float(ln_xl[j])) / math.hypot(h, v_ref - lo))
+    t_lo, t_hi = math.asinh((lo - v_ref) / h), math.asinh((hi - v_ref) / h)
+    step = 2.0 * math.pi * strip / math.log(2e14)
+    ln_i, rel = _trapezoid_log(log_f, t_lo, t_hi, math.ceil((t_hi - t_lo) / step))
     tails = math.exp(ln_right[i] - ln_i) + math.exp(ln_left[j] - ln_i)
     return ln_i, rel + tails + _EPS * abs(ln_i)
 

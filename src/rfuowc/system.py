@@ -200,7 +200,9 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     """
     c_int = math.floor(cfg.egg.c)
     if c_int < 1:
-        raise CapabilityError("closed form needs floor(c) >= 1")
+        raise CapabilityError(
+            f"floor(c) = {c_int} is below the closed form's least order 1; "
+            "use quadrature or Monte Carlo")
     if c_int > MAX_INTEGER_C:
         raise CapabilityError(
             f"floor(c) = {c_int} exceeds the supported closed-form order "

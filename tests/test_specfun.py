@@ -666,6 +666,45 @@ def test_folded_series_estimate_bounds_its_error(key, gamma_th, k):
         assert real <= est <= 1e-12
 
 
+def _mpmath_real_line_factor(a, xi2, c, ln_z):
+    """ln of the folded factor's real-line integral at 30 digits, by
+    Gauss-Legendre on fixed pieces of the v axis."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, xi2, c, ln_z = (mpmath.mpf(v) for v in (a, xi2, c, ln_z))
+
+        def f(v):
+            # x^xi2 Gamma(-xi2, x) = E_(1 + xi2)(x)
+            x = mpmath.exp((ln_z - v) / c)
+            return mpmath.exp(a * v - mpmath.exp(v)) * mpmath.expint(1 + xi2, x)
+
+        # past the ends x or e^v exceeds 400, and the integrand is below e^-400
+        left = ln_z - c * mpmath.log(400)
+        pieces = [left] + [-2 ** k for k in range(12, -3, -1) if -2 ** k > left] + [0, 1, 2, 4, 6]
+        return mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("key", ("salty/4.7", "fresh/16.5"))
+def test_real_line_factor_takes_a_real_exponent(key):
+    # the exact c of salty/4.7 (35.74) and fresh/16.5 (216.8), which the
+    # closed form floors and the series cannot take; relay term 0 at
+    # gamma_th = 1000, weak pointing
+    mpmath = pytest.importorskip("mpmath")
+    from rfuowc.channels import PointingParams, get_preset
+    from rfuowc.system import SystemConfig
+    pointing = PointingParams(a0=0.5076, xi=0.6079)
+    cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=get_preset(key).egg,
+                                       pointing=pointing, uowc_scale=100.0)
+    egg = cfg.egg
+    assert egg.c != math.floor(egg.c)
+    ln_z = egg.c * (math.log(1000.0 * cfg.c_const / (cfg.rho * cfg.mu1))
+                    - math.log(egg.b * pointing.a0))
+    ln_g, est = sf._gg_factor_integral(egg.a, pointing.xi2, egg.c, ln_z)
+    ref = _mpmath_real_line_factor(egg.a, pointing.xi2, egg.c, ln_z)
+    real = float(abs(mpmath.expm1(ln_g - ref)))
+    assert real <= est <= 1e-12
+
+
 def test_folded_factor_matches_the_contour_oracle():
     # the real-line form shares ln_gamma_upper_scaled with quadrature; the
     # contour shares nothing with it but the log-gamma

@@ -340,6 +340,39 @@ def test_closed_form_builds_no_table_that_cannot_serve(monkeypatch):
     assert sf._series_table.cache_info().misses <= 7
 
 
+def test_real_line_factors_take_one_integrand_sweep_each(monkeypatch):
+    # on the mapped axis the first rule (a step in t from the strip where
+    # the integrand stays below its peak) already meets the 1e-14 agreement
+    # test; a uniform step in v took 70 sweeps and 23,495 nodes here
+    calls = _cf_sweep_calls(monkeypatch)
+    real_factor, real_rule = sf._gg_factor_integral, sf._trapezoid_log
+    tallies = []  # [log_f calls, nodes] per real-line factor
+
+    def factor(*args):
+        tally = [0, 0]
+
+        def rule(log_f, lo, hi, n):
+            def counted(t):
+                tally[0] += 1
+                tally[1] += t.size
+                return log_f(t)
+            return real_rule(counted, lo, hi, n)
+
+        monkeypatch.setattr(sf, "_trapezoid_log", rule)
+        try:
+            return real_factor(*args)
+        finally:
+            monkeypatch.setattr(sf, "_trapezoid_log", real_rule)
+            tallies.append(tally)
+
+    monkeypatch.setattr(sf, "_gg_factor_integral", factor)
+    for _, cfg, q in calls:
+        outage_closed_form(cfg, q)
+    assert len(tallies) == 35
+    assert all(sweeps == 1 for sweeps, _ in tallies), tallies
+    assert sum(nodes for _, nodes in tallies) <= 23495 // 2
+
+
 def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
     # a real-line value is accepted with an estimate up to 1e-6: the
     # outage's err_est must charge it, not the G tolerance alone
@@ -613,24 +646,58 @@ def box_cfg(a, c, xi, n):
         pointing=PointingParams(a0=0.5, xi=xi), uowc_scale=100.0)
 
 
-def test_quadrature_answers_every_point_of_the_off_preset_box(monkeypatch):
-    # xi = 0.3 and a c <= 0.05 give the optical SNR a left tail ~ x^0.09 or
-    # flatter, which no fixed window could cut below 1e-15
-    sweeps = _count_sweeps(monkeypatch)
-    count = 0
+def _box_points():
+    """((a, c, xi, n, gamma_th), config, query) of each point of the box."""
     for a in BOX_A:
         for c in BOX_C:
             for xi in BOX_XI:
                 for n in BOX_N:
                     cfg = box_cfg(a, c, xi, n)
                     for gth in BOX_GAMMA_TH:
-                        res = outage_quadrature(cfg, OutageQuery(gth))
-                        assert 0.0 <= res.value <= 1.0, (a, c, xi, n, gth)
-                        assert math.isfinite(res.err_est), (a, c, xi, n, gth)
-                        count += 1
+                        yield (a, c, xi, n, gth), cfg, OutageQuery(gth)
+
+
+def test_quadrature_answers_every_point_of_the_off_preset_box(monkeypatch):
+    # xi = 0.3 and a c <= 0.05 give the optical SNR a left tail ~ x^0.09 or
+    # flatter, which no fixed window could cut below 1e-15
+    sweeps = _count_sweeps(monkeypatch)
+    count = 0
+    for point, cfg, q in _box_points():
+        res = outage_quadrature(cfg, q)
+        assert 0.0 <= res.value <= 1.0, point
+        assert math.isfinite(res.err_est), point
+        count += 1
     assert count == 900
     # about one integrand sweep a point: 852 measured, bound 1,700
     assert len(sweeps) <= 1700
+
+
+def test_closed_form_answers_or_refuses_every_point_of_the_off_preset_box():
+    # a value with a finite estimate, or a refusal that names the methods
+    # that answer: floor(c) = 0, floor(c) > 120, or at N = 64 a relay sum
+    # that cancels outside the clamp window
+    sf._series_table.cache_clear()
+    count = checked = 0
+    for point, cfg, q in _box_points():
+        count += 1
+        try:
+            res = outage_closed_form(cfg, q)
+        except CapabilityError as err:
+            assert "use quadrature or Monte Carlo" in str(err), point
+            continue
+        assert 0.0 <= res.value <= 1.0, point
+        assert math.isfinite(res.err_est), point
+        if res.err_est > 1e-6:
+            assert point[3] == 64, point
+            continue
+        quad = outage_quadrature(cfg, q, floor_c=True)
+        assert abs(res.value - quad.value) <= res.err_est + quad.err_est, point
+        checked += 1
+    assert count == 900
+    assert checked >= 420
+    # a table whose rounding estimate alone is past the tolerance is refused,
+    # not doubled: 116 builds when it was doubled
+    assert sf._series_table.cache_info().misses <= 107
 
 
 @pytest.mark.parametrize("xi,gth", [(1.5, 10.0), (5.0, 1e-9)])
