@@ -1,7 +1,8 @@
 """Command-line driver: sweeps, validation, plotting, preset listing.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure.
+Exit codes: 0 success, 1 validation failure, 2 configuration error.  A
+sweep cell whose method raises a typed numerical error is a NaN row, and
+the sweep still exits 0.
 """
 
 from __future__ import annotations
@@ -23,36 +24,38 @@ from .config import ConfigError, SweepSpec, load_sweep_spec, parse_config, \
 from .mc import McConfig, mc_outage
 from .plotting import PlotError, emit_plot
 from .quadrature import QuadratureError
-from .specfun import CapabilityError, SpecfunError
+from .specfun import SpecfunError
 from .system import outage_closed_form, outage_quadrature
 from .validation import run_level
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
 
 CSV_HEADER = ("axis", "axis_value", "method", "p_out", "err_est", "c_used",
               "elapsed_ms", "scenario")
 
 
 def _eval_point(point, method: str, mc: McConfig):
-    """One (point, method) cell: (p_out, err_est, c_used, clamped, ms)."""
+    """One (point, method) cell: (p_out, err_est, c_used, clamped, error, ms).
+
+    A typed numerical error of the method (a SpecfunError, CapabilityError
+    among them, or a QuadratureError) makes the cell NaN, and error its type
+    and message; error is None where the method answers."""
     system, q = point
     t0 = time.perf_counter()
-    if method == "monte_carlo":
-        est = mc_outage(system, q, mc)
-        out = (est.mean, est.std_err, system.egg.c, False)
-    elif method == "quadrature":
-        res = outage_quadrature(system, q)
-        out = (res.value, res.err_est, res.c_used, res.clamped)
-    else:
-        try:
-            res = outage_closed_form(system, q)
-            out = (res.value, res.err_est, res.c_used, res.clamped)
-        except CapabilityError:
-            # expected above the supported integer exponent; row kept as NaN
-            out = (math.nan, math.nan, float(math.floor(system.egg.c)), False)
+    try:
+        if method == "monte_carlo":
+            est = mc_outage(system, q, mc)
+            out = (est.mean, est.std_err, system.egg.c, False, None)
+        else:
+            run = outage_quadrature if method == "quadrature" else outage_closed_form
+            res = run(system, q)
+            out = (res.value, res.err_est, res.c_used, res.clamped, None)
+    except (SpecfunError, QuadratureError) as exc:
+        c_used = float(math.floor(system.egg.c)) if method == "closed_form" else system.egg.c
+        out = (math.nan, math.nan, c_used, False,
+               {"type": type(exc).__name__, "message": str(exc)})
     return (*out, (time.perf_counter() - t0) * 1e3)
 
 
@@ -62,12 +65,12 @@ def run_sweep(spec: SweepSpec):
     rows = []
     for value, point in zip(spec.values, spec.points):
         for method in spec.methods:
-            p, err, c_used, clamped, ms = _eval_point(point, method, spec.mc)
+            p, err, c_used, clamped, error, ms = _eval_point(point, method, spec.mc)
             rows.append({"axis": spec.axis, "axis_value": repr(float(value)),
                          "method": method, "p_out": repr(float(p)),
                          "err_est": repr(float(err)), "c_used": repr(float(c_used)),
                          "elapsed_ms": format(ms, ".3f"), "scenario": spec.label,
-                         "clamped": bool(clamped)})
+                         "clamped": bool(clamped), "error": error})
     return rows
 
 
@@ -116,7 +119,8 @@ def _write_manifest(out_path, config_bytes, seed, rows):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "points": [
             {"axis_value": row["axis_value"], "method": row["method"],
-             "elapsed_ms": row["elapsed_ms"], "clamped": row["clamped"]}
+             "elapsed_ms": row["elapsed_ms"], "clamped": row["clamped"],
+             "error": row["error"]}
             for row in rows
         ],
     }
@@ -135,13 +139,13 @@ def _cmd_sweep(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        (spec,), rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
-                              mc_samples=args.mc_samples)
-    except (SpecfunError, QuadratureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    (spec,), rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
+                          mc_samples=args.mc_samples)
     manifest = _write_manifest(args.out, config_bytes, spec.mc.seed, rows)
+    failed = sum(row["error"] is not None for row in rows)
+    if failed:
+        print(f"{failed} of {len(rows)} cells raised a numerical error and are NaN rows; "
+              f"the manifest names each error", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest})")
     return EXIT_OK
 

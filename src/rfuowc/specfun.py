@@ -73,6 +73,8 @@ _REFUSE_ABOVE = max(1000.0 * REL_TOL, 1e-6)
 # runs to at most _TRAPEZOID_NODES intervals.
 _FACTOR_TOL = 1e-12
 _TRAPEZOID_NODES = 1 << 16
+# the real-line form's candidate window ends, 1/16 to 2^17 from the peak
+_WINDOW_ENDS = 2.0 ** (np.arange(337) / 16.0) / 16.0
 
 _EPS = 1.1e-16
 _LN2 = math.log(2.0)
@@ -525,7 +527,7 @@ class MeijerGSpec:
     def q(self):
         return len(self.b)
 
-    def reduced(self, ln_z: float):
+    def reduced(self, ln_z):
         """(mu, ln_z'): the order excess sum(B) - p of the kernel, at least 1,
         and ln_z less sum(B ln B), the argument at which the kernel's growth
         and decay match those of a plain G with q - p = mu."""
@@ -675,68 +677,86 @@ def _series_table(spec: MeijerGSpec, kmax: int):
     return _SeriesTable(spec, kmax)
 
 
-def _series_eval(tab: _SeriesTable, ln_z: float):
-    """(sign, log_abs, rounding, tail_ok) of the residue series at ln_z:
-    rounding bounds the relative error of the sum, which is the series'
-    whole error only where tail_ok says its dropped terms are negligible."""
-    ll = tab.logc + tab.s * ln_z
-    L = np.max(ll)
-    if L == -np.inf:  # every term vanishes: an exact zero
-        return 0.0, -np.inf, 0.0, True
-    if not np.isfinite(L):  # a NaN or +inf term: no estimate at all
-        return 0.0, -np.inf, np.inf, True
-    powers = ln_z ** np.arange(tab.poly.shape[1])
-    poly = tab.poly @ powers
-    polyabs = tab.polyabs @ np.abs(powers)
-    w = np.exp(ll - L)
-    vals = tab.sign * w * poly
-    total = math.fsum(vals.tolist())
-    sum_abs = float(np.sum(np.abs(vals)))
-    tail_max = float(np.max(ll[tab.tail_idx] + np.log(polyabs[tab.tail_idx]), initial=-np.inf))
-    tail_ok = tail_max < L - 42.0
-    if total == 0.0:
-        return 0.0, -np.inf, np.inf, tail_ok
-    cancel = sum_abs / abs(total)
+def _series_eval(tab: _SeriesTable, ln_z):
+    """(sign, log_abs, rounding, tail_ok) of the residue series at each ln_z
+    of a 1-D array, a list with one row of terms each: rounding bounds the
+    relative error of the sum, which is the series' whole error only where
+    tail_ok says its dropped terms are negligible."""
+    sz = tab.s * ln_z[:, None]
+    ll = tab.logc + sz
+    L = ll.max(axis=1)
+    peaks = L.tolist()
+    if not all(map(math.isfinite, peaks)):
+        # every term vanishes: an exact zero; a NaN or +inf term: no estimate at all
+        return [_series_eval(tab, ln_z[i:i + 1])[0] if math.isfinite(peak) else
+                (0.0, -np.inf, 0.0 if peak == -np.inf else np.inf, True)
+                for i, peak in enumerate(peaks)]
+    w = np.exp(ll - L[:, None])
+    vals, absvals, tail, excess = tab.sign * w, w, ll[:, tab.tail_idx], 0.0
+    if tab.poly.shape[1] > 1:  # the terms' P(ln z), at multiple poles
+        lz, poly, polyabs = ln_z[:, None], tab.poly[:, 0], tab.polyabs[:, 0]
+        for j in range(1, tab.poly.shape[1]):
+            poly = poly + tab.poly[:, j] * lz ** j
+            polyabs = polyabs + tab.polyabs[:, j] * np.abs(lz) ** j
+        vals = vals * poly
+        absvals, tail = np.abs(vals), tail + np.log(polyabs[:, tab.tail_idx])
+        excess = w * (polyabs - np.abs(poly))
     # rounding carried by each term is ~eps * (sum of |log factors|),
     # including the argument power, plus the cancellation inside P(ln z)
-    wlog = float(np.sum((tab.logsize + np.abs(tab.s * ln_z)) * np.abs(vals)
-                        + w * (polyabs - np.abs(poly))))
-    wlog /= abs(total)
-    rounding = _EPS * (wlog + 8.0 * cancel)
-    return math.copysign(1.0, total), L + math.log(abs(total)), rounding, tail_ok
+    wlog = (tab.logsize + np.abs(sz)) * absvals + excess
+    out = []
+    for terms, peak, sum_abs, wl, tail_row in zip(
+            vals.tolist(), peaks, absvals.sum(axis=1).tolist(), wlog.sum(axis=1).tolist(),
+            tail.tolist()):
+        total, tail_ok = math.fsum(terms), max(tail_row, default=-np.inf) < peak - 42.0
+        mag = abs(total)
+        out.append((0.0, -np.inf, np.inf, tail_ok) if total == 0.0 else
+                   (math.copysign(1.0, total), peak + math.log(mag),
+                    _EPS * (wl / mag + 8.0 * (sum_abs / mag)), tail_ok))
+    return out
 
 
 def _series_attempt(spec, ln_z, tol=REL_TOL):
     """(sign, log_abs, rel_err) of the residue series, with adaptive term
-    count, or None when it cannot reach tol."""
-    # alternating-term cancellation grows like exp(d * z^(1/d)), and the
-    # rounding estimate has never come out below eps times that (by a
-    # factor e^0.9 or more, on every table of the closed-form sweeps and of
-    # check_specfun); skip the series, before building a table, where that
-    # alone exceeds tol
-    d, ln_zr = spec.reduced(ln_z)
-    loss = d * math.exp(min(ln_zr / d, 30.0))
-    if loss > math.log(tol / _EPS):
-        return None
-    # a plain G needs guess units of s to pass its terms' peak; the kernel
-    # of order d decays about d times faster past it, so kmax is the least
-    # power of two (at least 2) with kmax * d >= guess.  Powers of two let
-    # calls at nearby arguments share a table.
-    peak = math.exp(min(ln_zr / d, 12.0)) if ln_zr > 0 else 0.0
-    guess = int(24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0))
-    kmax = min(_MAX_TERMS, 1 << max(1, (-(-guess // d) - 1).bit_length()))
-    while True:
+    count, or None where it cannot reach tol: a list, one per ln_z of a 1-D
+    array, or one result for a float.  The arguments that reach one table
+    are summed in one _series_eval pass."""
+    ln_zs = np.array(ln_z, dtype=float, ndmin=1)
+    out, todo = [None] * ln_zs.size, {}
+    d, ln_zrs = spec.reduced(ln_zs)
+    for i, ln_zr in enumerate(ln_zrs.tolist()):
+        # alternating-term cancellation grows like exp(d * z^(1/d)), and the
+        # rounding estimate has never come out below eps times that (by a
+        # factor e^0.9 or more, on every table of the closed-form sweeps and
+        # of check_specfun); skip the series, before building a table, where
+        # that alone exceeds tol
+        loss = d * math.exp(min(ln_zr / d, 30.0))
+        if loss > math.log(tol / _EPS):
+            continue
+        # a plain G needs guess units of s to pass its terms' peak; the
+        # kernel of order d decays about d times faster past it, so kmax is
+        # the least power of two (at least 2) with kmax * d >= guess.  Powers
+        # of two let calls at nearby arguments share a table.
+        peak = math.exp(min(ln_zr / d, 12.0)) if ln_zr > 0 else 0.0
+        guess = int(24.0 + 2.5 * peak + 8.0 * math.sqrt(peak + 1.0))
+        kmax = min(_MAX_TERMS, 1 << max(1, (-(-guess // d) - 1).bit_length()))
+        todo.setdefault(kmax, []).append(i)
+    while todo:  # the shortest table first, so that a doubled argument joins the next
+        kmax = min(todo)
+        idx = todo.pop(kmax)
         tab = _series_table(spec, kmax)
         if tab.degenerate:
-            return None
-        sign, logabs, rounding, tail_ok = _series_eval(tab, ln_z)
-        # a longer table has never brought a rounding estimate back under
-        # tol: refuse it as soon as it is over, tail test passed or not
-        if rounding > tol or (not tail_ok and kmax >= _MAX_TERMS):
-            return None
-        if tail_ok:
-            return sign, logabs, rounding
-        kmax = min(_MAX_TERMS, kmax * 2)
+            continue
+        for i, (sign, logabs, rounding, tail_ok) in zip(idx, _series_eval(tab, ln_zs[idx])):
+            # a longer table has never brought a rounding estimate back under
+            # tol: refuse it as soon as it is over, tail test passed or not
+            if rounding > tol or (not tail_ok and kmax >= _MAX_TERMS):
+                continue
+            if tail_ok:
+                out[i] = sign, logabs, rounding
+            else:
+                todo.setdefault(min(_MAX_TERMS, kmax * 2), []).append(i)
+    return out if np.ndim(ln_z) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -857,57 +877,74 @@ def _mb_eval(spec: MeijerGSpec, ln_z: float):
 
 
 def _trapezoid_log(log_f, lo, hi, n):
-    """(ln I, bound on its relative error) of I = integral of exp(log_f)
-    over [lo, hi], by the trapezoid rule on n and 2n intervals, then 4n,
-    8n, ...
+    """Arrays (ln I, bound on its relative error) of the integrals I of
+    exp(log_f) over [lo, hi], by the trapezoid rule on n and 2n intervals,
+    then 4n, 8n, ...; lo, hi and n hold one entry per integral.
 
-    log_f maps an array of nodes to the log-integrand and a bound on its
-    rounding / eps.  The first call of log_f serves the rules on n and 2n
-    intervals; each later one adds the midpoints of the last rule's
-    intervals.  The step halves until two rules agree within 1e-14 plus the
-    rounding of their log-sum; for an integrand analytic in a strip about
-    the axis the error of a rule is then far below that of the one before.
-    The bound is the difference of those two rules plus that rounding; the
-    caller adds the rounding of its log.  Raises NonConvergenceError past
-    _TRAPEZOID_NODES intervals, before the first call of log_f when 2n
-    is already past it.
+    log_f maps nodes, and the index of each one's integral, to the
+    log-integrand and a bound on its rounding / eps.  Each call of log_f
+    takes the nodes of all the integrals still open: the first serves the
+    rules on n and 2n intervals; each later one adds the midpoints of the
+    last rule's intervals.  An integral's step halves until two rules agree
+    within 1e-14 plus the rounding of their log-sum; for an integrand
+    analytic in a strip about the axis the error of a rule is then far below
+    that of the one before.  The bound is the difference of those two rules
+    plus that rounding; the caller adds the rounding of its log.  Raises
+    NonConvergenceError past _TRAPEZOID_NODES intervals, before the first
+    call of log_f when some 2n is already past it.
     """
-    n *= 2
-    if n > _TRAPEZOID_NODES:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = 2 * np.asarray(n, dtype=np.int64)
+    if n.max(initial=0) > _TRAPEZOID_NODES:
         raise NonConvergenceError("real-line trapezoid rule: window too wide for its step")
     h = (hi - lo) / n
-    ell, size = log_f(lo + h * np.arange(n + 1))
-    top = float(ell.max())
-    w = np.exp(ell - top)
-    w[[0, -1]] *= 0.5
-    total, wsize = float(w.sum()), float(w @ size)
-    prev = 2.0 * h * float(w[::2].sum())  # the rule on the even nodes
+
+    def sweep(live, count, odd):  # log_f at lo + h j, j < count, or j = 1, 3, .. if odd
+        which = np.repeat(live, count)
+        starts = np.cumsum(count) - count
+        j = np.arange(which.size) - np.repeat(starts, count)
+        if odd:
+            j = 2 * j + 1
+        ell, size = log_f(lo[which] + h[which] * j, which)
+        return ell, size, which, starts, j
+
+    ell, size, which, starts, j = sweep(np.arange(lo.size), n + 1, False)
+    top = np.maximum.reduceat(ell, starts)
+    w = np.exp(ell - top[which])
+    w[np.concatenate([starts, starts + n])] *= 0.5  # each rule's two ends
+    total, wsize = np.add.reduceat(w, starts), np.add.reduceat(w * size, starts)
+    # the rule on the even nodes
+    prev = 2.0 * h * np.add.reduceat(np.where(j % 2 == 0, w, 0.0), starts)
     while True:
         cur = h * total
         # each term's rounding and that of the pairwise sum
-        rnd = _EPS * (wsize / total + math.log2(n))
-        diff = abs(cur - prev) / cur
-        if diff <= 1e-14 + rnd:
-            return top + math.log(cur), diff + rnd
-        if 2 * n > _TRAPEZOID_NODES:
+        rnd = _EPS * (wsize / total + np.log2(n))
+        diff = np.abs(cur - prev) / cur
+        # an integral that has converged keeps its state, and so its result
+        live = np.flatnonzero(~(diff <= 1e-14 + rnd))
+        if not live.size:
+            return top + np.log(cur), diff + rnd
+        if 2 * n[live].max() > _TRAPEZOID_NODES:
             raise NonConvergenceError("real-line trapezoid rule did not converge")
-        prev = cur
-        h *= 0.5
-        ell, size = log_f(lo + h * np.arange(1, 2 * n, 2))
-        peak = float(ell.max())
-        if peak > top:  # rescale what is summed to the new largest term
-            r = math.exp(top - peak)
-            total, wsize, prev, top = total * r, wsize * r, prev * r, peak
-        w = np.exp(ell - top)
-        total += float(w.sum())
-        wsize += float(w @ size)
-        n *= 2
+        prev[live] = cur[live]
+        h[live] *= 0.5
+        ell, size, which, starts, _ = sweep(live, n[live], True)
+        # rescale what is summed to each integral's new largest term
+        peak = np.maximum.reduceat(ell, starts)
+        r = np.exp(np.minimum(top[live] - peak, 0.0))
+        top[live] = np.maximum(top[live], peak)
+        w = np.exp(ell - top[which])
+        total[live] = total[live] * r + np.add.reduceat(w, starts)
+        wsize[live] = wsize[live] * r + np.add.reduceat(w * size, starts)
+        prev[live] *= r
+        n[live] *= 2
 
 
-def _exp_factor_integral(xi2: float, ln_z: float):
-    """(ln G1, relative error bound) of the folded factor at a = c = 1,
-    G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0), from its real-line K_1 form,
-    with L(s, ln x) = ln(x^-s Gamma(s, x)) and x0 = 2 sqrt(z):
+def _exp_factor_integral(xi2: float, ln_z):
+    """Arrays (ln G1, relative error bound) of the folded factor at a = c = 1,
+    G1 = G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0), at each ln_z of a 1-D array,
+    from its real-line K_1 form, with L(s, ln x) = ln(x^-s Gamma(s, x)) and
+    x0 = 2 sqrt(z):
 
         G1(z) = 4 sqrt(z) int_0^inf cosh u exp L(1 - 2 xi2, ln(x0 cosh u)) du,
 
@@ -915,35 +952,35 @@ def _exp_factor_integral(xi2: float, ln_z: float):
     Mellin convolution of the kernel's gamma factors.  The integrand is even
     in u.  Gamma(s, x) <= x^(s-1) e^-x for s <= 1 bounds it by e^-x / x0,
     so the rule, which ends where x = x0 + 50, drops less than
-    e^-x / (x0^2 sinh u) there.
+    e^-x / (x0^2 sinh u) there.  The integrals share one _trapezoid_log.
     """
     s = 1.0 - 2.0 * xi2
     ln_x0 = _LN2 + 0.5 * ln_z
-    x0 = math.exp(ln_x0)
+    x0 = np.exp(ln_x0)
     x_end = x0 + 50.0
     r = x0 / x_end
-    u_end = math.log(x_end) - ln_x0 + math.log1p(math.sqrt(1.0 - r * r))  # acosh(x_end / x0)
+    u_end = np.log(x_end) - ln_x0 + np.log1p(np.sqrt(1.0 - r * r))  # acosh(x_end / x0)
 
-    def log_f(u):
+    def log_f(u, which):
         ln_cosh = u + np.log1p(np.exp(-2.0 * u)) - _LN2
-        ln_x = ln_x0 + ln_cosh
+        ln_x = ln_x0[which] + ln_cosh
         lg = ln_gamma_upper_scaled(s, ln_x)
         # |dL / d ln x| <= x + 1 + 2|s| scales the rounding of ln x
         size = (ln_cosh + np.abs(lg)
-                + (np.exp(ln_x) + 1.0 + 2.0 * abs(s)) * (abs(ln_x0) + 2.0 * ln_cosh))
+                + (np.exp(ln_x) + 1.0 + 2.0 * abs(s)) * (np.abs(ln_x0[which]) + 2.0 * ln_cosh))
         return ln_cosh + lg, size
 
-    ln_i, rel = _trapezoid_log(log_f, 0.0, u_end, 16)
-    ln_tail = -x_end - ln_x0 - math.log(x_end) - 0.5 * math.log1p(-r * r)
+    ln_i, rel = _trapezoid_log(log_f, np.zeros_like(u_end), u_end, np.full(u_end.shape, 16))
+    ln_tail = -x_end - ln_x0 - np.log(x_end) - 0.5 * np.log1p(-r * r)
     ln_g = 2.0 * _LN2 + 0.5 * ln_z + ln_i
-    return ln_g, rel + math.exp(ln_tail - ln_i) + _EPS * abs(ln_g)
+    return ln_g, rel + np.exp(ln_tail - ln_i) + _EPS * np.abs(ln_g)
 
 
-def _gg_factor_integral(a: float, xi2: float, c: float, ln_z: float):
-    """(ln G2, relative error bound) of the folded generalized-gamma factor
-    G2 = H^{3,0}_{1,3}(z | (xi2/c + 1, 1); (a, 1), (xi2/c, 1), (0, c)) from
-    its real-line form, with L(s, ln x) = ln(x^-s Gamma(s, x)), for real
-    a, xi2, c > 0:
+def _gg_factor_integral(a: float, xi2: float, c: float, ln_z):
+    """Arrays (ln G2, relative error bound) of the folded generalized-gamma
+    factor G2 = H^{3,0}_{1,3}(z | (xi2/c + 1, 1); (a, 1), (xi2/c, 1), (0, c))
+    at each ln_z of a 1-D array, from its real-line form, with L(s, ln x) =
+    ln(x^-s Gamma(s, x)), for real a, xi2, c > 0:
 
         G2(z) = int exp(a v - e^v + L(-xi2, (ln z - v) / c)) dv over the real line.
 
@@ -961,38 +998,49 @@ def _gg_factor_integral(a: float, xi2: float, c: float, ln_z: float):
     tails; the map moves the nodes, not the window or its tail bounds.  The
     first rule's step puts its error at 1e-14, the agreement _trapezoid_log
     asks for, on the strip where the mapped integrand stays below its peak.
+    The integrals share one _trapezoid_log.
     """
     # the log-integrand rises left of ln a and falls right of
     # ln(a + (x(ln a) + 1) / c), where e^v outgrows its slope
     v_a = math.log(a)
-    v_b = math.log(a + (math.exp((ln_z - v_a) / c) + 1.0) / c)
-    v = np.linspace(v_a, v_b, 65)
-    x = np.exp((ln_z - v) / c)
+    v_b = [math.log(a + (math.exp((lz - v_a) / c) + 1.0) / c) for lz in ln_z.tolist()]
+    v = np.arange(65.0) * ((np.array(v_b) - v_a) / 64.0)[:, None] + v_a  # np.linspace's steps
+    v[:, -1] = v_b
+    x = np.exp((ln_z[:, None] - v) / c)
     lower = a * v - np.exp(v) - x - np.log(x + 1.0 + xi2)
-    k = int(np.argmax(lower))
-    v_ref, x_ref, ref = v[k], x[k], float(lower[k])
-    # the map's scale: at most the peak's width, from the lower bound's curvature
-    curv = math.exp(v_ref) + x_ref / c ** 2 * (1.0 + (1.0 + xi2) / (x_ref + 1.0 + xi2) ** 2)
-    h = min(0.5, 1.0 / math.sqrt(curv))
-    # candidate ends 1/16 to 2^17 from v_ref, 2^(1/16) apart
-    d = 2.0 ** (np.arange(337) / 16.0) / 16.0
-    right, left = v_ref + d, v_ref - d
-    ln_xl = (ln_z - left) / c
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = np.exp(right)
-        ln_right = ((a - 1.0) * right - y - math.log(xi2)
-                    + np.log(np.maximum(1.0, y / (y - a + 1.0))))
-        ln_left = math.log(c) + a * left - 2.0 * ln_xl - np.exp(ln_xl)
-    ok_r, ok_l = ln_right <= ref - 45.0, ln_left <= ref - 45.0
-    if not (ok_r.any() and ok_l.any()):
-        raise NonConvergenceError("folded factor: no window bounds its tails")
-    i, j = int(np.argmax(ok_r)), int(np.argmax(ok_l))
-    lo, hi = float(left[j]), float(right[i])
+    rows = np.arange(ln_z.size)
+    k = np.argmax(lower, axis=1)
+    v_ref, x_ref, ref = v[rows, k], x[rows, k], lower[rows, k]
+    # the nearest of _WINDOW_ENDS right and left of v_ref where each tail
+    # bound is below limit: every 16th end, then the 16 up to the first of
+    # those that passes; each bound falls away from v_ref, and e^709 in place
+    # of a larger exponential keeps it a bound
+    v_col, z_col, limit = v_ref[:, None], ln_z[:, None], ref[:, None] - 45.0
 
-    def log_f(t):
-        jac = h * np.cosh(t)
-        v = v_ref + h * np.sinh(t)
-        ln_x = (ln_z - v) / c
+    def ln_tails(d_hi, d_lo):
+        right, left = v_col + d_hi, v_col - d_lo
+        y, ln_xl = np.exp(np.minimum(right, 709.0)), (z_col - left) / c
+        ln_r = (a - 1.0) * right - y - math.log(xi2)
+        if a > 1.0:  # else y / (y - a + 1) <= 1
+            ln_r += np.log(np.maximum(1.0, y / (y - a + 1.0)))
+        return np.array([ln_r, math.log(c) + a * left - 2.0 * ln_xl
+                         - np.exp(np.minimum(ln_xl, 709.0))])
+
+    coarse = _WINDOW_ENDS[::16]
+    ok = ln_tails(coarse, coarse) <= limit
+    if not ok.any(axis=2).all():
+        raise NonConvergenceError("folded factor: no window bounds its tails")
+    k = np.maximum(16 * ok.argmax(axis=2)[..., None] - np.arange(15, -1, -1), 0)
+    ln_b = ln_tails(*_WINDOW_ENDS[k])
+    pick = np.arange(2)[:, None], rows, (ln_b <= limit).argmax(axis=2)
+    (d_hi, d_lo), (ln_r, ln_l) = _WINDOW_ENDS[k[pick]], ln_b[pick]
+    lo, hi = v_ref - d_lo, v_ref + d_hi
+
+    def log_f(t, which):
+        hw, lz = h[which], ln_z[which]
+        jac = hw * np.cosh(t)
+        v = v_ref[which] + hw * np.sinh(t)
+        ln_x = (lz - v) / c
         ev = np.exp(v)
         lg = ln_gamma_upper_scaled(-xi2, ln_x)
         ln_jac = np.log(jac)
@@ -1000,7 +1048,7 @@ def _gg_factor_integral(a: float, xi2: float, c: float, ln_z: float):
         # |dL / d ln x| <= x + 1 scales the rounding of ln x
         dv = np.abs(v) + np.abs(t) * jac
         size = (a * dv + ev * (1.0 + dv) + np.abs(lg) + np.abs(ln_jac)
-                + (np.exp(ln_x) + 1.0) * 2.0 * (abs(ln_z) + dv) / c)
+                + (np.exp(ln_x) + 1.0) * 2.0 * (np.abs(lz) + dv) / c)
         return a * v - ev + lg + ln_jac, size
 
     # At t + iy, Im v = h cosh t sin y, and the integrand's exp(-e^v) and
@@ -1009,21 +1057,30 @@ def _gg_factor_integral(a: float, xi2: float, c: float, ln_z: float):
     # window, within the integrand's fall there from the peak: ref less its
     # upper bound a v - e^v + min(-ln xi2, -x - ln x), and at least 45.  On
     # the strip the rule's error is about 2 e^(-2 pi y / step) of the integral.
-    def room(v_end, ln_w):  # the widest angle, at most pi/2, at e^ln_w
-        ln_x = (ln_z - v_end) / c
+    def room(lz, ref, v_end, ln_w):  # the widest angle, at most pi/2, at e^ln_w
+        ln_x = (lz - v_end) / c
         fall = max(45.0, ref - a * v_end + math.exp(v_end)
                    + max(math.log(xi2), math.exp(min(ln_x, 700.0)) + ln_x))
         # 1 - cos angle = 2 sin(angle / 2)^2 <= fall e^-ln_w, kept above e^-700
         ratio = math.exp(max(-700.0, min(0.0, math.log(fall) - ln_w)))
         return 2.0 * math.asin(math.sqrt(0.5 * ratio))
 
-    strip = min(room(hi, hi) / math.hypot(h, hi - v_ref),
-                c * room(lo, float(ln_xl[j])) / math.hypot(h, v_ref - lo))
-    t_lo, t_hi = math.asinh((lo - v_ref) / h), math.asinh((hi - v_ref) / h)
-    step = 2.0 * math.pi * strip / math.log(2e14)
-    ln_i, rel = _trapezoid_log(log_f, t_lo, t_hi, math.ceil((t_hi - t_lo) / step))
-    tails = math.exp(ln_right[i] - ln_i) + math.exp(ln_left[j] - ln_i)
-    return ln_i, rel + tails + _EPS * abs(ln_i)
+    h, t_lo, t_hi, n = [], [], [], []
+    for lz, rf, vr, xr, l, u in zip(*(q.tolist() for q in (ln_z, ref, v_ref, x_ref, lo, hi))):
+        # the map's scale: at most the peak's width, from the lower bound's curvature
+        hw = min(0.5, 1.0 / math.sqrt(math.exp(vr) + xr / c ** 2 * (
+            1.0 + (1.0 + xi2) / (xr + 1.0 + xi2) ** 2)))
+        h.append(hw)
+        strip = min(room(lz, rf, u, u) / math.hypot(hw, u - vr),
+                    c * room(lz, rf, l, (lz - l) / c) / math.hypot(hw, vr - l))
+        t_lo.append(math.asinh((l - vr) / hw))
+        t_hi.append(math.asinh((u - vr) / hw))
+        step = 2.0 * math.pi * strip / math.log(2e14)
+        n.append(math.ceil((t_hi[-1] - t_lo[-1]) / step))
+    h = np.array(h)
+    ln_i, rel = _trapezoid_log(log_f, t_lo, t_hi, n)
+    tails = np.exp(ln_r - ln_i) + np.exp(ln_l - ln_i)
+    return ln_i, rel + tails + _EPS * np.abs(ln_i)
 
 
 @functools.lru_cache(maxsize=512)
@@ -1033,37 +1090,43 @@ def _folded_spec(a: float, xi2: float, c: int):
                        scales=(1, 1, c))
 
 
-def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z: float):
+def folded_gg_factor_log(a: float, xi2: float, c: int, ln_z):
     """(ln G, relative error bound) of the closed form's factor of one
     generalized-gamma branch at z = exp(ln_z), for shape a > 0, xi2 > 0 and
-    integer exponent c >= 1.  The expression's G^{c+2,0}_{1,c+2}(y | xi2/c
-    + 1; a, xi2/c, 0, 1/c, .., (c-1)/c) has its c factors folded by the
-    Gauss multiplication formula, prod_j Gamma(j/c - s) = (2 pi)^((c-1)/2)
-    c^(1/2) c^(c s) Gamma(-c s): the constant cancels the expression's
-    c^(-1/2) (2 pi)^((1-c)/2), and c^(c s) moves the argument to z = c^c y.
-    G is the H-function that is left, Gamma(a - s) Gamma(-c s) / (xi2/c - s).
-    At a = c = 1 it is the exponential branch's G^{3,0}_{1,3}(z | xi2 + 1;
-    1, xi2, 0), the same spec and series table.
+    integer exponent c >= 1: arrays, one entry per ln_z of a 1-D array, or
+    floats for a float, which is a batch of one.  The expression's
+    G^{c+2,0}_{1,c+2}(y | xi2/c + 1; a, xi2/c, 0, 1/c, .., (c-1)/c) has its c
+    factors folded by the Gauss multiplication formula, prod_j Gamma(j/c - s)
+    = (2 pi)^((c-1)/2) c^(1/2) c^(c s) Gamma(-c s): the constant cancels the
+    expression's c^(-1/2) (2 pi)^((1-c)/2), and c^(c s) moves the argument
+    to z = c^c y.  G is the H-function that is left, Gamma(a - s)
+    Gamma(-c s) / (xi2/c - s).  At a = c = 1 it is the exponential branch's
+    G^{3,0}_{1,3}(z | xi2 + 1; 1, xi2, 0), the same spec and series table.
 
     The residue series where its estimate is within _FACTOR_TOL, else the
     real-line integral: _exp_factor_integral (the K_1 form) at a = c = 1,
-    _gg_factor_integral otherwise.  A real-line estimate above
+    _gg_factor_integral otherwise.  The arguments that reach one series
+    table are summed in one pass, and those the series refuses are
+    integrated in one sweep of the integrand.  A real-line estimate above
     _REFUSE_ABOVE raises NonConvergenceError.
     """
-    ln_z = float(ln_z)
-    if not math.isfinite(ln_z):
+    ln_zs = np.array(ln_z, dtype=float, ndmin=1)
+    if not all(map(math.isfinite, ln_zs.tolist())):
         raise ValueError("log-argument must be finite")
-    got = _series_attempt(_folded_spec(a, xi2, c), ln_z, _FACTOR_TOL)
-    if got is not None:
-        return got[1], got[2]
-    if a == 1 and c == 1:
-        ln_g, rel = _exp_factor_integral(xi2, ln_z)
-    else:
-        ln_g, rel = _gg_factor_integral(a, xi2, c, ln_z)
-    if rel > _REFUSE_ABOVE:
-        raise NonConvergenceError(
-            f"real-line form reached rel err ~{rel:.2e} > tolerance {_REFUSE_ABOVE:.2e}")
-    return ln_g, rel
+    got = _series_attempt(_folded_spec(a, xi2, c), ln_zs, _FACTOR_TOL)
+    refused = [i for i, served in enumerate(got) if served is None]
+    if refused:
+        ln_i, rel_i = (_exp_factor_integral(xi2, ln_zs[refused]) if a == 1 and c == 1
+                       else _gg_factor_integral(a, xi2, c, ln_zs[refused]))
+        worst = float(rel_i.max())
+        if worst > _REFUSE_ABOVE:
+            raise NonConvergenceError(
+                f"real-line form reached rel err ~{worst:.2e} > tolerance {_REFUSE_ABOVE:.2e}")
+        for i, ln_g, rel in zip(refused, ln_i.tolist(), rel_i.tolist()):
+            got[i] = (1.0, ln_g, rel)  # the factor is positive
+    if np.ndim(ln_z) == 0:
+        return got[0][1:]
+    return np.array([served[1] for served in got]), np.array([served[2] for served in got])
 
 
 # ---------------------------------------------------------------------------

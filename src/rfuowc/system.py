@@ -194,9 +194,9 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     (the exponential branch is the one at a = c = 1), from its residue
     series where the series' own estimate is within 1e-12, else from its
     real-line integral over the upper incomplete gamma
-    (specfun.folded_gg_factor_log).  err_est charges each factor's own
-    estimate.  The Mellin-Barnes contour is not on this path; it stays an
-    oracle.
+    (specfun.folded_gg_factor_log, one call per branch for all the relay
+    terms).  err_est charges each factor's own estimate.  The Mellin-Barnes
+    contour is not on this path; it stays an oracle.
     """
     c_int = math.floor(cfg.egg.c)
     if c_int < 1:
@@ -214,27 +214,23 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     gth = q.gamma_th
     branches = [br for br in egg.branches if br[0] > 0.0]
 
-    terms = []
-    mags = []
+    leads = [math.comb(n - 1, k) * (-1.0) ** k / (k + 1) * math.exp(-(k + 1) * gth / mu1)
+             for k in range(n)]
+    live = [k for k in range(n) if leads[k] != 0.0]
+    brackets = [0.0] * len(live)
     # each factor's error, from its own estimate
     errs = []
-    for k in range(n):
-        lead = (math.comb(n - 1, k) * (-1.0) ** k / (k + 1)
-                * math.exp(-(k + 1) * gth / mu1))
-        if lead == 0.0:
-            terms.append(0.0)
-            continue
-        scale = (k + 1) * gth * c_const / (rho * mu1)
-        bracket = 0.0
-        for weight, a, b, c in branches:
-            # the argument c^c y of the folded factor, y the expression's own
-            ln_z = c * (math.log(scale) - math.log(b * pointing.a0))
-            lg, est = folded_gg_factor_log(a, xi2, c, ln_z)
-            part = weight * xi2 * math.exp(lg - math.lgamma(a))
-            bracket += part
-            errs.append(abs(lead * part) * est)
-        terms.append(lead * bracket)
-        mags.append(abs(lead * bracket))
+    for weight, a, b, c in branches:
+        # the argument c^c y of the folded factor, y the expression's own
+        ln_z = [c * (math.log((k + 1) * gth * c_const / (rho * mu1))
+                     - math.log(b * pointing.a0)) for k in live]
+        lg, est = folded_gg_factor_log(a, xi2, c, np.array(ln_z))
+        for i, (k, ln_g, rel) in enumerate(zip(live, lg.tolist(), est.tolist())):
+            part = weight * xi2 * math.exp(ln_g - math.lgamma(a))
+            brackets[i] += part
+            errs.append(abs(leads[k] * part) * rel)
+    terms = [leads[k] * bracket for k, bracket in zip(live, brackets)]
+    mags = [abs(term) for term in terms]
     total = n * math.fsum(terms)
     value = 1.0 - total
     # error of each G factor plus cancellation noise of the relay sum

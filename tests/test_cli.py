@@ -208,6 +208,43 @@ class TestSweepCommand:
         assert [r["axis_value"] for r in rows] == ["60.0", "61.0", "62.0", "63.0", "64.0"]
         assert all(math.isnan(float(r["p_out"])) for r in rows)
 
+    def test_a_cell_that_raises_a_numerical_error_is_a_nan_row(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # salty/7.1 at gamma_th = 1000: the series refuses the first relay
+        # term's folded factor, whose real-line form then raises; quadrature
+        # raises too, and Monte Carlo answers
+        import rfuowc.specfun as sf
+        from rfuowc.quadrature import QuadratureError
+
+        def no_window(a, xi2, c, ln_z):
+            raise sf.NonConvergenceError("folded factor: no window bounds its tails")
+
+        def no_quadrature(cfg, q):
+            raise QuadratureError("quadrature produced 2.0, outside the clamp window")
+
+        monkeypatch.setattr(sf, "_gg_factor_integral", no_window)
+        monkeypatch.setattr(cli, "outage_quadrature", no_quadrature)
+        text = BASE_CFG.replace('preset = "salty/4.7"', 'preset = "salty/7.1"') \
+            .replace("gamma_th = 10", "gamma_th = 1000")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "errors.csv")
+        assert main(["sweep", cfg, "--out", out, "--methods",
+                     "closed_form,quadrature,monte_carlo", "--mc-samples", "1000"]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 9
+        points = json.load(open(out + ".manifest.json"))["points"]
+        for row, point in zip(rows, points):
+            if row["method"] == "monte_carlo":
+                assert 0.0 <= float(row["p_out"]) <= 1.0
+                assert point["error"] is None
+                continue
+            assert math.isnan(float(row["p_out"])) and math.isnan(float(row["err_est"]))
+            kind, text = {"closed_form": ("NonConvergenceError", "no window"),
+                          "quadrature": ("QuadratureError", "outside the clamp")}[row["method"]]
+            assert point["error"]["type"] == kind
+            assert text in point["error"]["message"]
+        assert "6 of 9 cells raised a numerical error" in capsys.readouterr().err
+
     def test_each_point_is_built_once(self, tmp_path, monkeypatch):
         built = []
         from_direct_snr = SystemConfig.from_direct_snr

@@ -556,7 +556,7 @@ def test_exponential_factor_matches_mpmath(xi):
         if got is not None:
             assert float(abs(got[0] * mpmath.exp(got[1]) / ref - 1)) <= got[2], ln_z
         for ln_g, est in (sf.folded_gg_factor_log(1.0, xi2, 1, ln_z),
-                          sf._exp_factor_integral(xi2, ln_z)):
+                          [v[0] for v in sf._exp_factor_integral(xi2, np.array([ln_z]))]):
             real = float(abs(mpmath.exp(ln_g) / ref - 1))
             assert real <= est <= 1e-12, ln_z
     # the ladders of Gamma(1 - s) and Gamma(-s), and the one pole of 1 / (xi^2 - s)
@@ -589,11 +589,11 @@ def test_series_eval_reports_a_non_finite_peak_as_unknown():
     tab = sf._SeriesTable(SPEC_EXP, 8)
     zero, ln_z = tab.logc.copy(), 0.5
     tab.logc = np.full_like(zero, -np.inf)
-    assert sf._series_eval(tab, ln_z) == (0.0, -np.inf, 0.0, True)
+    assert sf._series_eval(tab, np.array([ln_z, -ln_z])) == [(0.0, -np.inf, 0.0, True)] * 2
     for bad in (np.nan, np.inf):
         tab.logc = zero.copy()
         tab.logc[3] = bad
-        assert sf._series_eval(tab, ln_z)[2] == np.inf
+        assert [row[2] for row in sf._series_eval(tab, np.array([ln_z, -ln_z]))] == [np.inf] * 2
 
 
 # The closed form's folded GG factor at three sweep points whose G-form
@@ -660,7 +660,7 @@ def test_folded_series_estimate_bounds_its_error(key, gamma_th, k):
         sign, logabs, rel_est = got
         real = float(abs(sign * mpmath.exp(logabs) / ref - 1))
         assert real <= rel_est <= REL_TOL
-    for ln_g, est in (sf._gg_factor_integral(a, xi2, c, ln_z),
+    for ln_g, est in ([v[0] for v in sf._gg_factor_integral(a, xi2, c, np.array([ln_z]))],
                       sf.folded_gg_factor_log(a, xi2, c, ln_z)):
         real = float(abs(mpmath.exp(ln_g) / ref - 1))
         assert real <= est <= 1e-12
@@ -699,7 +699,8 @@ def test_real_line_factor_takes_a_real_exponent(key):
     assert egg.c != math.floor(egg.c)
     ln_z = egg.c * (math.log(1000.0 * cfg.c_const / (cfg.rho * cfg.mu1))
                     - math.log(egg.b * pointing.a0))
-    ln_g, est = sf._gg_factor_integral(egg.a, pointing.xi2, egg.c, ln_z)
+    ln_g, est = [v[0] for v in sf._gg_factor_integral(egg.a, pointing.xi2, egg.c,
+                                                       np.array([ln_z]))]
     ref = _mpmath_real_line_factor(egg.a, pointing.xi2, egg.c, ln_z)
     real = float(abs(mpmath.expm1(ln_g - ref)))
     assert real <= est <= 1e-12
@@ -753,7 +754,7 @@ def test_series_table_is_sized_to_the_argument(monkeypatch):
             served += 1
             doubled += len(built) > 1
             assert built[-1].s.size <= most, ln_z
-            sign, logabs, rel, tail_ok = sf._series_eval(ref_tab, float(ln_z))
+            (sign, logabs, rel, tail_ok), = sf._series_eval(ref_tab, np.array([ln_z]))
             assert tail_ok and (got[0], got[1]) == (sign, logabs), ln_z
             assert abs(got[2] - rel) <= 1e-15 * rel, ln_z
     assert served >= 200 and doubled == 1
@@ -762,14 +763,36 @@ def test_series_table_is_sized_to_the_argument(monkeypatch):
 def test_trapezoid_rule_refuses_a_window_past_its_cap_before_evaluating():
     calls = []
 
-    def log_f(u):
+    def log_f(u, which):
         calls.append(u.size)
         return -u * u, np.abs(u * u)
 
+    # one integral of the batch past the cap refuses them all
     with pytest.raises(NonConvergenceError):
-        sf._trapezoid_log(log_f, -8.0, 8.0, sf._TRAPEZOID_NODES)
+        sf._trapezoid_log(log_f, [-8.0, -8.0], [8.0, 8.0], [2, sf._TRAPEZOID_NODES])
     assert calls == []
     # at half that, the first call evaluates all 2n + 1 nodes and converges
-    ln_i, rel = sf._trapezoid_log(log_f, -8.0, 8.0, sf._TRAPEZOID_NODES // 2)
+    ln_i, rel = sf._trapezoid_log(log_f, [-8.0], [8.0], [sf._TRAPEZOID_NODES // 2])
     assert calls == [sf._TRAPEZOID_NODES + 1]
-    assert abs(math.expm1(ln_i - 0.5 * math.log(math.pi))) <= 1e-14 + rel
+    assert abs(math.expm1(ln_i[0] - 0.5 * math.log(math.pi))) <= 1e-14 + rel[0]
+
+
+def test_trapezoid_rule_refines_only_the_integrals_still_open():
+    # exp(-u^2 / s^2) on [-8, 8] for s = 1 and 0.3, from 32 and 2 intervals:
+    # the first converges on the first call, the second takes more, whose
+    # nodes are its own midpoints only; each result is the one it gets alone
+    widths = np.array([1.0, 0.3])
+    calls = []
+
+    def log_f(u, which):
+        calls.append(np.bincount(which, minlength=2).tolist())
+        return -(u / widths[which]) ** 2, (u / widths[which]) ** 2
+
+    ln_i, rel = sf._trapezoid_log(log_f, [-8.0, -8.0], [8.0, 8.0], [32, 2])
+    assert calls[0] == [65, 5]
+    assert len(calls) >= 4 and all(count[0] == 0 for count in calls[1:])
+    for k, n in enumerate((32, 2)):
+        assert abs(math.expm1(ln_i[k] - math.log(widths[k] * math.sqrt(math.pi)))) \
+            <= 1e-14 + rel[k]
+        alone = sf._trapezoid_log(lambda u, which: log_f(u, which + k), [-8.0], [8.0], [n])
+        assert (alone[0][0], alone[1][0]) == (ln_i[k], rel[k])

@@ -341,36 +341,38 @@ def test_closed_form_builds_no_table_that_cannot_serve(monkeypatch):
 
 
 def test_real_line_factors_take_one_integrand_sweep_each(monkeypatch):
-    # on the mapped axis the first rule (a step in t from the strip where
-    # the integrand stays below its peak) already meets the 1e-14 agreement
-    # test; a uniform step in v took 70 sweeps and 23,495 nodes here
+    # the relay factors of one branch that the series refuses share one
+    # trapezoid rule, and on the mapped axis its first rule (a step in t from
+    # the strip where the integrand stays below its peak) already meets the
+    # 1e-14 agreement test: one integrand sweep per (point, branch), 31 for
+    # the sweep's 80 real-line factors (80 sweeps one factor at a time); a
+    # uniform step in v took 70 sweeps and 23,495 nodes for the 35
+    # generalized-gamma factors alone
     calls = _cf_sweep_calls(monkeypatch)
     real_factor, real_rule = sf._gg_factor_integral, sf._trapezoid_log
-    tallies = []  # [log_f calls, nodes] per real-line factor
+    tally = {"gg": 0, "integrals": 0, "sweeps": 0, "nodes": 0}
 
-    def factor(*args):
-        tally = [0, 0]
+    def factor(a, xi2, c, ln_z):
+        tally["gg"] += ln_z.size
+        return real_factor(a, xi2, c, ln_z)
 
-        def rule(log_f, lo, hi, n):
-            def counted(t):
-                tally[0] += 1
-                tally[1] += t.size
-                return log_f(t)
-            return real_rule(counted, lo, hi, n)
+    def rule(log_f, lo, hi, n):
+        tally["integrals"] += len(lo)
 
-        monkeypatch.setattr(sf, "_trapezoid_log", rule)
-        try:
-            return real_factor(*args)
-        finally:
-            monkeypatch.setattr(sf, "_trapezoid_log", real_rule)
-            tallies.append(tally)
+        def counted(t, which):
+            tally["sweeps"] += 1
+            tally["nodes"] += t.size
+            return log_f(t, which)
+
+        return real_rule(counted, lo, hi, n)
 
     monkeypatch.setattr(sf, "_gg_factor_integral", factor)
+    monkeypatch.setattr(sf, "_trapezoid_log", rule)
     for _, cfg, q in calls:
         outage_closed_form(cfg, q)
-    assert len(tallies) == 35
-    assert all(sweeps == 1 for sweeps, _ in tallies), tallies
-    assert sum(nodes for _, nodes in tallies) <= 23495 // 2
+    assert (tally["gg"], tally["integrals"]) == (35, 80), tally
+    assert tally["sweeps"] <= 31, tally
+    assert tally["nodes"] <= 23495 // 2, tally
 
 
 def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
@@ -380,8 +382,8 @@ def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
     cfg, q = grid_cfg("salty/4.7"), OutageQuery(10.0)
     base = outage_closed_form(cfg, q)
     real = system.folded_gg_factor_log
-    monkeypatch.setattr(system, "folded_gg_factor_log",
-                        lambda *args: (real(*args)[0], 1e-7))
+    monkeypatch.setattr(system, "folded_gg_factor_log", lambda a, xi2, c, ln_z: (
+        real(a, xi2, c, ln_z)[0], np.full(ln_z.shape, 1e-7)))
     loose = outage_closed_form(cfg, q)
     assert loose.value == base.value
     assert loose.err_est >= 500.0 * base.err_est
@@ -390,7 +392,8 @@ def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
 def test_a_nan_outage_is_refused(monkeypatch):
     # NaN fails every comparison, so a clamp test of the form "v < 0" passed it on
     import rfuowc.system as system
-    monkeypatch.setattr(system, "folded_gg_factor_log", lambda *args: (math.nan, 0.0))
+    monkeypatch.setattr(system, "folded_gg_factor_log", lambda a, xi2, c, ln_z: (
+        np.full(ln_z.shape, math.nan), np.zeros(ln_z.shape)))
     with pytest.raises(CapabilityError, match="nan"):
         outage_closed_form(grid_cfg(), OutageQuery(10.0))
 
@@ -451,7 +454,8 @@ def test_quadrature_takes_about_one_sweep_a_point(monkeypatch, floor_c):
 def test_refusal_names_the_threshold_it_applies(monkeypatch):
     # salty/7.1 at gamma_th = 1000: the series refuses the first relay
     # term's folded factor, so the real-line value is checked and refused
-    monkeypatch.setattr(sf, "_gg_factor_integral", lambda *args: (0.0, 1e-3))
+    monkeypatch.setattr(sf, "_gg_factor_integral", lambda a, xi2, c, ln_z: (
+        np.zeros(ln_z.shape), np.full(ln_z.shape, 1e-3)))
     with pytest.raises(sf.NonConvergenceError, match="1.00e-06"):
         outage_closed_form(grid_cfg("salty/7.1"), OutageQuery(1000.0))
     monkeypatch.setattr(sf, "_mb_eval", lambda *args: (1.0, 0.0, 1e-3))
@@ -698,6 +702,65 @@ def test_closed_form_answers_or_refuses_every_point_of_the_off_preset_box():
     # a table whose rounding estimate alone is past the tolerance is refused,
     # not doubled: 116 builds when it was doubled
     assert sf._series_table.cache_info().misses <= 107
+
+
+def _factor_batches(monkeypatch, points):
+    """(a, xi2, c, ln_z) of each call of folded_gg_factor_log that the
+    closed form makes at points, a sequence of (config, query)."""
+    import rfuowc.system as system
+    real, batches = system.folded_gg_factor_log, []
+
+    def recording(a, xi2, c, ln_z):
+        batches.append((a, xi2, c, ln_z))
+        return real(a, xi2, c, ln_z)
+
+    monkeypatch.setattr(system, "folded_gg_factor_log", recording)
+    for cfg, q in points:
+        try:
+            outage_closed_form(cfg, q)
+        except CapabilityError:
+            pass
+    monkeypatch.setattr(system, "folded_gg_factor_log", real)
+    return batches
+
+
+def _grid_points():
+    """The closed form's grid: 6 presets, both pointings, mu1 = 1e2 and 1e4,
+    gamma_th = 1, 10 and 100, N = 1, 3, 8 and 16 (288 points)."""
+    return [(grid_cfg(key, mu1, n, pointing), OutageQuery(gth)) for key in WATER_PRESETS
+            for pointing in (WEAK, STRONG) for mu1 in (1e2, 1e4) for n in (1, 3, 8, 16)
+            for gth in (1.0, 10.0, 100.0)]
+
+
+# the factors the closed form evaluates at each set of points, and how many
+# of them take the real-line form
+@pytest.mark.parametrize("points,factors,real_line", (
+    ("sweep", 270, 80), ("grid", 3360, 767), ("box", 2304, 1037)))
+def test_a_batched_factor_is_each_of_its_batches_of_one(monkeypatch, points, factors,
+                                                         real_line):
+    # the box slice: N = 8 and 64 at c = 35.74 (floored to 35), xi = 1.5 and
+    # 2 (an integer xi^2)
+    if points == "sweep":
+        where = [(cfg, q) for _, cfg, q in _cf_sweep_calls(monkeypatch)]
+    elif points == "grid":
+        where = _grid_points()
+    else:
+        where = [(cfg, q) for point, cfg, q in _box_points()
+                 if point[1] == 35.74 and point[2] in (1.5, 2.0) and point[3] in (8, 64)]
+    counts = [0, 0]
+    for a, xi2, c, ln_z in _factor_batches(monkeypatch, where):
+        ln_g, est = sf.folded_gg_factor_log(a, xi2, c, ln_z)
+        for k, one_z in enumerate(ln_z.tolist()):
+            one = sf.folded_gg_factor_log(a, xi2, c, one_z)
+            counts[0] += 1
+            if sf._series_attempt(sf._folded_spec(a, xi2, c), one_z, sf._FACTOR_TOL):
+                assert (ln_g[k], est[k]) == one, (a, xi2, c, one_z)
+            else:
+                # ln_gamma_upper_scaled sizes its series and fraction to the
+                # whole batch, which moves the last bits
+                counts[1] += 1
+                assert abs(math.expm1(ln_g[k] - one[0])) <= max(1e-15, one[1]), one_z
+    assert counts == [factors, real_line]
 
 
 @pytest.mark.parametrize("xi,gth", [(1.5, 10.0), (5.0, 1e-9)])
