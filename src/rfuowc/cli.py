@@ -1,8 +1,8 @@
 """Command-line driver: sweeps, validation, plotting, preset listing.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.  A
-sweep cell whose method raises a typed numerical error is a NaN row, and
-the sweep still exits 0.
+A sweep runs each method over all its points through system.evaluate.  Exit
+codes: 0 success, 1 validation failure, 2 configuration error.  A sweep cell
+whose method raises a typed numerical error is a NaN row; it still exits 0.
 """
 
 from __future__ import annotations
@@ -11,21 +11,17 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import pathlib
 import sys
-import time
 from datetime import datetime, timezone
 
 from . import __version__
 from .channels import WATER_PRESETS
 from .config import ConfigError, SweepSpec, load_sweep_spec, parse_config, \
     resolve_seed
-from .mc import McConfig, mc_outage
+from .mc import McConfig
 from .plotting import PlotError, emit_plot
-from .quadrature import QuadratureError
-from .specfun import SpecfunError
-from .system import outage_closed_form, outage_quadrature
+from .system import evaluate
 from .validation import run_level
 
 EXIT_OK = 0
@@ -36,42 +32,15 @@ CSV_HEADER = ("axis", "axis_value", "method", "p_out", "err_est", "c_used",
               "elapsed_ms", "scenario")
 
 
-def _eval_point(point, method: str, mc: McConfig):
-    """One (point, method) cell: (p_out, err_est, c_used, clamped, error, ms).
-
-    A typed numerical error of the method (a SpecfunError, CapabilityError
-    among them, or a QuadratureError) makes the cell NaN, and error its type
-    and message; error is None where the method answers."""
-    system, q = point
-    t0 = time.perf_counter()
-    try:
-        if method == "monte_carlo":
-            est = mc_outage(system, q, mc)
-            out = (est.mean, est.std_err, system.egg.c, False, None)
-        else:
-            run = outage_quadrature if method == "quadrature" else outage_closed_form
-            res = run(system, q)
-            out = (res.value, res.err_est, res.c_used, res.clamped, None)
-    except (SpecfunError, QuadratureError) as exc:
-        c_used = float(math.floor(system.egg.c)) if method == "closed_form" else system.egg.c
-        out = (math.nan, math.nan, c_used, False,
-               {"type": type(exc).__name__, "message": str(exc)})
-    return (*out, (time.perf_counter() - t0) * 1e3)
-
-
 def run_sweep(spec: SweepSpec):
-    """Evaluate the sweep in this process, one (axis value, method) cell at a
-    time; rows ordered by axis value, then method order."""
-    rows = []
-    for value, point in zip(spec.values, spec.points):
-        for method in spec.methods:
-            p, err, c_used, clamped, error, ms = _eval_point(point, method, spec.mc)
-            rows.append({"axis": spec.axis, "axis_value": repr(float(value)),
-                         "method": method, "p_out": repr(float(p)),
-                         "err_est": repr(float(err)), "c_used": repr(float(c_used)),
-                         "elapsed_ms": format(ms, ".3f"), "scenario": spec.label,
-                         "clamped": bool(clamped), "error": error})
-    return rows
+    """Evaluate the sweep in this process, each method over all the points
+    through system.evaluate; rows ordered by axis value, then method order."""
+    runs = [evaluate(spec.points, method, spec.mc) for method in spec.methods]
+    return [{"axis": spec.axis, "axis_value": repr(float(value)), "method": res.method,
+             "p_out": repr(float(res.value)), "err_est": repr(float(res.err_est)),
+             "c_used": repr(float(res.c_used)), "elapsed_ms": format(res.elapsed_ms, ".3f"),
+             "scenario": spec.label, "clamped": bool(res.clamped), "error": res.error}
+            for value, *cells in zip(spec.values, *runs) for res in cells]
 
 
 def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None):

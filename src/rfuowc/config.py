@@ -20,12 +20,10 @@ from .channels import (
     WATER_PRESETS,
 )
 from .mc import McConfig
-from .system import OutageQuery, SystemConfig
+from .system import METHODS, OutageQuery, SystemConfig
 
 __all__ = ["ConfigError", "SweepSpec", "KEYS", "parse_config", "load_sweep_spec",
            "resolve_seed", "db_to_linear", "dbm_to_watts"]
-
-METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 
 class ConfigError(ValueError):

@@ -22,7 +22,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channels import EggParams, PointingParams, _whole
-from .system import SystemConfig, OutageQuery
 
 __all__ = [
     "McConfig",

@@ -3,30 +3,36 @@
 The two hops are coupled through a fixed-gain relay: the end-to-end SNR is
 g1*g2/(g2 + C) with C set by the mean selected first-hop SNR.  Outage is
 computed two ways here (a Meijer-G closed form and direct quadrature of the
-mixing integral); the Monte Carlo path lives in rfuowc.mc.
+mixing integral), and evaluate runs them and rfuowc.mc's Monte Carlo on points.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channels as ch
 from .channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams
+from .mc import McConfig, mc_outage
 from .quadrature import QuadratureError, adaptive_quad
-from .specfun import CapabilityError, MAX_INTEGER_C, folded_gg_factor_log
+from .specfun import CapabilityError, MAX_INTEGER_C, SpecfunError, folded_gg_factor_log
 
 __all__ = [
+    "METHODS",
     "SystemConfig",
     "OutageQuery",
     "OutageResult",
     "end_to_end_snr",
     "outage_closed_form",
     "outage_quadrature",
+    "evaluate",
     "flooring_gap_report",
 ]
+
+METHODS = ("closed_form", "quadrature", "monte_carlo")
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,8 @@ class OutageResult:
     err_est: float
     c_used: float
     clamped: bool = False
+    error: dict | None = None  # type and message of a typed error; value NaN
+    elapsed_ms: float | None = None  # set by evaluate
 
 
 @dataclass(frozen=True)
@@ -332,3 +340,30 @@ def flooring_gap_report(cfg: SystemConfig, q: OutageQuery) -> float:
     exact = outage_quadrature(cfg, q, floor_c=False)
     floored = outage_quadrature(cfg, q, floor_c=True)
     return abs(exact.value - floored.value)
+
+
+def evaluate(points, method: str, mc: McConfig | None = None) -> list[OutageResult]:
+    """One result per (SystemConfig, OutageQuery) of `points`, in order, by
+    `method`, one of METHODS (Monte Carlo draws `mc`'s samples; its err_est
+    is the standard error).  A typed numerical error of the method (a
+    SpecfunError, CapabilityError among them, or a QuadratureError) makes
+    that point's value and err_est NaN and its error the error's type and
+    message.  elapsed_ms times each point's own call."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    out = []
+    for cfg, q in points:
+        t0 = time.perf_counter()
+        try:
+            if method == "monte_carlo":
+                est = mc_outage(cfg, q, mc)
+                res = OutageResult(est.mean, method, est.std_err, cfg.egg.c)
+            else:
+                run = outage_closed_form if method == "closed_form" else outage_quadrature
+                res = run(cfg, q)
+        except (SpecfunError, QuadratureError) as exc:
+            c_used = float(math.floor(cfg.egg.c)) if method == "closed_form" else cfg.egg.c
+            res = OutageResult(math.nan, method, math.nan, c_used,
+                               error={"type": type(exc).__name__, "message": str(exc)})
+        out.append(replace(res, elapsed_ms=(time.perf_counter() - t0) * 1e3))
+    return out

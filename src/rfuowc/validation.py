@@ -18,14 +18,13 @@ from .channels import PointingParams, get_preset
 from .mc import McConfig, chunk_stream, mc_moments, mc_outage, sample_uowc_snr
 from .quadrature import adaptive_quad
 from .specfun import (
-    CapabilityError,
     REL_TOL,
     MeijerGSpec,
     _series_attempt,
     meijer_g,
     meijer_g_mellin_barnes,
 )
-from .system import OutageQuery, SystemConfig, flooring_gap_report, \
+from .system import METHODS, OutageQuery, SystemConfig, evaluate, flooring_gap_report, \
     outage_closed_form, outage_quadrature
 
 __all__ = ["CheckResult", "WEAK_POINTING", "STRONG_POINTING", "PRESET_KEYS",
@@ -283,51 +282,48 @@ def check_normalization() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def run_three_way(n_samples: int, seed: int = 999, subset: int | None = None):
-    """Rows of (point label, p_closed or None, p_quad, mc_estimate)."""
-    rows = []
+def check_three_way(n_samples: int, seed: int = 999,
+                    subset: int | None = None) -> list[CheckResult]:
+    """The three methods on the floored grid points.  A closed-form
+    CapabilityError (the c = 216 preset) excludes that point's closed form;
+    any other error of a method fails the check."""
     points = list(grid_points())
     if subset is not None:
         points = points[:: max(1, len(points) // subset)][:subset]
-    for key, pair_name, pointing, mu1, gth in points:
-        cfg = grid_config(key, pointing, mu1)
-        q = OutageQuery(gth)
-        try:
-            p_cf = outage_closed_form(cfg, q).value
-        except CapabilityError:
-            p_cf = None
-        p_q = outage_quadrature(cfg, q, floor_c=True).value
-        est = mc_outage(cfg, q, McConfig(n_samples=n_samples, seed=seed),
-                        floor_c=True)
-        rows.append(((key, pair_name, mu1, gth), p_cf, p_q, est))
-    return rows
-
-
-def check_three_way(n_samples: int, seed: int = 999,
-                    subset: int | None = None) -> list[CheckResult]:
-    rows = run_three_way(n_samples, seed, subset)
+    labels = [(key, pair_name, mu1, gth) for key, pair_name, _, mu1, gth in points]
+    pairs = [(grid_config(key, pointing, mu1).floored(), OutageQuery(gth))
+             for key, _, pointing, mu1, gth in points]
+    mc = McConfig(n_samples=n_samples, seed=seed)
+    runs = [evaluate(pairs, method, mc) for method in METHODS]
     out = []
-    worst_rel = 0.0
-    worst_zs = 0.0
+    worst_rel = worst_zs = 0.0
     n_closed = 0
-    for label, p_cf, p_q, est in rows:
-        if p_cf is not None and p_q >= 1e-6:
+    for label, *results in zip(labels, *runs):
+        r_cf, r_q, r_mc = results
+        for res in results:
+            if res.error is not None and (res.method, res.error["type"]) != (
+                    "closed_form", "CapabilityError"):
+                out.append(CheckResult("three-way", f"{res.method} at {label}", False,
+                                       f"{res.error['type']}: {res.error['message']}"))
+        if r_q.error is not None:
+            continue
+        p_q = r_q.value
+        if r_cf.error is None and p_q >= 1e-6:
             n_closed += 1
-            rel = abs(p_cf - p_q) / p_q
+            rel = abs(r_cf.value - p_q) / p_q
             worst_rel = max(worst_rel, rel)
             if rel > 1e-6:
                 out.append(CheckResult("three-way", f"closed vs quadrature {label}",
                                        False, f"rel {rel:.2e}"))
-        sigma = max(est.std_err,
-                    math.sqrt(p_q * (1.0 - p_q) / est.n), 1e-300)
-        zscore = abs(est.mean - p_q) / sigma
+        sigma = max(r_mc.err_est, math.sqrt(p_q * (1.0 - p_q) / n_samples), 1e-300)
+        zscore = abs(r_mc.value - p_q) / sigma
         worst_zs = max(worst_zs, zscore)
         if zscore > 3.0:
             out.append(CheckResult("three-way", f"quadrature vs MC {label}",
                                    False, f"z {zscore:.2f}"))
     out.append(CheckResult(
         "three-way",
-        f"agreement on {len(rows)} grid points ({n_closed} with closed form)",
+        f"agreement on {len(points)} grid points ({n_closed} with closed form)",
         all(r.ok for r in out),
         f"worst closed/quad rel {worst_rel:.2e}, worst |z| {worst_zs:.2f}"))
     return out

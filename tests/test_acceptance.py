@@ -11,8 +11,9 @@ import math
 import pytest
 
 from rfuowc import validation as V
-from rfuowc.channels import get_preset
+from rfuowc.channels import egg_moment, get_preset
 from rfuowc.mc import McConfig, mc_outage
+from rfuowc.quadrature import QuadratureError
 from rfuowc.specfun import CapabilityError
 from rfuowc.system import OutageQuery, outage_closed_form, outage_quadrature
 
@@ -25,35 +26,27 @@ def _report(num, title, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-@pytest.fixture(scope="module")
-def three_way_rows():
-    return V.run_three_way(n_samples=MC_SAMPLES, seed=SEED)
+def test_criterion_1_three_way_agreement():
+    results = V.check_three_way(n_samples=MC_SAMPLES, seed=SEED)
+    _report(1, "three-way outage agreement (closed/quad rel 1e-6, MC 3 sigma)",
+            all(r.ok for r in results), "; ".join(f"{r.name} {r.detail}" for r in results))
+    assert results[-1].name.startswith("agreement on 72 grid points")
 
 
-def test_criterion_1_three_way_agreement(three_way_rows):
-    worst_rel = 0.0
-    worst_z = 0.0
-    n_closed = 0
-    failures = []
-    for label, p_cf, p_q, est in three_way_rows:
-        if p_cf is not None and p_q >= 1e-6:
-            n_closed += 1
-            rel = abs(p_cf - p_q) / p_q
-            worst_rel = max(worst_rel, rel)
-            if rel > 1e-6:
-                failures.append(f"closed/quad {label} rel={rel:.2e}")
-        sigma = max(est.std_err, math.sqrt(p_q * (1 - p_q) / est.n), 1e-300)
-        z = abs(est.mean - p_q) / sigma
-        worst_z = max(worst_z, z)
-        if z > 3.0:
-            failures.append(f"MC {label} z={z:.2f}")
-    detail = (f"{len(three_way_rows)} points, {n_closed} closed-form legs; "
-              f"worst closed/quad rel {worst_rel:.2e} (tol 1e-6), "
-              f"worst MC |z| {worst_z:.2f} (tol 3)")
-    if failures:
-        detail += "; " + "; ".join(failures)
-    _report(1, "three-way outage agreement", not failures, detail)
-    assert len(three_way_rows) >= 60
+def test_criterion_1_an_error_of_a_method_fails_the_check(monkeypatch):
+    # quadrature raises at the subset's salty/7.1 point (floored c = 77)
+    def quadrature(cfg, q):
+        if cfg.egg.c == 77.0:
+            raise QuadratureError("quadrature produced 2.0, outside the clamp window")
+        return outage_quadrature(cfg, q)
+
+    monkeypatch.setattr("rfuowc.system.outage_quadrature", quadrature)
+    results = V.check_three_way(n_samples=20_000, seed=5, subset=6)
+    assert [r.line() for r in results if not r.ok] == [
+        "FAIL  three-way: quadrature at ('salty/7.1', 'weak', 100.0, 1.0)  "
+        "(QuadratureError: quadrature produced 2.0, outside the clamp window)",
+        results[-1].line()]
+    assert results[-1].name.startswith("agreement on 6 grid points")
 
 
 def test_criterion_1_cap_exclusion_is_exercised():
@@ -69,7 +62,6 @@ def test_criterion_2_moment_oracle():
     _report(2, "irradiance moment oracle (n=1,2, all presets, both pointing "
                "presets, 3 sigma)", all(r.ok for r in results), summary.detail)
     for key in V.PRESET_KEYS:
-        from rfuowc.channels import egg_moment
         assert egg_moment(0, get_preset(key).egg, V.WEAK_POINTING) == 1.0
 
 
@@ -117,7 +109,7 @@ def test_supplementary_distributional_validation():
     assert all(r.ok for r in results), results[-1].detail
 
 
-def test_supplementary_mc_convention_cross_check(three_way_rows):
+def test_supplementary_mc_convention_cross_check():
     # one grid point re-run with the exact (unfloored) exponent against
     # exact-c quadrature, closing the convention-matching loop
     cfg = V.grid_config("salty/4.7", V.STRONG_POINTING, 100.0)

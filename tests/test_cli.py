@@ -50,6 +50,12 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def sweep_rows(tmp_path, text, *extra):
+    """The rows `rfuowc sweep` writes to tmp_path/x.csv for config `text`."""
+    assert sweep_exit(tmp_path, text, *extra) == 0
+    return read_rows(tmp_path / "x.csv")
+
+
 def legend_texts(svg_path):
     """The legend entries of a rendered SVG, which must be well-formed XML."""
     texts = xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("text")
@@ -120,10 +126,7 @@ class TestConfigParsing:
 
 class TestSweepCommand:
     def test_runs_and_writes_outputs(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out = str(tmp_path / "out.csv")
-        assert main(["sweep", cfg, "--out", out]) == 0
-        rows = read_rows(out)
+        rows = sweep_rows(tmp_path, BASE_CFG)
         # one row per axis value x method, axis-major then method order
         assert [(r["axis_value"], r["method"]) for r in rows] == [
             ("1.0", "quadrature"), ("1.0", "monte_carlo"),
@@ -134,7 +137,7 @@ class TestSweepCommand:
             p = float(r["p_out"])
             assert 0.0 <= p <= 1.0
             assert r["scenario"] == "demo"
-        manifest = json.load(open(out + ".manifest.json"))
+        manifest = json.load(open(tmp_path / "x.csv.manifest.json"))
         assert manifest["seed"] == 123
         assert len(manifest["points"]) == len(rows)
         assert len(manifest["config_sha256"]) == 64
@@ -142,57 +145,35 @@ class TestSweepCommand:
         assert [p["clamped"] for p in manifest["points"]] == [False] * len(rows)
 
     def test_manifest_reports_clamped_values(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "outage_quadrature", lambda cfg, q: OutageResult(
+        monkeypatch.setattr("rfuowc.system.outage_quadrature", lambda cfg, q: OutageResult(
             value=1.0, method="quadrature", err_est=0.0, c_used=35.0, clamped=True))
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out = str(tmp_path / "out.csv")
-        assert main(["sweep", cfg, "--out", out]) == 0
-        points = json.load(open(out + ".manifest.json"))["points"]
+        sweep_rows(tmp_path, BASE_CFG)
+        points = json.load(open(tmp_path / "x.csv.manifest.json"))["points"]
         assert [(p["method"], p["clamped"]) for p in points] == [
             ("quadrature", True), ("monte_carlo", False)] * 3
-        with open(out) as fh:
+        with open(tmp_path / "x.csv") as fh:
             assert fh.readline().strip() == ",".join(cli.CSV_HEADER)
 
     def test_round_trip_precision(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out = str(tmp_path / "out.csv")
-        assert main(["sweep", cfg, "--out", out]) == 0
-        rows = read_rows(out)
-        for r in rows:
+        for r in sweep_rows(tmp_path, BASE_CFG):
             assert repr(float(r["p_out"])) == r["p_out"]
             assert repr(float(r["axis_value"])) == r["axis_value"]
 
     def test_reproducible_modulo_timing(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out1 = str(tmp_path / "a.csv")
-        out2 = str(tmp_path / "b.csv")
-        assert main(["sweep", cfg, "--out", out1]) == 0
-        assert main(["sweep", cfg, "--out", out2]) == 0
-
-        def strip_timing(path):
-            rows = read_rows(path)
-            return [{k: v for k, v in r.items() if k != "elapsed_ms"}
-                    for r in rows]
-
-        assert strip_timing(out1) == strip_timing(out2)
+        first, second = ([{k: v for k, v in r.items() if k != "elapsed_ms"}
+                          for r in sweep_rows(tmp_path, BASE_CFG)] for _ in range(2))
+        assert first == second
 
     def test_seed_precedence(self, tmp_path, monkeypatch):
         cfg_text = BASE_CFG.replace("mc.seed = 123\n", "")
-        cfg = write_cfg(tmp_path, cfg_text)
-        out = str(tmp_path / "env.csv")
         monkeypatch.setenv("RFUOWC_SEED", "777")
-        assert main(["sweep", cfg, "--out", out]) == 0
-        assert json.load(open(out + ".manifest.json"))["seed"] == 777
-        assert main(["sweep", cfg, "--out", out, "--seed", "42"]) == 0
-        assert json.load(open(out + ".manifest.json"))["seed"] == 42
+        for args, seed in (((), 777), (("--seed", "42"), 42)):
+            assert sweep_exit(tmp_path, cfg_text, *args) == 0
+            assert json.load(open(tmp_path / "x.csv.manifest.json"))["seed"] == seed
 
     def test_method_override_and_capability_nan(self, tmp_path):
         text = BASE_CFG.replace('preset = "salty/4.7"', 'preset = "fresh/16.5"')
-        cfg = write_cfg(tmp_path, text)
-        out = str(tmp_path / "cap.csv")
-        assert main(["sweep", cfg, "--out", out, "--methods", "closed_form",
-                     "--mc-samples", "1000"]) == 0
-        rows = read_rows(out)
+        rows = sweep_rows(tmp_path, text, "--methods", "closed_form", "--mc-samples", "1000")
         assert all(r["method"] == "closed_form" for r in rows)
         assert all(math.isnan(float(r["p_out"])) for r in rows)
 
@@ -201,10 +182,7 @@ class TestSweepCommand:
         # to values outside [0, 1], which it refuses as beyond its capability
         text = BASE_CFG.replace('values = "1:3"', 'values = "60:64"') \
             .replace("gamma_th = 10", "gamma_th = 1e-9")
-        cfg = write_cfg(tmp_path, text)
-        out = str(tmp_path / "relays.csv")
-        assert main(["sweep", cfg, "--out", out, "--methods", "closed_form"]) == 0
-        rows = read_rows(out)
+        rows = sweep_rows(tmp_path, text, "--methods", "closed_form")
         assert [r["axis_value"] for r in rows] == ["60.0", "61.0", "62.0", "63.0", "64.0"]
         assert all(math.isnan(float(r["p_out"])) for r in rows)
 
@@ -223,16 +201,13 @@ class TestSweepCommand:
             raise QuadratureError("quadrature produced 2.0, outside the clamp window")
 
         monkeypatch.setattr(sf, "_gg_factor_integral", no_window)
-        monkeypatch.setattr(cli, "outage_quadrature", no_quadrature)
+        monkeypatch.setattr("rfuowc.system.outage_quadrature", no_quadrature)
         text = BASE_CFG.replace('preset = "salty/4.7"', 'preset = "salty/7.1"') \
             .replace("gamma_th = 10", "gamma_th = 1000")
-        cfg = write_cfg(tmp_path, text)
-        out = str(tmp_path / "errors.csv")
-        assert main(["sweep", cfg, "--out", out, "--methods",
-                     "closed_form,quadrature,monte_carlo", "--mc-samples", "1000"]) == 0
-        rows = read_rows(out)
+        rows = sweep_rows(tmp_path, text, "--methods", "closed_form,quadrature,monte_carlo",
+                          "--mc-samples", "1000")
         assert len(rows) == 9
-        points = json.load(open(out + ".manifest.json"))["points"]
+        points = json.load(open(tmp_path / "x.csv.manifest.json"))["points"]
         for row, point in zip(rows, points):
             if row["method"] == "monte_carlo":
                 assert 0.0 <= float(row["p_out"]) <= 1.0
@@ -254,10 +229,8 @@ class TestSweepCommand:
             return from_direct_snr(**kwargs)
 
         monkeypatch.setattr(SystemConfig, "from_direct_snr", counting)
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv"), "--methods",
-                     "closed_form,quadrature,monte_carlo", "--mc-samples", "1000"]) == 0
-        assert len(read_rows(tmp_path / "x.csv")) == 9
+        assert len(sweep_rows(tmp_path, BASE_CFG, "--mc-samples", "1000", "--methods",
+                              "closed_form,quadrature,monte_carlo")) == 9
         assert built == [1, 2, 3]
 
     def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -274,17 +247,14 @@ class TestSweepCommand:
                                     "tool_version"]
 
     def test_config_error_exit_code(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG.replace('axis = "n_relays"',
-                                                   'axis = "altitude"'))
-        assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert sweep_exit(tmp_path, BASE_CFG.replace('"n_relays"', '"altitude"')) == 2
         assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
 
     def test_corrupted_preset_exit_code(self, tmp_path):
         text = BASE_CFG.replace('preset = "salty/4.7"', "\n".join([
             "egg.w = 1.5", "egg.lam = 0.4", "egg.a = 0.5", "egg.b = 1.2",
             "egg.c = 35.7"]))
-        cfg = write_cfg(tmp_path, text)
-        assert main(["sweep", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert sweep_exit(tmp_path, text) == 2
 
 
 PHYSICAL_CFG = """
@@ -320,7 +290,7 @@ def swept_systems(text, monkeypatch):
         return OutageResult(value=0.5, method="quadrature", err_est=0.0,
                             c_used=cfg.egg.c)
 
-    monkeypatch.setattr(cli, "outage_quadrature", fake_quadrature)
+    monkeypatch.setattr("rfuowc.system.outage_quadrature", fake_quadrature)
     cli.run_sweep(load_sweep_spec({**parse_config(text), "methods": "quadrature"}))
     return seen
 
@@ -582,9 +552,8 @@ class TestPlotCommand:
         assert svg.count("<polyline") == 1
 
     def test_curve_count_and_determinism(self, tmp_path):
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        out = str(tmp_path / "multi.csv")
-        assert main(["sweep", cfg, "--out", out]) == 0
+        sweep_rows(tmp_path, BASE_CFG)
+        out = str(tmp_path / "x.csv")
         svg1 = str(tmp_path / "a.svg")
         svg2 = str(tmp_path / "b.svg")
         assert main(["plot", out, svg1]) == 0
@@ -597,12 +566,11 @@ class TestPlotCommand:
     def test_label_with_comma_and_quote_survives_csv_and_plot(self, tmp_path):
         label = 'salty, "weak" #2'
         text = BASE_CFG.replace('label = "demo"', f'label = "{label}"')
-        cfg = write_cfg(tmp_path, text)
+        rows = sweep_rows(tmp_path, text, "--methods", "quadrature")
         out = str(tmp_path / "x.csv")
-        assert main(["sweep", cfg, "--out", out, "--methods", "quadrature"]) == 0
         with open(out, newline="") as fh:
             assert all(len(row) == len(cli.CSV_HEADER) for row in csv.reader(fh))
-        assert [r["scenario"] for r in read_rows(out)] == [label] * 3
+        assert [r["scenario"] for r in rows] == [label] * 3
         svg = str(tmp_path / "x.svg")
         assert main(["plot", out, svg]) == 0
         assert legend_texts(svg) == [f"{label} quadrature"]

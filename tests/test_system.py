@@ -14,14 +14,18 @@ import rfuowc.channels as ch
 from rfuowc.channels import EggParams, PointingParams, RfLinkParams, UowcLinkParams, \
     WATER_PRESETS, egg_moment, get_preset, relay_constant_c, rf_avg_power_gain, \
     rf_snr_cdf, uowc_snr_cdf
+from rfuowc.mc import McConfig, mc_outage
 from rfuowc.quadrature import QuadratureError
 import rfuowc.specfun as sf
 from rfuowc.specfun import CapabilityError
+import rfuowc.system as system
 from rfuowc.system import (
+    METHODS,
     OutageQuery,
     SystemConfig,
     _bracket,
     end_to_end_snr,
+    evaluate,
     flooring_gap_report,
     outage_closed_form,
     outage_quadrature,
@@ -378,7 +382,6 @@ def test_real_line_factors_take_one_integrand_sweep_each(monkeypatch):
 def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
     # a real-line value is accepted with an estimate up to 1e-6: the
     # outage's err_est must charge it, not the G tolerance alone
-    import rfuowc.system as system
     cfg, q = grid_cfg("salty/4.7"), OutageQuery(10.0)
     base = outage_closed_form(cfg, q)
     real = system.folded_gg_factor_log
@@ -391,7 +394,6 @@ def test_closed_form_error_carries_each_factor_estimate(monkeypatch):
 
 def test_a_nan_outage_is_refused(monkeypatch):
     # NaN fails every comparison, so a clamp test of the form "v < 0" passed it on
-    import rfuowc.system as system
     monkeypatch.setattr(system, "folded_gg_factor_log", lambda a, xi2, c, ln_z: (
         np.full(ln_z.shape, math.nan), np.zeros(ln_z.shape)))
     with pytest.raises(CapabilityError, match="nan"):
@@ -402,13 +404,53 @@ def test_closed_form_outside_the_clamp_window_names_the_methods_that_answer():
     # N = 64 at gamma_th = 1e-9: the alternating relay sum cancels to 691
     # and quadrature answers there; its own value outside the window stays
     # a QuadratureError
-    import rfuowc.system as system
     cfg, q = grid_cfg(n=64), OutageQuery(1e-9)
     with pytest.raises(CapabilityError, match="quadrature or Monte Carlo"):
         outage_closed_form(cfg, q)
     assert 0.0 < outage_quadrature(cfg, q).value < 1.0
     with pytest.raises(QuadratureError, match="quadrature produced 2.0"):
         system._finalize(2.0, "quadrature", 0.0, 1.0)
+
+
+def _bits(r):
+    return [float.hex(float(x)) for x in (r.value, r.err_est, r.c_used)], r.clamped, r.error
+
+
+@pytest.mark.parametrize("method,errors", zip(METHODS, (
+    [None, "CapabilityError", "CapabilityError", None], [None, None, None, "QuadratureError"],
+    [None] * 4)), ids=METHODS)
+def test_evaluate_over_a_list_equals_its_calls_one_point_at_a_time(monkeypatch, method, errors):
+    # fresh/16.5 (c = 216) and N = 64 at gamma_th = 1e-9 are closed-form
+    # refusals; quadrature raises at gamma_th = 3
+    def quadrature(cfg, q, real=system.outage_quadrature):
+        if q.gamma_th == 3.0:
+            raise QuadratureError("quadrature produced 2.0, outside the clamp window")
+        return real(cfg, q)
+
+    monkeypatch.setattr(system, "outage_quadrature", quadrature)
+    points = [(grid_cfg(key, n=n), OutageQuery(gth)) for key, n, gth in (
+        ("salty/4.7", 3, 10.0), ("fresh/16.5", 3, 10.0), ("salty/4.7", 64, 1e-9),
+        ("salty/7.1", 3, 3.0))]
+    mc = McConfig(n_samples=20_000, seed=5)
+    results = evaluate(points, method, mc)
+    assert [_bits(res) for res in results] == [_bits(evaluate([p], method, mc)[0])
+                                               for p in points]
+    assert [res.error and res.error["type"] for res in results] == errors
+    assert all(res.method == method and res.elapsed_ms >= 0.0 for res in results)
+
+
+def test_evaluate_on_a_floored_config_equals_the_floor_c_calls():
+    cfg, q, mc = grid_cfg("salty/7.1"), OutageQuery(10.0), McConfig(n_samples=20_000, seed=5)
+    quad, sim = (evaluate([(cfg.floored(), q)], m, mc)[0]
+                 for m in ("quadrature", "monte_carlo"))
+    assert _bits(quad) == _bits(outage_quadrature(cfg, q, floor_c=True))
+    est = mc_outage(cfg, q, mc, floor_c=True)
+    assert _bits(sim)[0] == [float.hex(x) for x in (est.mean, est.std_err, 77.0)]
+
+
+def test_evaluate_refuses_an_unknown_method_before_any_point():
+    with pytest.raises(ValueError, match="method must be one of"):
+        evaluate([None], "closed-form")
 
 
 def test_quadrature_reads_one_without_a_warning_at_the_largest_thresholds():
@@ -707,7 +749,6 @@ def test_closed_form_answers_or_refuses_every_point_of_the_off_preset_box():
 def _factor_batches(monkeypatch, points):
     """(a, xi2, c, ln_z) of each call of folded_gg_factor_log that the
     closed form makes at points, a sequence of (config, query)."""
-    import rfuowc.system as system
     real, batches = system.folded_gg_factor_log, []
 
     def recording(a, xi2, c, ln_z):
@@ -793,7 +834,6 @@ def test_quadrature_finds_the_bulk_of_a_large_shape(monkeypatch, a, c):
     value, err = before[(a, c)]
     assert abs(res.value - value) <= res.err_est + err
     if (a, c) == (50.0, 35.74):
-        from rfuowc.mc import McConfig, mc_outage
         est = mc_outage(cfg, q, McConfig(n_samples=1 << 20, seed=20240717))
         assert abs(est.mean - res.value) <= 4.0 * est.std_err
 
@@ -804,7 +844,6 @@ def test_quadrature_finds_the_bulk_of_a_large_shape(monkeypatch, a, c):
     (0.05, 0.6, 2.0, 1e-9, 1), (1e-3, 35.74, 5.0, 1e-9, 64)])
 def test_box_quadrature_agrees_with_monte_carlo(a, c, xi, gth, n):
     # each point has xi = 0.3 or a c <= 0.05, the tails the old window refused
-    from rfuowc.mc import McConfig, mc_outage
     cfg, q = box_cfg(a, c, xi, n), OutageQuery(gth)
     p = outage_quadrature(cfg, q).value
     est = mc_outage(cfg, q, McConfig(n_samples=1 << 20, seed=20240717))
