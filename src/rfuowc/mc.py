@@ -6,11 +6,15 @@ independent of the analytic machinery.  The best of N relays costs one uniform
 (inverse CDF).  The turbulence takes its exponential-branch count from one
 binomial draw and builds every generalized-gamma variate from a shape-boosted
 gamma, Gamma(a) = Gamma(a + 1) * U^(1/a), in log space.
-Streams are counter-based: chunk i of a run is generated by Philox keyed with
-(seed, i), in consecutive blocks of 2^14 samples whose temporaries stay in
-cache (whole 2^18-sample chunks page-faulted their buffers in on every call).
+Chunk i of a run draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)),
+the i-th child of SeedSequence(seed).spawn, so chunks are independent,
+reproducible substreams.  Each chunk is drawn in consecutive blocks of 2^14
+samples whose temporaries stay in cache (whole 2^18-sample chunks
+page-faulted their buffers in on every call).
 Chunks run on a thread pool and are combined in chunk order, so results
-depend only on (seed, n_samples, chunk_size), never on thread count."""
+depend only on (seed, n_samples, chunk_size), never on thread count, for a
+given numpy version (numpy does not promise that Generator's distribution
+streams stay the same across versions)."""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .channels import EggParams, PointingParams, _whole
 
@@ -76,9 +80,12 @@ class McEstimate:
 
 
 def chunk_stream(seed: int, chunk_index: int) -> Generator:
-    """Independent deterministic substream for one chunk."""
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    """Independent deterministic substream for one chunk.
+
+    The chunk index is a spawn key, not a second entropy word:
+    SeedSequence([seed, i]) flattens its entropy to 32-bit words and drops
+    trailing zeros, so (2^32 + 5, 0) and (5, 1) would draw the same stream."""
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 def sample_rf_best_snr(stream: Generator, mu1: float, n_relays: int, size=None):

@@ -289,7 +289,13 @@ def check_three_way(n_samples: int, seed: int = 999,
     any other error of a method fails the check."""
     points = list(grid_points())
     if subset is not None:
-        points = points[:: max(1, len(points) // subset)][:subset]
+        # point i comes from the i-th run of `stride`, at offset 7i mod stride:
+        # the grid holds 12 points per preset, so at subset 6 the offsets
+        # 0, 7, 2, 9, 4, 11 give each preset its own (pointing, mu1, threshold)
+        # and the six cover both pointings, both mu1 and all three thresholds
+        stride = max(1, len(points) // subset)
+        points = [points[stride * i + (7 * i) % stride]
+                  for i in range(min(subset, len(points)))]
     labels = [(key, pair_name, mu1, gth) for key, pair_name, _, mu1, gth in points]
     pairs = [(grid_config(key, pointing, mu1).floored(), OutageQuery(gth))
              for key, _, pointing, mu1, gth in points]

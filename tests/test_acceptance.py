@@ -6,6 +6,7 @@ few minutes; everything is deterministic except for nothing (seeds are
 pinned).
 """
 
+import ast
 import math
 
 import pytest
@@ -43,10 +44,26 @@ def test_criterion_1_an_error_of_a_method_fails_the_check(monkeypatch):
     monkeypatch.setattr("rfuowc.system.outage_quadrature", quadrature)
     results = V.check_three_way(n_samples=20_000, seed=5, subset=6)
     assert [r.line() for r in results if not r.ok] == [
-        "FAIL  three-way: quadrature at ('salty/7.1', 'weak', 100.0, 1.0)  "
+        "FAIL  three-way: quadrature at ('salty/7.1', 'strong', 100.0, 10.0)  "
         "(QuadratureError: quadrature produced 2.0, outside the clamp window)",
         results[-1].line()]
     assert results[-1].name.startswith("agreement on 6 grid points")
+
+
+def test_criterion_1_fast_subset_covers_the_grid(monkeypatch):
+    # quadrature raises everywhere, so each subset point names itself in a FAIL row
+    def quadrature(cfg, q):
+        raise QuadratureError("probe")
+
+    monkeypatch.setattr("rfuowc.system.outage_quadrature", quadrature)
+    results = V.check_three_way(n_samples=1_000, seed=5, subset=6)
+    labels = [ast.literal_eval(r.name.removeprefix("quadrature at ")) for r in results[:-1]]
+    assert len(labels) == 6
+    keys, pointings, mu1s, gths = (set(column) for column in zip(*labels))
+    assert keys == set(V.PRESET_KEYS)
+    assert pointings == {"weak", "strong"}
+    assert mu1s == set(V.GRID_MU1)
+    assert gths == set(V.GRID_GAMMA_TH)
 
 
 def test_criterion_1_cap_exclusion_is_exercised():

@@ -63,6 +63,24 @@ class TestStreams:
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("a, b", [((2 ** 32 + 5, 0), (5, 1)), ((1, 2), (2, 1))])
+    def test_stream_keys_do_not_alias(self, a, b):
+        # SeedSequence([seed, chunk]) splits its entropy into 32-bit words and
+        # drops trailing zero words, so it draws one stream for (2^32 + 5, 0)
+        # and (5, 1)
+        assert not np.array_equal(chunk_stream(*a).random(4), chunk_stream(*b).random(4))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_run(self, seed):
+        est = mc_outage(grid_cfg(), OutageQuery(10.0), McConfig(n_samples=1_000, seed=seed))
+        assert 0.0 < est.mean < 1.0
+
+    def test_estimate_is_pinned(self):
+        # moves only when the streams or the samplers change, which is then on purpose
+        est = mc_outage(grid_cfg(), OutageQuery(10.0),
+                        McConfig(n_samples=100_000, seed=27, chunk_size=30_000))
+        assert est.mean.hex() == "0x1.fbe22e5de15cap-2"  # 49,598 hits
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(n_samples=0)
