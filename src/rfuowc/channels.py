@@ -79,9 +79,11 @@ class EggParams:
 
     @property
     def branches(self):
-        """The mixture as two generalized-gamma branches (weight, a, b, c):
-        an exponential of scale lam is the one with a = c = 1 and b = lam."""
-        return ((self.w, 1.0, self.lam, 1.0), (1.0 - self.w, self.a, self.b, self.c))
+        """The mixture's generalized-gamma branches (weight, a, b, c) of
+        positive weight: an exponential of scale lam is the one with a = c = 1
+        and b = lam."""
+        return tuple(br for br in ((self.w, 1.0, self.lam, 1.0),
+                                   (1.0 - self.w, self.a, self.b, self.c)) if br[0] > 0.0)
 
 
 @dataclass(frozen=True)

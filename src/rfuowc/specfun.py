@@ -571,12 +571,7 @@ class _SeriesTable:
     is c z^s P(ln z), P the coefficient of e^-1 in K(s + e) z^e / c in powers
     of ln z: the columns of poly (polyabs: the moduli summed into each), by
     power series in e (Luke, The Special Functions and Their Approximations,
-    vol. 1, 5.2).
-
-    Every ladder's poles sit in one array, and each factor is evaluated once
-    over all of them.  A pole's sums take its own ladder's factor first, then
-    the others in ascending order, which rounds them as a ladder-by-ladder
-    build does."""
+    vol. 1, 5.2)."""
 
     __slots__ = ("s", "logc", "sign", "logsize", "poly", "polyabs", "tail_idx",
                  "degenerate")
@@ -625,16 +620,9 @@ class _SeriesTable:
             self.degenerate |= bool(gamma and power > 0 and beta > 0 and pole.any())
             terms.append((x, pole, power * la, np.abs(la)))
 
-        def in_order(parts, own):
-            """Each pole's sum of parts[f], its own ladder's part first."""
-            total = 0.0 + np.stack(parts)[own, np.arange(own.size)]
-            for f, part in enumerate(parts):
-                total = total + np.where(own == f, 0.0, part)
-            return total
-
         order = np.where(keep, order, 0.0)
-        self.logc = np.where(order > 0.0, in_order([t[2] for t in terms], ladder), -np.inf)
-        self.sign, self.logsize = sign, in_order([t[3] for t in terms], ladder)
+        self.logc = np.where(order > 0.0, sum(t[2] for t in terms), -np.inf)
+        self.sign, self.logsize = sign, sum(t[3] for t in terms)
         poly = np.tile([1.0, 0.0, 0.0], (s.size, 1))
         polyabs = poly.copy()
         multi = order >= 2.0
@@ -654,10 +642,8 @@ class _SeriesTable:
                     g2 = -g1 * g1
                 t1s.append(beta * power * g1)
                 t2s.append(0.5 * (beta * beta * power) * g2)
-            own = ladder[multi]
-            d1, d2 = in_order(t1s, own), in_order(t2s, own)
-            d1abs = in_order([np.abs(t) for t in t1s], own)
-            d2abs = in_order([np.abs(t) for t in t2s], own)
+            d1, d2 = sum(t1s), sum(t2s)
+            d1abs, d2abs = sum(map(np.abs, t1s)), sum(map(np.abs, t2s))
             # e^(r-1) coefficient of exp((d1 + ln z) e + d2 e^2)
             r3 = order[multi] == 3.0
             for cols, u1, u2 in ((poly, d1, d2), (polyabs, d1abs, d2abs)):

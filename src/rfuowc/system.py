@@ -220,7 +220,6 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     n, mu1, c_const, rho = sys_f.n_relays, sys_f.mu1, sys_f.c_const, sys_f.rho
     xi2 = pointing.xi2
     gth = q.gamma_th
-    branches = [br for br in egg.branches if br[0] > 0.0]
 
     leads = [math.comb(n - 1, k) * (-1.0) ** k / (k + 1) * math.exp(-(k + 1) * gth / mu1)
              for k in range(n)]
@@ -228,7 +227,7 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
     brackets = [0.0] * len(live)
     # each factor's error, from its own estimate
     errs = []
-    for weight, a, b, c in branches:
+    for weight, a, b, c in egg.branches:
         # the argument c^c y of the folded factor, y the expression's own
         ln_z = [c * (math.log((k + 1) * gth * c_const / (rho * mu1))
                      - math.log(b * pointing.a0)) for k in live]
@@ -302,12 +301,11 @@ def _knots(cfg, gth):
     knots = [u_k + t for t in (-3.0, -2.0, -1.0, 0.0)]
     knots += [u_k + t / cfg.n_relays for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     ln_zs = [-2.0 ** k for k in range(12)] + [0.0, 1.0, 2.0, 4.0]
-    for weight, a, b, c in cfg.egg.branches:
-        if weight > 0.0:
-            anchor = math.log(b * cfg.pointing.a0 * cfg.rho)
-            bulk = ([math.log(a) + t / math.sqrt(a) for t in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
-                    if a > 5.0 else [])
-            knots += [anchor + ln_z / c for ln_z in ln_zs + bulk]
+    for _, a, b, c in cfg.egg.branches:
+        anchor = math.log(b * cfg.pointing.a0 * cfg.rho)
+        bulk = ([math.log(a) + t / math.sqrt(a) for t in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
+                if a > 5.0 else [])
+        knots += [anchor + ln_z / c for ln_z in ln_zs + bulk]
     return knots
 
 
@@ -321,7 +319,7 @@ def _bracket(cfg, gth):
     left of which F1 >= (1 - e^(-40 - ln N))^N >= 1 - e^-40, so the integral
     there is F2(x_s) within e^-40 F2(x_s), plus the CDF's own error."""
     u_r, tail = -math.inf, 0.0
-    for weight, a, b, c in (br for br in cfg.egg.branches if br[0] > 0.0):
+    for weight, a, b, c in cfg.egg.branches:
         z = max(40.0, a)
         while (q := weight * math.exp((a - 1.0) * math.log(z) - z - math.lgamma(a))
                * max(1.0, z / (z - a + 1.0))) >= _TAIL:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfuowc import channels as ch
 from rfuowc.channels import (
     MAX_RELAYS,
     EggParams,
@@ -296,6 +297,21 @@ class TestOpticalSnrDistribution:
             PointingParams(a0=1.2, xi=1.0)
         with pytest.raises(ValueError):
             UowcLinkParams(eta=1.0, p2=1.0, n0=0.0, pr=1.0)
+
+    @pytest.mark.parametrize("w", (0.0, 1.0))
+    def test_zero_weight_branch_is_not_evaluated(self, w, monkeypatch):
+        # at w = 0 or 1 one branch carries the whole mixture; the other's
+        # upper gamma is never computed, by the density or by the CDF
+        cfg = grid_cfg()
+        egg = replace(cfg.egg, w=w)
+        calls = []
+        real = ch.ln_gamma_upper_scaled
+        monkeypatch.setattr(ch, "ln_gamma_upper_scaled",
+                            lambda s, ln_z: calls.append(s) or real(s, ln_z))
+        x = np.geomspace(cfg.rho * 1e-3, cfg.rho * 1e3, 7)
+        _pdf_times_x(np.log(x), cfg.rho, egg, cfg.pointing)
+        uowc_snr_cdf(x, cfg.rho, egg, cfg.pointing)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_params(self, bad):

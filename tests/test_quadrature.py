@@ -39,3 +39,45 @@ def test_rule_digits_integrate_polynomials_exactly(nodes, weights, degree, tol):
 def test_error_estimate_bounds_the_error(f, exact):
     value, err = adaptive_quad(f, 0.0, 1.0)
     assert abs(value - exact) <= err
+
+
+def _count_sweeps(monkeypatch):
+    """Count _panels calls: one per refinement sweep, plus the first."""
+    sweeps = []
+    real = quadrature._panels
+    monkeypatch.setattr(quadrature, "_panels",
+                        lambda f, lo, hi: sweeps.append(len(lo)) or real(f, lo, hi))
+    return sweeps
+
+
+def test_unreachable_target_stops_at_the_panel_budget(monkeypatch):
+    # every panel stays above a zero target, so each sweep bisects them all:
+    # 1, 2, 4, .. 4096 panels in 13 sweeps
+    sweeps = _count_sweeps(monkeypatch)
+    with pytest.raises(QuadratureError, match="after 4096 panels"):
+        adaptive_quad(np.exp, 0.0, 1.0, epsabs=0.0, epsrel=0.0)
+    assert sweeps == [2 ** k for k in range(13)]
+
+
+def test_each_sweep_splits_every_panel_above_its_share(monkeypatch):
+    # a square-root kink at 0.3: the panels round it are split sweep after
+    # sweep, the smooth ones are not
+    sweeps = _count_sweeps(monkeypatch)
+    nodes = []
+
+    def f(x):
+        nodes.append(x.size)
+        return np.sqrt(np.abs(x - 0.3))
+
+    value, err = adaptive_quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    assert len(sweeps) == 30
+    assert sum(nodes) == 1365
+    assert abs(value - 2.0 / 3.0 * (0.3 ** 1.5 + 0.7 ** 1.5)) <= err
+
+
+def test_the_last_sweep_may_pass_the_panel_budget():
+    # 3000 seeded panels are below the budget, so one more sweep runs, and it
+    # splits all of them
+    with pytest.raises(QuadratureError, match="after 6000 panels"):
+        adaptive_quad(np.exp, 0.0, 1.0, epsabs=0.0, epsrel=0.0,
+                      points=np.linspace(0.0, 1.0, 3001))
