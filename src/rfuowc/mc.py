@@ -6,6 +6,15 @@ independent of the analytic machinery.  The best of N relays costs one uniform
 (inverse CDF).  The turbulence takes its exponential-branch count from one
 binomial draw and builds every generalized-gamma variate from a shape-boosted
 gamma, Gamma(a) = Gamma(a + 1) * U^(1/a), in log space.
+mc_outage draws what sample_rf_best_snr and sample_uowc_snr draw, in their
+order, and counts the outage event g1 g2 / (g2 + C) < gamma_th in the log
+domain: with g1 = -mu1 ln(1 - R) and L = ln g2 = ln(rho a0) + ln(1 - u)/xi^2
+plus ln(lam E) on the exponential branch or ln b + (ln G + ln(1 - V)/a)/c on
+the generalized-gamma one, it is ln(1 - R) > -(gamma_th/mu1)(1 + C e^-L),
+tested as -gamma_th/mu1 - ln(1 - R) < e^(ln(gamma_th C/mu1) - L) on block
+buffers updated in place.  At g2 = 0 (L = -inf), and where e^-L overflows,
+the right side is inf and the sample counts, as g2 = 0 counts in the linear
+test; where e^-L underflows the test is g1 < gamma_th, as it is there.
 Chunk i of a run draws from SFC64 seeded by SeedSequence(seed, spawn_key=(i,)),
 the i-th child of SeedSequence(seed).spawn, so chunks are independent,
 reproducible substreams.  Each chunk is drawn in consecutive blocks of 2^14
@@ -88,14 +97,51 @@ def chunk_stream(seed: int, chunk_index: int) -> Generator:
     return Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
+def _best_of_n_tail(u, n_relays):
+    """ln(1 - R) at the best-of-N level R = min(U^(1/N), 1 - 2^-53) of the
+    uniforms u: in place on an array, a new value for a float.  The first-hop
+    SNR is -mu1 ln(1 - R), the inverse of its CDF (1 - e^{-x/mu1})^N at U:
+    log1p keeps the lower tail exact, and R below one keeps it finite."""
+    u **= 1.0 / n_relays
+    out = u if isinstance(u, np.ndarray) else None
+    return np.log1p(np.negative(np.minimum(u, _BELOW_ONE, out=out), out=out), out=out)
+
+
+def _draw_turbulence(stream, egg: EggParams, out, scratch) -> int:
+    """Draw out.size turbulence samples into out in raw form and return the
+    exponential-branch count k, one Binomial(out.size, w) draw: out[:k] holds
+    standard exponentials E (irradiance lam E), out[k:] generalized-gamma
+    exponents ln(X) / c (irradiance b e^(ln(X) / c)).  scratch holds the
+    out.size - k boost uniforms."""
+    n = out.size
+    n_exp = int(stream.binomial(n, egg.w))
+    stream.standard_exponential(out=out[:n_exp])
+    # Gamma(a) = Gamma(a + 1) * U^(1/a), folded in log space: a plain gamma
+    # draw underflows to zero for tiny shapes
+    ln_x, boost = out[n_exp:], scratch[:n - n_exp]
+    stream.standard_gamma(egg.a + 1.0, out=ln_x)
+    np.log(ln_x, out=ln_x)
+    stream.random(out=boost)
+    np.log1p(np.negative(boost, out=boost), out=boost)
+    boost /= egg.a
+    ln_x += boost
+    ln_x /= egg.c
+    return n_exp
+
+
+def _pointing_exponent(u, xi2):
+    """ln(1 - U) / xi^2, the log of the misalignment factor over a0, at the
+    uniforms u: in place on an array, a new value for a float."""
+    out = u if isinstance(u, np.ndarray) else None
+    return np.divide(np.log1p(np.negative(u, out=out), out=out), xi2, out=out)
+
+
 def sample_rf_best_snr(stream: Generator, mu1: float, n_relays: int, size=None):
     """Best-of-N first-hop SNR, the max of N exponentials of mean mu1, drawn
-    by inverting its CDF (1 - e^{-x/mu1})^N at one uniform: log1p keeps the
-    lower tail exact, and U^(1/N) is held below one so the draw is finite."""
+    by inverting its CDF at one uniform (see _best_of_n_tail)."""
     if mu1 <= 0 or n_relays < 1:
         raise ValueError("need mu1 > 0 and n_relays >= 1")
-    root = np.minimum(stream.random(size=size) ** (1.0 / int(n_relays)), _BELOW_ONE)
-    out = -mu1 * np.log1p(-root)
+    out = -mu1 * _best_of_n_tail(stream.random(size=size), int(n_relays))
     return float(out) if size is None else out
 
 
@@ -108,21 +154,18 @@ def sample_egg_irradiance(stream: Generator, egg: EggParams, size=None):
     callers may take only order-free statistics of it (sums, counts, sorts),
     or combine it elementwise with independent draws."""
     n = 1 if size is None else size
-    n_exp = int(stream.binomial(n, egg.w))
     out = np.empty(n)
-    out[:n_exp] = egg.lam * stream.standard_exponential(size=n_exp)
-    # Gamma(a) = Gamma(a + 1) * U^(1/a), folded in log space: a plain gamma
-    # draw underflows to zero for tiny shapes
-    g = stream.standard_gamma(egg.a + 1.0, size=n - n_exp)
-    ln_x = np.log(g) + np.log1p(-stream.random(size=n - n_exp)) / egg.a
-    out[n_exp:] = egg.b * np.exp(ln_x / egg.c)
+    n_exp = _draw_turbulence(stream, egg, out, np.empty(n))
+    out[:n_exp] *= egg.lam
+    gg = out[n_exp:]
+    np.exp(gg, out=gg)
+    gg *= egg.b
     return float(out[0]) if size is None else out
 
 
 def sample_pointing(stream: Generator, pointing: PointingParams, size=None):
-    """Misalignment factor a0 * U^(1/xi^2)."""
-    u = stream.random(size=size)
-    out = pointing.a0 * np.exp(np.log1p(-u) / pointing.xi2)
+    """Misalignment factor a0 * U^(1/xi^2), as a0 e^(ln(1 - U) / xi^2)."""
+    out = pointing.a0 * np.exp(_pointing_exponent(stream.random(size=size), pointing.xi2))
     return float(out) if size is None else out
 
 
@@ -156,22 +199,41 @@ def _map_chunks(fn, mc: McConfig) -> list:
 
 def mc_outage(cfg: SystemConfig, q: OutageQuery, mc: McConfig,
               floor_c: bool = False) -> McEstimate:
-    """Empirical Pr[end-to-end SNR < gamma_th].
+    """Empirical Pr[end-to-end SNR < gamma_th], counted in the log domain
+    (see the module docstring) on the draws of sample_rf_best_snr and
+    sample_uowc_snr, in their order.
 
     floor_c draws the turbulence with the rounded generalized-gamma exponent
     (and the matching re-derived rho) so the estimate is comparable with the
     closed form.
     """
     sys_e = cfg.floored() if floor_c else cfg
-    mu1, c_const, n_relays = sys_e.mu1, sys_e.c_const, sys_e.n_relays
-    gth = q.gamma_th
+    egg, pointing, n_relays = sys_e.egg, sys_e.pointing, sys_e.n_relays
+    gth, mu1 = q.gamma_th, sys_e.mu1
+    # ln(gth C / mu1) less the constant part of L on each branch
+    ln_k = math.log(gth) + math.log(sys_e.c_const) - math.log(mu1)
+    ln_k -= math.log(sys_e.rho) + math.log(pointing.a0)
+    ln_k_exp, ln_k_gg = ln_k - math.log(egg.lam), ln_k - math.log(egg.b)
+    neg_k = -(gth / mu1)
 
     def hits(rng, size):
+        tail, arg, scratch = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+        below = np.empty(_BLOCK, dtype=bool)
         count = 0
-        for n in _blocks(size):
-            g1 = sample_rf_best_snr(rng, mu1, n_relays, n)
-            g2 = sample_uowc_snr(rng, sys_e, n)
-            count += int(np.count_nonzero(g1 * (g2 / (g2 + c_const)) < gth))
+        # ln 0 = -inf and e^(large) = inf are the right limits here
+        with np.errstate(divide="ignore", over="ignore"):
+            for n in _blocks(size):
+                t, y, s = tail[:n], arg[:n], scratch[:n]
+                # -gth/mu1 - ln(1 - R)
+                np.subtract(neg_k, _best_of_n_tail(rng.random(out=t), n_relays), out=t)
+                n_exp = _draw_turbulence(rng, egg, y, s)
+                ln_e = y[:n_exp]
+                np.subtract(ln_k_exp, np.log(ln_e, out=ln_e), out=ln_e)
+                np.subtract(ln_k_gg, y[n_exp:], out=y[n_exp:])
+                y -= _pointing_exponent(rng.random(out=s), pointing.xi2)
+                # (gth C / mu1) e^-L
+                np.exp(y, out=y)
+                count += int(np.count_nonzero(np.less(t, y, out=below[:n])))
         return count
 
     n = mc.n_samples

@@ -527,12 +527,18 @@ class MeijerGSpec:
     def q(self):
         return len(self.b)
 
+    @functools.cached_property
+    def _excess(self):
+        """The order excess, at least 1, and sum(B ln B) of reduced."""
+        mu = sum(self.scales) + self.q - self.m - self.p
+        return max(1, mu), sum(B * math.log(B) for B in self.scales)
+
     def reduced(self, ln_z):
         """(mu, ln_z'): the order excess sum(B) - p of the kernel, at least 1,
         and ln_z less sum(B ln B), the argument at which the kernel's growth
         and decay match those of a plain G with q - p = mu."""
-        mu = sum(self.scales) + self.q - self.m - self.p
-        return max(1, mu), ln_z - sum(B * math.log(B) for B in self.scales)
+        mu, shift = self._excess
+        return mu, ln_z - shift
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ mixing integral), and evaluate runs them and rfuowc.mc's Monte Carlo on points.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -149,14 +150,19 @@ class SystemConfig:
         """The same scenario with the generalized-gamma exponent rounded down.
 
         rho is derived anew from the rounded moments, so the three outage
-        methods can be compared on one consistent distribution.
+        methods can be compared on one consistent distribution.  A config
+        derives it once.
         """
         c_int = math.floor(self.egg.c)
         if c_int < 1:
             raise ValueError("flooring the exponent would leave c < 1")
         if self.egg.c == c_int:
             return self
-        return replace(self, egg=replace(self.egg, c=float(c_int)))
+        return self._floored
+
+    @functools.cached_property
+    def _floored(self) -> "SystemConfig":
+        return replace(self, egg=replace(self.egg, c=float(math.floor(self.egg.c))))
 
 
 def end_to_end_snr(gamma1, gamma2, c_const):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +23,17 @@ from rfuowc.system import OutageQuery, SystemConfig, outage_quadrature
 WEAK = PointingParams(a0=0.5076, xi=0.6079)
 
 
-def grid_cfg(key="salty/4.7", mu1=100.0):
-    return SystemConfig.from_direct_snr(mu1=mu1, n_relays=3,
+def grid_cfg(key="salty/4.7", mu1=100.0, n_relays=3):
+    return SystemConfig.from_direct_snr(mu1=mu1, n_relays=n_relays,
                                         egg=get_preset(key).egg,
                                         pointing=WEAK, uowc_scale=mu1)
+
+
+def mixture_cfg(w):
+    """The salty/4.7 scenario with the exponential branch's weight set to w."""
+    egg = replace(get_preset("salty/4.7").egg, w=w)
+    return SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=egg,
+                                        pointing=WEAK, uowc_scale=100.0)
 
 
 def three_sigma(mean_hat, stderr, target):
@@ -270,6 +279,109 @@ def block_sizes(size):
             for start in range(0, size, mc_module._BLOCK)]
 
 
+class ScriptedStream:
+    """Stand-in chunk stream that hands out one sample's given draws in a
+    block's order: the RF uniform, the branch count, the exponential or the
+    gamma and its boost uniform, the pointing uniform."""
+
+    def __init__(self, u_rf, branch, value, boost, u_ptr):
+        on_exp = branch == "exp"
+        self.n_exp = int(on_exp)
+        self.draws = {"random": [u_rf] + ([] if on_exp else [boost]) + [u_ptr],
+                      "exponential": [value] if on_exp else [],
+                      "gamma": [] if on_exp else [value]}
+
+    def _take(self, kind, size, out):
+        n = out.size if out is not None else 1 if size is None else size
+        vals, self.draws[kind] = self.draws[kind][:n], self.draws[kind][n:]
+        if out is not None:
+            out[:] = vals
+            return out
+        return vals[0] if size is None else np.array(vals, dtype=float)
+
+    def binomial(self, n, p):
+        return self.n_exp
+
+    def random(self, size=None, out=None):
+        return self._take("random", size, out)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._take("exponential", size, out)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        return self._take("gamma", size, out)
+
+
+class TestLogDomainBoundaries:
+    """Draws where ln g2 is -inf or e^-ln(g2) leaves the normal range: each
+    sample counts exactly where the linear test g1 g2 / (g2 + C) < gamma_th
+    does, on two chunk threads, with no RuntimeWarning."""
+
+    EGG = EggParams(w=0.5, lam=1.0, a=0.01, b=1.0, c=2.0)
+    GTH = 10.0
+
+    def linear_hit(self, cfg, sample):
+        stream = ScriptedStream(*sample)
+        with np.errstate(all="ignore"):
+            g1 = sample_rf_best_snr(stream, cfg.mu1, cfg.n_relays, 1)
+            g2 = sample_uowc_snr(stream, cfg, 1)
+            return bool(g1 * (g2 / (g2 + cfg.c_const)) < self.GTH), float(g2[0])
+
+    def kernel_hit(self, cfg, sample, monkeypatch):
+        monkeypatch.setattr(mc_module, "chunk_stream", lambda seed, i: ScriptedStream(*sample))
+        # one sample a chunk, two chunks: both pool threads run the kernel
+        mc = McConfig(n_samples=2, seed=1, chunk_size=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = mc_outage(cfg, OutageQuery(self.GTH), mc).mean
+        assert mean in (0.0, 1.0)
+        return mean == 1.0
+
+    def u_for_g1(self, cfg, g1):
+        """The RF uniform whose best-of-N SNR is g1."""
+        return (-math.expm1(-g1 / cfg.mu1)) ** cfg.n_relays
+
+    def test_zero_g2_counts(self, monkeypatch):
+        cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=self.EGG,
+                                           pointing=WEAK, uowc_scale=100.0)
+        top = 1.0 - 2.0 ** -53  # the largest uniform: the largest g1
+        samples = [
+            (top, "exp", 0.0, None, 0.3),  # E = 0: ln g2 = -inf
+            (0.3, "exp", 0.0, None, top),
+            (top, "gg", 0.0, 0.5, 0.3),  # G = 0: ln g2 = -inf
+            # ln(1 - V) / a = -3674: g2 underflows to 0, e^-ln(g2) overflows
+            (top, "gg", 1.5, top, 0.3),
+            (top, "exp", 1.0, None, 0.3),  # an ordinary g2: no hit
+        ]
+        linear = [self.linear_hit(cfg, s) for s in samples]
+        assert [g2 == 0.0 for _, g2 in linear] == [True] * 4 + [False]
+        assert [hit for hit, _ in linear] == [True] * 4 + [False]
+        assert [self.kernel_hit(cfg, s, monkeypatch) for s in samples] == \
+            [hit for hit, _ in linear]
+
+    def test_g2_whose_reciprocal_underflows(self, monkeypatch):
+        cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=self.EGG,
+                                           pointing=WEAK, uowc_scale=1e305)
+        # u_ptr = 0 makes the pointing factor a0: g2 = rho a0 lam E, or
+        # rho a0 b G^(1/c) at V = 0
+        base = cfg.rho * WEAK.a0
+        samples = []
+        # up to 9e307: rho * I, before the factor a0, stays finite
+        for g2 in (5e307, 7e307, 9e307):
+            for ratio in (0.5, 0.99, 1.01, 2.0):
+                u = self.u_for_g1(cfg, ratio * self.GTH)
+                samples.append((u, "exp", g2 / (base * self.EGG.lam), None, 0.0))
+                samples.append((u, "gg", (g2 / (base * self.EGG.b)) ** self.EGG.c, 0.0, 0.0))
+        linear = [self.linear_hit(cfg, s) for s in samples]
+        for _, g2 in linear:
+            assert math.isfinite(g2) and 0.0 < math.exp(-math.log(g2)) < np.finfo(float).tiny
+        # e^-L is below the normal range: the test is g1 < gamma_th
+        assert [hit for hit, _ in linear] == [r < 1.0 for r in (0.5, 0.99, 1.01, 2.0)
+                                              for _ in range(2)] * 3
+        assert [self.kernel_hit(cfg, s, monkeypatch) for s in samples] == \
+            [hit for hit, _ in linear]
+
+
 class TestChunkPool:
     """Chunks run on a thread pool; results must equal a plain serial loop
     that draws each chunk in the same blocks."""
@@ -280,19 +392,34 @@ class TestChunkPool:
     CONFIGS = (McConfig(n_samples=300_000, seed=41, chunk_size=65_536),
                McConfig(n_samples=300_000, seed=41, chunk_size=77_777))
 
-    def test_outage_equals_serial_loop(self):
-        cfg = grid_cfg("fresh/16.5")
-        gth = 10.0
+    # (scenario, gamma_th, floor_c): the kernel's log-domain count must equal
+    # the linear test on the samplers' draws at each
+    OUTAGE_CASES = [
+        pytest.param(grid_cfg("fresh/16.5"), 10.0, False, id="fresh/16.5"),
+        pytest.param(grid_cfg(), 10.0, False, id="exact-c"),
+        pytest.param(grid_cfg(), 10.0, True, id="floored-c"),
+        pytest.param(mixture_cfg(0.0), 10.0, False, id="w=0"),
+        pytest.param(mixture_cfg(1.0), 10.0, False, id="w=1"),
+        pytest.param(grid_cfg(), 1e-3, True, id="gth=1e-3"),
+        pytest.param(grid_cfg(), 100.0, True, id="gth=100"),
+        pytest.param(grid_cfg(n_relays=16), 10.0, True, id="N=16"),
+        pytest.param(grid_cfg(mu1=1e4), 10.0, True, id="mu1=1e4"),
+    ]
+
+    @pytest.mark.parametrize("cfg,gth,floor_c", OUTAGE_CASES)
+    def test_outage_equals_serial_loop(self, cfg, gth, floor_c):
+        sys_e = cfg.floored() if floor_c else cfg
         for mc in self.CONFIGS:
             hits = 0
             for idx, size in enumerate(mc.chunks()):
                 rng = chunk_stream(mc.seed, idx)
                 for n in block_sizes(size):
-                    g1 = sample_rf_best_snr(rng, cfg.mu1, cfg.n_relays, n)
-                    g2 = sample_uowc_snr(rng, cfg, n)
-                    geq = g1 * (g2 / (g2 + cfg.c_const))
+                    g1 = sample_rf_best_snr(rng, sys_e.mu1, sys_e.n_relays, n)
+                    g2 = sample_uowc_snr(rng, sys_e, n)
+                    geq = g1 * (g2 / (g2 + sys_e.c_const))
                     hits += int(np.count_nonzero(geq < gth))
-            est = mc_outage(cfg, OutageQuery(gth), mc)
+            assert 0 < hits < mc.n_samples
+            est = mc_outage(cfg, OutageQuery(gth), mc, floor_c=floor_c)
             assert est.mean == hits / mc.n_samples, mc.chunk_size
         assert [len(mc.chunks()) for mc in self.CONFIGS] == [5, 4]
         assert 77_777 % mc_module._BLOCK != 0
