@@ -281,8 +281,8 @@ def _branch_kernel(ln_x, rho: float, a: float, b: float, c: float,
     """ln z and z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a) of one
     generalized-gamma branch, where z = (x / (b A0 rho))^c."""
     ln_z = c * (ln_x - math.log(b * pointing.a0 * rho))
-    g = np.exp(a * ln_z + ln_gamma_upper_scaled(a - pointing.xi2 / c, ln_z)
-               - math.lgamma(a))
+    p = pointing.xi2 / c
+    g = np.exp(ln_gamma_upper_scaled(a - p, ln_z, a, p) - math.lgamma(a))
     return ln_z, g
 
 

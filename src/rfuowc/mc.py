@@ -173,7 +173,8 @@ def sample_uowc_snr(stream: Generator, cfg: SystemConfig, size=None):
     """Optical-hop SNR samples rho * I matching the analytic density."""
     it = sample_egg_irradiance(stream, cfg.egg, size)
     ip = sample_pointing(stream, cfg.pointing, size)
-    return cfg.rho * it * ip
+    # I_t I_p first: rho I_t alone can overflow where rho I_t I_p is finite
+    return cfg.rho * (it * ip)
 
 
 def _blocks(size: int):

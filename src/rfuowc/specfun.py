@@ -428,31 +428,43 @@ def _incomplete_args(s, ln_z):
     return s, ln_z, z, z > max(1.5, s + 1.0)
 
 
-def ln_gamma_upper_scaled(s, ln_z):
-    """ln(z^-s Gamma(s, z)) for one real shape s and z = exp(ln_z) > 0.
+def ln_gamma_upper_scaled(s, ln_z, a=0.0, p=None):
+    """ln(z^(a-s) Gamma(s, z)) for one real shape s, z = exp(ln_z) > 0 and
+    a caller's power a, by default 0: the scaled function ln(z^-s Gamma(s, z)).
 
-    The power factor is taken out so that a caller multiplying by z^p adds
-    p * ln_z to a log of moderate size instead of cancelling two large ones.
+    The power z^-s is taken out so that a caller multiplying by z^a adds
+    a ln z to a log of moderate size instead of cancelling two large ones;
+    the evaluator adds it itself.  Where Gamma(s, z) is Gamma(s) (1 - P(s,
+    z)), s > 1/2 below the fraction, its own power is z^0, and a caller that
+    knows p = a - s better than s = a - p rounded passes it: the value is
+    then p ln z + ln(Gamma(s) (1 - P(s, z))), with no s ln z round trip.
     Legendre continued fraction above z = max(1.5, s + 1), at the depth the
     smallest z needs; below it Gamma(s) (1 - P(s, z)) for s > 1/2, else
     _upper_small_z, series as long as the largest z needs (Gil, Segura &
     Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the float
-    range gives -inf, and z = 0 the limit: -ln(-s) for s < 0, else +inf.  A
-    non-finite s raises GammaDomainError, a NaN ln_z ValueError.
+    range gives -inf, and z = 0 at a = 0 the limit: -ln(-s) for s < 0, else
+    +inf.  A non-finite s raises GammaDomainError, a NaN ln_z ValueError.
     """
     s, ln_z, z, cf = _incomplete_args(s, ln_z)
     out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
     if cf.any():
         out[cf] = _upper_cf(s, z[cf])
     series = ~cf & (ln_z > -np.inf)
-    if not series.any():
-        return out
-    lz = ln_z[series]
-    if s > 0.5:
-        lg = math.lgamma(s)
-        out[series] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) - s * lz
-    else:
-        out[series] = _upper_small_z(s, lz)
+    scaled = slice(None)  # the elements that hold ln(z^-s Gamma(s, z))
+    if series.any():
+        lz = ln_z[series]
+        if s > 0.5:
+            lg = math.lgamma(s)
+            head = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg)))
+            if p is None:
+                out[series] = head - s * lz
+            else:
+                out[series] = head + p * lz
+                scaled = ~series
+        else:
+            out[series] = _upper_small_z(s, lz)
+    if a:
+        out[scaled] += a * ln_z[scaled]
     return out
 
 
@@ -696,11 +708,18 @@ def _series_eval(tab: _SeriesTable, ln_z):
     # rounding carried by each term is ~eps * (sum of |log factors|),
     # including the argument power, plus the cancellation inside P(ln z)
     wlog = (tab.logsize + np.abs(sz)) * absvals + excess
+    # fsum reads only the terms above 1e-30 of the row's sum of moduli: the n
+    # others add less than n 1e-30 of it, and an accepted sum (its rounding
+    # estimate within REL_TOL) is at least 8 eps / REL_TOL of it, so they
+    # cannot move its rounding but at a tie
+    sums = absvals.sum(axis=1)
+    keep = absvals > 1e-30 * sums[:, None]
+    kept, ends = vals[keep].tolist(), np.cumsum(keep.sum(axis=1)).tolist()
     out = []
-    for terms, peak, sum_abs, wl, tail_row in zip(
-            vals.tolist(), peaks, absvals.sum(axis=1).tolist(), wlog.sum(axis=1).tolist(),
-            tail.tolist()):
-        total, tail_ok = math.fsum(terms), max(tail_row, default=-np.inf) < peak - 42.0
+    for i, (peak, sum_abs, wl, tail_row) in enumerate(zip(
+            peaks, sums.tolist(), wlog.sum(axis=1).tolist(), tail.tolist())):
+        total = math.fsum(kept[ends[i - 1] if i else 0:ends[i]])
+        tail_ok = max(tail_row, default=-np.inf) < peak - 42.0
         mag = abs(total)
         out.append((0.0, -np.inf, np.inf, tail_ok) if total == 0.0 else
                    (math.copysign(1.0, total), peak + math.log(mag),

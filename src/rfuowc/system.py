@@ -255,17 +255,28 @@ def outage_closed_form(cfg: SystemConfig, q: OutageQuery) -> OutageResult:
 # quadrature
 # ---------------------------------------------------------------------------
 
-# the error target relative to |P_out|; F1 >= 1 - e^-_SATURATION left of x_s;
-# the optical CDF's accuracy, which the tests pin against mpmath; the tail
-# mass each branch may leave past x_r
-_EPSREL, _SATURATION, _CDF_RTOL, _TAIL = 3e-9, 40.0, 1e-12, 1e-18
+# the error target relative to |P_out|; the part of it that the bound left of
+# the window may take; the tail mass each branch may leave past x_r; the
+# density's relative rounding per unit of the terms its exponent adds up
+_EPSREL, _LEFT, _TAIL, _ROUNDING = 3e-9, 1e-4, 1e-18, 16 * 1.1e-16
 
 
 def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
                       floor_c: bool = False) -> OutageResult:
     """Outage probability P = int F1(gamma_th (1 + C/x)) dF2(x) of the
-    first-hop CDF F1 against the optical SNR CDF F2, on a log axis between
-    the two end pieces of _bracket, to 3e-9 |P|; err_est charges all three."""
+    first-hop CDF F1 against the optical SNR CDF F2, integrated as F1 x f2
+    on a log axis over the window [u_l, u_r] of _bracket, to 3e-9 |P|.
+
+    Left of u_l the integral is at most the closed-form bound on F2(x_l),
+    which may take 1e-4 of the target, judged against the integral itself
+    (P >= body - body_err); where it takes more, u_l moves left to where the
+    bound is half that and the window is integrated again.  err_est charges
+    the body's estimate, the left bound, F1 at x_r times the tail bound, and
+    the density's rounding: its exponent adds and cancels terms of about
+    ln Gamma(a + 1) + a on a branch of shape a, each rounded to eps of
+    itself.  F1 only falls with x, so P >= F1(x_r) (1 - tail): where that
+    is within the target of 1, P is 1 with that error, and nothing is
+    integrated."""
     sys_e = cfg.floored() if floor_c else cfg
     egg, pointing, rho = sys_e.egg, sys_e.pointing, sys_e.rho
     n, mu1, c_const = sys_e.n_relays, sys_e.mu1, sys_e.c_const
@@ -280,17 +291,35 @@ def outage_quadrature(cfg: SystemConfig, q: OutageQuery,
     def integrand(u):
         return first_hop(u) * ch._pdf_times_x(u, rho, egg, pointing)
 
-    u_s, u_r, left, left_err, tail = _bracket(sys_e, gth)
-    # F1 only falls with x, so past x_r it is at most F1 there
-    value, err = left, left_err + first_hop(u_r) * tail
-    if u_s < u_r:
-        body, body_err = adaptive_quad(integrand, u_s, u_r, epsabs=_EPSREL * left,
-                                       epsrel=_EPSREL, points=_knots(sys_e, gth))
-        value, err = value + body, err + body_err
-    return _finalize(value, "quadrature", err, sys_e.egg.c)
+    rounding = _ROUNDING * max(1.0 + a + math.lgamma(a + 1.0) for _, a, _, _ in egg.branches)
+    epsrel = (1.0 - _LEFT) * _EPSREL - rounding
+    if epsrel <= 0.0:
+        raise QuadratureError(f"the optical density's rounding, {rounding:.1e} of P, "
+                              f"leaves no room for the target {_EPSREL:.0e}")
+    u_l, u_r, left, tail = _bracket(sys_e, gth)
+    f1_r = first_hop(u_r)
+    if (miss := 1.0 - f1_r + tail) <= _EPSREL:
+        return _finalize(1.0, "quadrature", miss, sys_e.egg.c)
+    while True:
+        body, body_err = adaptive_quad(integrand, u_l, u_r, epsabs=0.0, epsrel=epsrel,
+                                       points=_knots(sys_e, gth, u_l))
+        share = _LEFT * _EPSREL * (body - body_err)
+        # a body that no double resolves has no relative target to meet
+        if left <= share or not share > 0.0:
+            break
+        u_l, _, left, _ = _bracket(sys_e, gth, 0.5 * share)
+    err = body_err + left + f1_r * tail + rounding * body
+    return _finalize(body, "quadrature", err, sys_e.egg.c)
 
 
-def _knots(cfg, gth):
+def _rate(cfg):
+    """lambda, the slowest rate in u = ln x at which F2 falls to the left:
+    each branch's F2 goes like z^a + z^(xi^2/c) there, with ln z = c u + const,
+    so lambda is the least over the branches of min(xi^2, a c)."""
+    return min(min(cfg.pointing.xi2, a * c) for _, a, _, c in cfg.egg.branches)
+
+
+def _knots(cfg, gth, u_l):
     """The first partition's breakpoints on the log axis u = ln x, placed so
     that one K15/G7 sweep meets the target on almost every point.
 
@@ -302,8 +331,13 @@ def _knots(cfg, gth):
     at ln z = -1, -2, -4, .., -2048), then the edge e^-z (knots at ln z = 0,
     1, 2, 4; Q(a, e^4) < 1e-18 for a <= 5).  For a > 5 the mass of z^a e^-z
     sits past those, at ln z = ln a, about 1/sqrt(a) wide: knots at ln a +
-    t / sqrt(a), t = -8 .. 8."""
-    u_k = math.log(gth) + math.log(cfg.c_const) - math.log(cfg.mu1)
+    t / sqrt(a), t = -8 .. 8.  Left of u_0 (_left_start) F1 is within
+    N e^-20 of 1 and F2 falls at least as fast as e^(lambda u) (_rate), so
+    the branch knots stop at u_0 - 1/lambda and the knots down to u_l are
+    u_0 - t / lambda, t = 2, 6, 11, 17, 24, ..: the panel from t, 4, 5, 6,
+    .. wide, carries about e^-t of the mass, and K15/G7 meets its share of
+    the target on an exponential of that width that far out."""
+    u_k = _knee(cfg, gth)
     knots = [u_k + t for t in (-3.0, -2.0, -1.0, 0.0)]
     knots += [u_k + t / cfg.n_relays for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     ln_zs = [-2.0 ** k for k in range(12)] + [0.0, 1.0, 2.0, 4.0]
@@ -312,18 +346,67 @@ def _knots(cfg, gth):
         bulk = ([math.log(a) + t / math.sqrt(a) for t in (-8, -4, -2, -1, 0, 1, 2, 4, 8)]
                 if a > 5.0 else [])
         knots += [anchor + ln_z / c for ln_z in ln_zs + bulk]
+    lam, u_0 = _rate(cfg), _left_start(cfg, gth)
+    knots = [u for u in knots if u >= u_0 - 1.0 / lam]
+    t, k = 2.0, 2
+    while u_0 - t / lam > u_l:
+        knots.append(u_0 - t / lam)
+        t, k = t + k + 2, k + 1
     return knots
 
 
-def _bracket(cfg, gth):
-    """The log-axis window [u_s, u_r] and its end pieces: (u_s, u_r, F2(x_s),
-    its error, a bound on 1 - F2(x_r)).  1 - F2 is below the sum of w Q(a, z)
+def _knee(cfg, gth):
+    """u_k = ln(gamma_th C / mu1), where the first hop's CDF turns."""
+    return math.log(gth) + math.log(cfg.c_const) - math.log(cfg.mu1)
+
+
+def _left_start(cfg, gth):
+    """u_0, the least of the first hop's knee less 3 and the branches'
+    anchors ln(b a0 rho): left of it F1 is within N e^-20 of 1 and z <= 1 on
+    every branch."""
+    return min([_knee(cfg, gth) - 3.0] + [math.log(b * cfg.pointing.a0 * cfg.rho)
+                                          for _, _, b, _ in cfg.egg.branches])
+
+
+def _ln_left_bound(cfg, u):
+    """ln of an upper bound on F2(e^u), where ln z <= 0 on every branch: the
+    sum over the branches (w, a, b, c) of w [z^a / Gamma(a + 1) + z^(xi^2/c)
+    g(s, z) / Gamma(a)], s = a - xi^2/c, from P(a, z) <= z^a / Gamma(a + 1)
+    and Gamma(s, z) <= g(s, z): Gamma(s) for s > 1, else (1 - z^s) / s + 1/e
+    (-ln z at s = 0), the integral of t^(s-1) over [z, 1] plus that of e^-t
+    over [1, inf) (DLMF 8.10)."""
+    xi2, terms = cfg.pointing.xi2, []
+    for w, a, b, c in cfg.egg.branches:
+        ln_z = c * (u - math.log(b * cfg.pointing.a0 * cfg.rho))
+        s = a - xi2 / c
+        y = s * ln_z
+        if s > 1.0:
+            ln_g = math.lgamma(s)
+        elif y > 1.0:  # s < 0: (e^y - 1) / -s + 1/e without overflowing e^y
+            ln_g = y - math.log(-s) + math.log1p((-s / math.e - 1.0) * math.exp(-y))
+        else:
+            ln_g = math.log(-ln_z * (math.expm1(y) / y if y else 1.0) + 1.0 / math.e)
+        terms += [math.log(w) + a * ln_z - math.lgamma(a + 1.0),
+                  math.log(w) + xi2 / c * ln_z + ln_g - math.lgamma(a)]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def _bracket(cfg, gth, share=None):
+    """The log-axis window [u_l, u_r] and its end pieces: (u_l, u_r, a bound
+    on F2(x_l), a bound on 1 - F2(x_r)).
+
+    Left of x_l the integral is at most F2(x_l), which _ln_left_bound
+    bounds.  u_l is the first point, stepping left from u_0 (_left_start) by
+    the bound's excess over `share` in units of 1/lambda (_rate), at least
+    one, at which the bound is at most share.  By default share is 1e-4 of
+    the target 3e-9 P, with P guessed from above as min(1, bound at u_0) and
+    allowed to fall 16 times below that: left of u_0 F1 is within N e^-20
+    of 1, so P is at least F2(x_0).  1 - F2 is below the sum of w Q(a, z)
     over the branches (w, a, b, c), with Gamma(a, z) <= z^(a-1) e^-z max(1,
-    z / (z - a + 1)) for z > a - 1; each branch takes the least z on a ladder
-    up from max(40, a) where that bound is below 1e-18, and x_r is the largest
-    x those z give.  x_s is the lesser of x_r and gamma_th C / (mu1 (40 + ln N)),
-    left of which F1 >= (1 - e^(-40 - ln N))^N >= 1 - e^-40, so the integral
-    there is F2(x_s) within e^-40 F2(x_s), plus the CDF's own error."""
+    z / (z - a + 1)) for z > a - 1; each branch takes the least z on a
+    ladder up from max(40, a) where that bound is below 1e-18, and x_r is the
+    largest x those z give."""
     u_r, tail = -math.inf, 0.0
     for weight, a, b, c in cfg.egg.branches:
         z = max(40.0, a)
@@ -332,10 +415,17 @@ def _bracket(cfg, gth):
             z *= 2.0 ** 0.125
         u_r = max(u_r, math.log(b * cfg.pointing.a0 * cfg.rho) + math.log(z) / c)
         tail += q
-    u_s = min(u_r, math.log(gth) + math.log(cfg.c_const)
-              - math.log(cfg.mu1 * (_SATURATION + math.log(cfg.n_relays))))
-    left = float(ch.uowc_snr_cdf(math.exp(u_s), cfg.rho, cfg.egg, cfg.pointing))
-    return u_s, u_r, left, (math.exp(-_SATURATION) + _CDF_RTOL) * left, tail
+    u_l = _left_start(cfg, gth)
+    ln_b = _ln_left_bound(cfg, u_l)
+    ln_share = (math.log(share) if share is not None else
+                math.log(_LEFT * _EPSREL / 16.0) + min(0.0, ln_b))
+    lam = _rate(cfg)
+    for _ in range(64):
+        if ln_b <= ln_share:
+            return u_l, u_r, math.exp(ln_b), tail
+        u_l -= max(1.0, ln_b - ln_share) / lam
+        ln_b = _ln_left_bound(cfg, u_l)
+    raise QuadratureError(f"no left end bounds the optical CDF below {math.exp(ln_share):.3e}")
 
 
 def flooring_gap_report(cfg: SystemConfig, q: OutageQuery) -> float:

@@ -307,7 +307,7 @@ class TestOpticalSnrDistribution:
         calls = []
         real = ch.ln_gamma_upper_scaled
         monkeypatch.setattr(ch, "ln_gamma_upper_scaled",
-                            lambda s, ln_z: calls.append(s) or real(s, ln_z))
+                            lambda s, *args: calls.append(s) or real(s, *args))
         x = np.geomspace(cfg.rho * 1e-3, cfg.rho * 1e3, 7)
         _pdf_times_x(np.log(x), cfg.rho, egg, cfg.pointing)
         uowc_snr_cdf(x, cfg.rho, egg, cfg.pointing)
@@ -372,6 +372,21 @@ class TestOpticalAgainstMpmath:
                         for got, ref in ((pdf[i], ref_pdf), (cdf[i], ref_cdf)):
                             if ref > 1e-300:
                                 assert abs(got - ref) <= 1e-12 * ref, (xi, egg.c, u)
+
+    def test_large_shape_density_keeps_its_digits(self):
+        # a = 300, c = 35, xi = 0.3: Gamma(s, z) = Gamma(s) (1 - P(s, z)) at
+        # s = a - xi^2/c; adding a ln z to ln(z^-s Gamma(s, z)) cancelled
+        # 300 ln z against itself and lost 6.5e-11 at ln z = -1000
+        mpmath = pytest.importorskip("mpmath")
+        egg = EggParams(w=0.0, lam=0.3953, a=300.0, b=1.2154, c=35.0)
+        pointing, rho = PointingParams(a0=0.5076, xi=0.3), 100.0
+        ln_z = np.array([-1000.0, -300.0, -100.0, -10.0, -1.0, 0.0, 4.0, 5.5, 5.7, 5.8])
+        ln_x = ln_z / egg.c + math.log(egg.b * pointing.a0 * rho)
+        got = _pdf_times_x(ln_x, rho, egg, pointing)
+        with mpmath.workdps(30):
+            for u, g in zip(ln_x, got):
+                ref = _mp_optical(mpmath, u, rho, egg, pointing)[0]
+                assert abs(g - ref) <= 1e-12 * ref, u
 
     def test_cdf_formula_differentiates_to_pdf(self):
         # the CDF comes from integrating the density by parts; check that

@@ -382,6 +382,17 @@ class TestLogDomainBoundaries:
             [hit for hit, _ in linear]
 
 
+    def test_optical_snr_near_the_largest_double_is_finite(self):
+        # g2 = rho I_t I_p = 1.7e308 with I_p = a0 < 1: rho I_t alone is
+        # 3.3e308, past the largest double, so I_t I_p is formed first
+        cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=self.EGG,
+                                           pointing=WEAK, uowc_scale=1e305)
+        assert cfg.rho * self.EGG.lam * 1.7e308 / (cfg.rho * WEAK.a0) == math.inf
+        value = 1.7e308 / (cfg.rho * WEAK.a0 * self.EGG.lam)
+        _, g2 = self.linear_hit(cfg, (0.5, "exp", value, None, 0.0))
+        assert g2 == pytest.approx(1.7e308, rel=1e-15)
+
+
 class TestChunkPool:
     """Chunks run on a thread pool; results must equal a plain serial loop
     that draws each chunk in the same blocks."""

@@ -601,16 +601,20 @@ def _mp_first_hop_miss(u, cfg, gth):
 def _mp_outage(cfg, gth):
     """The mixing integral in mpmath, cut on its own terms: left of
     x_l = gamma_th C / (60 mu1 - gamma_th) it is F2(x_l) to within N e^-60,
-    and each branch's mass past its anchor plus ln(80) / c is at most Q(a, 80)."""
+    and each branch's mass past ln z = ln(80 + 2a) is at most Q(a, 80 + 2a),
+    below e^-40; a branch of a > 5 gets knots on its bulk at ln z = ln a."""
     import mpmath
     mpf = mpmath.mpf
     gth_mp, cc, mu1 = mpf(gth), mpf(cfg.c_const), mpf(cfg.mu1)
     u_l = mpmath.log(gth_mp * cc / (60 * mu1 - gth_mp))
     ends, knots = [], {u_l + 2, u_l + 4}
-    for _, _, b, c in cfg.egg.branches:
+    for _, a, b, c in cfg.egg.branches:
         anchor = mpmath.log(mpf(b) * mpf(cfg.pointing.a0) * mpf(cfg.rho))
-        ends.append(anchor + mpmath.log(80) / c)
+        ends.append(anchor + mpmath.log(80 + 2 * mpf(a)) / c)
         knots.update(anchor + k for k in (-4, -2, -1, 0, 1, 2))
+        if a > 5:
+            knots.update(anchor + (mpmath.log(a) + t / mpmath.sqrt(a)) / c
+                         for t in (-8, -4, -2, -1, 0, 1, 2, 4, 8))
     pts = [u_l] + sorted(k for k in knots if u_l < k < max(ends)) + [max(ends)]
     xi2 = mpf(cfg.pointing.xi) ** 2
 
@@ -626,23 +630,20 @@ class TestBracket:
     @pytest.mark.parametrize("key", sorted(WATER_PRESETS))
     @pytest.mark.parametrize("pointing", (WEAK, STRONG), ids=("weak", "strong"))
     def test_window_leaves_out_no_more_than_it_claims(self, key, pointing, mu1):
-        # left of x_s the integral is within [(1 - miss(x_s)) F2, F2] in
-        # mpmath, F1 only falling with x; that range must lie inside the
-        # left piece's claim.  Right of x_r the optical mass, in mpmath, must
-        # be within the bound, which is below 1e-18 per branch
+        # left of x_l the integral is at most F2(x_l), F1 being at most 1: in
+        # mpmath that must be within the charged bound, and the bound within
+        # its 1e-4 share of the target 3e-9 P.  Right of x_r the optical
+        # mass, in mpmath, must be within the bound, below 1e-18 per branch
         mpmath = pytest.importorskip("mpmath")
         cfg = grid_cfg(key, mu1=mu1, pointing=pointing)
         with mpmath.workdps(30):
             for sys_ in (cfg, cfg.floored()):
                 for gth in (1e-9, 1.0, 100.0, 1e4):
-                    u_s, u_r, left, left_err, tail = _bracket(sys_, gth)
-                    f2 = _mp_cdf(mpmath.mpf(u_s), sys_)
-                    miss = _mp_first_hop_miss(mpmath.mpf(u_s), sys_, gth)
-                    assert miss <= math.exp(-40.0)
-                    assert left - left_err <= (1 - miss) * f2 <= f2 <= left + left_err, gth
-                    assert left_err <= 2e-12 * left
+                    u_l, u_r, left, tail = _bracket(sys_, gth)
+                    assert 0 < _mp_cdf(mpmath.mpf(u_l), sys_) <= left, gth
+                    assert left <= 1e-4 * 3e-9 * outage_quadrature(sys_, OutageQuery(gth)).value
                     assert 0 <= _mp_tail(mpmath.mpf(u_r), sys_) <= tail <= 2e-18
-                    assert u_s < u_r
+                    assert u_l < u_r
 
 
 @pytest.mark.parametrize("a", (1e-3, 0.05, 0.5307, 1.0, 5.0, 20.0, 300.0))
@@ -654,25 +655,88 @@ def test_tail_bound_covers_the_upper_incomplete_gamma(a):
     egg = EggParams(w=0.0, lam=0.4, a=a, b=1.2154, c=3.0)
     cfg = SystemConfig.from_direct_snr(mu1=100.0, n_relays=3, egg=egg,
                                        pointing=WEAK, uowc_scale=100.0)
-    _, u_r, _, _, tail = _bracket(cfg, 10.0)
+    _, u_r, _, tail = _bracket(cfg, 10.0)
     with mpmath.workdps(30):
         z = mpmath.exp(3 * (mpmath.mpf(u_r) - mpmath.log(egg.b * WEAK.a0 * cfg.rho)))
         assert mpmath.gammainc(a, z, regularized=True) <= tail * (1 + 1e-12)
     assert tail < 1e-18
 
 
+def _large_shape_cfg():
+    """salty/4.7's w, lam and b with a = 300 and c = 35.74, xi = 0.3, a0 =
+    0.5076, mu1 = 100, optical scale 100, N = 1."""
+    egg = replace(get_preset("salty/4.7").egg, a=300.0, c=35.74)
+    return SystemConfig.from_direct_snr(mu1=100.0, n_relays=1, egg=egg,
+                                        pointing=PointingParams(a0=0.5076, xi=0.3),
+                                        uowc_scale=100.0)
+
+
 def test_quadrature_keeps_relative_accuracy_at_small_outage():
-    # the left piece is exact and the target relative to P, so quadrature
-    # follows P down to 1e-14; err_est bounds the real error there
+    # the target is relative to P and the left piece is bounded against P
+    # itself, so quadrature follows P down to 1e-14 at item 4's point; off
+    # the presets the optical SNR falls slowly to the left (xi = 0.3, a c =
+    # 0.036 and 0.03) or the density cancels large logs (a = 300, where it
+    # lost 300 ln z to rounding: 0.09729580473235214 with err_est 6.7e-14,
+    # 62 times that from mpmath).  err_est bounds the real error at each
     mpmath = pytest.importorskip("mpmath")
-    cfg = grid_cfg(pointing=PointingParams(a0=0.8, xi=2.0)).floored()
-    for gth in (1e-12, 1e-9, 1e-6):
+    item4 = grid_cfg(pointing=PointingParams(a0=0.8, xi=2.0)).floored()
+    cases = [(item4, gth) for gth in (1e-12, 1e-9, 1e-6)] + [
+        (box_cfg(0.5307, 35.74, 0.3, 8), 1e-9), (box_cfg(0.5307, 35.74, 0.3, 8), 10.0),
+        (box_cfg(1e-3, 35.74, 1.5, 8), 1e-9), (box_cfg(0.05, 0.6, 2.0, 1), 1e-9),
+        (_large_shape_cfg().floored(), 1e-9), (_large_shape_cfg(), 1.0)]
+    for cfg, gth in cases:
         with mpmath.workdps(20):
             ref = float(_mp_outage(cfg, gth))
         res = outage_quadrature(cfg, OutageQuery(gth))
-        assert abs(res.value - ref) <= 1e-8 * ref, gth
-        assert abs(res.value - ref) <= res.err_est, gth
-        assert res.err_est <= 3e-9 * ref, gth
+        assert abs(res.value - ref) <= 1e-8 * ref, (cfg.egg, gth)
+        assert abs(res.value - ref) <= res.err_est, (cfg.egg, gth)
+        assert res.err_est <= 3e-9 * ref, (cfg.egg, gth)
+
+
+def test_a_window_whose_bound_is_over_its_share_is_integrated_again(monkeypatch):
+    # a first left end whose bound on F2 is 1e-6 absolute, far above 1e-4 of
+    # the target: the window moves left and is integrated again, and the
+    # value agrees with the one-pass value within both estimates
+    cfg, q = grid_cfg(), OutageQuery(1.0)
+    once = outage_quadrature(cfg, q)
+    real, ends = system._bracket, []
+
+    def loose_first(cfg_, gth, share=None):
+        ends.append(real(cfg_, gth, 1e-6 if share is None else share))
+        return ends[-1]
+
+    monkeypatch.setattr(system, "_bracket", loose_first)
+    again = outage_quadrature(cfg, q)
+    assert len(ends) == 2 and ends[1][0] < ends[0][0]
+    assert ends[0][2] > 1e-4 * 3e-9 * again.value >= ends[1][2]
+    assert abs(again.value - once.value) <= again.err_est + once.err_est
+    assert again.err_est <= 3e-9 * again.value
+
+
+def test_quadrature_refuses_a_shape_whose_rounding_passes_the_target():
+    # at a = 1e6 the density's exponent adds terms of about 1.4e7: the
+    # charge for their rounding alone is 2.4e-8 of P, above the target 3e-9
+    cfg = SystemConfig.from_direct_snr(
+        mu1=100.0, n_relays=3, egg=replace(get_preset("salty/4.7").egg, a=1e6),
+        pointing=WEAK, uowc_scale=100.0)
+    with pytest.raises(QuadratureError, match="rounding"):
+        outage_quadrature(cfg, OutageQuery(10.0))
+    assert math.isnan(evaluate([(cfg, OutageQuery(10.0))], "quadrature")[0].value)
+
+
+def test_quadrature_needs_no_optical_cdf(monkeypatch):
+    # the window's left piece is integrated with the rest and bounded in
+    # closed form: no call of the optical CDF or of P(a, z)
+    def refuse(*args):
+        raise AssertionError("quadrature called the optical CDF")
+
+    monkeypatch.setattr(ch, "uowc_snr_cdf", refuse)
+    monkeypatch.setattr(ch, "gamma_p", refuse)
+    monkeypatch.setattr(sf, "gamma_p", refuse)
+    for cfg, gth in ((grid_cfg(), 10.0), (grid_cfg("fresh/16.5", 1e4, 8, STRONG), 1e-9),
+                     (box_cfg(1e-3, 0.6, 0.3, 8), 10.0), (_large_shape_cfg(), 1.0)):
+        res = outage_quadrature(cfg, OutageQuery(gth))
+        assert 0.0 < res.value < 1.0 and res.err_est <= 3e-9 * res.value
 
 
 # a box of off-preset scenarios: salty/4.7's w, lam and b, with these shapes,
@@ -714,7 +778,7 @@ def test_quadrature_answers_every_point_of_the_off_preset_box(monkeypatch):
         assert math.isfinite(res.err_est), point
         count += 1
     assert count == 900
-    # about one integrand sweep a point: 852 measured, bound 1,700
+    # about one integrand sweep a point: 777 measured, bound 1,700
     assert len(sweeps) <= 1700
 
 
