@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gamma_p, ln_gamma_upper_scaled
+from .specfun import gamma_p, ln_gamma_upper_segments
 
 __all__ = [
     "RfLinkParams",
@@ -276,23 +276,26 @@ def uowc_snr_pdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     return float(out) if np.isscalar(x) or x.ndim == 0 else out
 
 
-def _branch_kernel(ln_x, rho: float, a: float, b: float, c: float,
-                   pointing: PointingParams):
-    """ln z and z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a) of one
-    generalized-gamma branch, where z = (x / (b A0 rho))^c."""
-    ln_z = c * (ln_x - math.log(b * pointing.a0 * rho))
-    p = pointing.xi2 / c
-    g = np.exp(ln_gamma_upper_scaled(a - p, ln_z, a, p) - math.lgamma(a))
-    return ln_z, g
+def _branch_kernels(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
+    """(weight, a, ln z, z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a)) for each
+    branch (weight, a, b, c), where z = (x / (b A0 rho))^c; one
+    ln_gamma_upper_segments call serves every branch."""
+    ln_x = np.asarray(ln_x, dtype=float)
+    branches = egg.branches
+    ln_zs = [c * (ln_x - math.log(b * pointing.a0 * rho)) for _, _, b, c in branches]
+    segments = [(a - pointing.xi2 / c, ln_z, a, pointing.xi2 / c)
+                for (_, a, _, c), ln_z in zip(branches, ln_zs)]
+    return [(weight, a, ln_z, np.exp(ln_g - math.lgamma(a)))
+            for (weight, a, _, _), ln_z, ln_g
+            in zip(branches, ln_zs, ln_gamma_upper_segments(segments))]
 
 
 def _pdf_times_x(ln_x, rho: float, egg: EggParams, pointing: PointingParams):
     """x * pdf(x) evaluated from log-SNR, the natural quadrature integrand:
     xi^2 sum over the branches (weight, a, b, c) of
     weight z^{xi^2/c} Gamma(a - xi^2/c, z) / Gamma(a)."""
-    ln_x = np.asarray(ln_x, dtype=float)
-    return pointing.xi2 * sum(weight * _branch_kernel(ln_x, rho, a, b, c, pointing)[1]
-                              for weight, a, b, c in egg.branches)
+    return pointing.xi2 * sum(weight * g for weight, _, _, g
+                              in _branch_kernels(ln_x, rho, egg, pointing))
 
 
 def uowc_snr_cdf(x, rho: float, egg: EggParams, pointing: PointingParams):
@@ -303,10 +306,7 @@ def uowc_snr_cdf(x, rho: float, egg: EggParams, pointing: PointingParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("optical SNR CDF requires x > 0")
-    ln_x = np.log(x.reshape(-1))
-    out = 0.0
-    for weight, a, b, c in egg.branches:
-        ln_z, g = _branch_kernel(ln_x, rho, a, b, c, pointing)
-        out = out + weight * (gamma_p(a, ln_z) + g)
+    out = sum(weight * (gamma_p(a, ln_z) + g) for weight, a, ln_z, g
+              in _branch_kernels(np.log(x.reshape(-1)), rho, egg, pointing))
     out = np.clip(out, 0.0, 1.0).reshape(x.shape)
     return float(out) if np.isscalar(x) or x.ndim == 0 else out

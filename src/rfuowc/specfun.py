@@ -2,7 +2,11 @@
 G-function evaluation.
 
 The optical-hop density and CDF reduce to upper incomplete gamma functions
-(ln_gamma_upper_scaled, gamma_p).  The G-function instances of the
+(ln_gamma_upper_segments, gamma_p): one evaluator over a list of (shape,
+ln z) segments, whose one-segment call is ln_gamma_upper_scaled, so that
+the mixture's branches share one continued-fraction pass; from z = 1.5 to
+4 a Gauss-Legendre bridge to the fraction's value at z = 4 halves that
+pass's depth.  The G-function instances of the
 closed-form outage expression all have real parameters, a positive real
 argument, at most two upper parameters, and either up to a few hundred
 lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
@@ -25,6 +29,7 @@ on that path.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +49,7 @@ __all__ = [
     "ln_gamma_complex",
     "ln_abs_gamma_signed",
     "ln_gamma_upper_scaled",
+    "ln_gamma_upper_segments",
     "gamma_p",
     "meijer_g",
     "meijer_g_log",
@@ -337,11 +343,37 @@ def _psi01(x):
 # incomplete gamma
 # ---------------------------------------------------------------------------
 
+# The bridge of ln_gamma_upper_segments: at shapes s in _BRIDGE_S and
+# max(1.5, s + 1) < z <= _BRIDGE_END, Gamma(s, z) = Gamma(s, _BRIDGE_END)
+# + int_z^_BRIDGE_END t^(s-1) e^-t dt, the integral by the 14-point
+# Gauss-Legendre rule, whose nodes x > 0 in decreasing order and weights are
+# given to 33 digits, as quadrature's.
+_BRIDGE_S = (-0.5, 3.0)
+_BRIDGE_END = 4.0
+_BRIDGE_X_DIGITS = (
+    "0.986283808696812338841597266704053", "0.928434883663573517336391139377874",
+    "0.827201315069764993189794742650395", "0.687292904811685470148019803019334",
+    "0.515248636358154091965290718551189", "0.319112368927889760435671824168475",
+    "0.108054948707343662066244650219835",
+)
+_BRIDGE_W_DIGITS = (
+    "0.0351194603317518630318328761381918", "0.0801580871597602098056332770628543",
+    "0.121518570687903184689414809072477", "0.157203167158193534569601938623842",
+    "0.185538397477937813741716590125157", "0.205198463721295603965924065661218",
+    "0.215263853463157790195876443316260",
+)
+_BRIDGE_X = np.array([float(v) for v in _BRIDGE_X_DIGITS])
+_BRIDGE_X = np.concatenate([-_BRIDGE_X, _BRIDGE_X[::-1]])
+_BRIDGE_W = np.array([float(v) for v in _BRIDGE_W_DIGITS])
+_BRIDGE_W = np.concatenate([_BRIDGE_W, _BRIDGE_W[::-1]])
 
-def _upper_cf(s, z):
-    """ln(z^-s Gamma(s, z)) by Legendre's fraction, bottom-up, two terms deeper
-    than forward (modified Lentz) needs at the smallest z, where it is slowest."""
-    b = float(z.min(initial=np.inf)) + 1.0 - s
+
+@functools.lru_cache(maxsize=1024)
+def _cf_depth(s, z):
+    """The levels of Legendre's fraction that forward (modified Lentz)
+    evaluation needs at one z to reach about one ulp; cached, since a bridged
+    shape's smallest z is always the bridge's end."""
+    b = z + 1.0 - s
     c, d = 1e300, 1.0 / b
     for depth in range(1, 401):
         an = -depth * (depth - s)
@@ -350,32 +382,63 @@ def _upper_cf(s, z):
         c = b + an / c
         # stop at about one ulp (a tighter test may never fire); d = 0 at z = inf
         if abs(c * d - 1.0) < 3e-16 or d == 0.0:
-            break
+            return depth
+    raise NonConvergenceError("incomplete-gamma continued fraction did not converge")
+
+
+def _upper_cf(parts):
+    """ln(z^-s Gamma(s, z)) by Legendre's fraction for each (s, z) of parts,
+    one bottom-up pass over all of them, two levels deeper than forward needs
+    at each part's smallest z, where it is slowest.  A level is three ufunc
+    calls: t += z + 1 - s, t += 2i and t = i (s - i) / t.  Its numerator is a
+    float for one part; several parts share a pass through a row of one per
+    element, from a table built for up to 2^15 elements at a time."""
+    depth = max(_cf_depth(s, float(z.min())) for s, z in parts) + 2
+    sizes = [zp.size for _, zp in parts]
+    if len(parts) == 1:
+        (s, z), = parts
+        b0, block = z + (1.0 - s), depth
     else:
-        raise NonConvergenceError("incomplete-gamma continued fraction did not converge")
+        shapes = np.array([s for s, _ in parts])
+        z = np.concatenate([zp for _, zp in parts])
+        b0, block = z + np.repeat(1.0 - shapes, sizes), max(1, (1 << 15) // z.size)
     t = np.zeros_like(z)
-    for i in range(depth + 2, 0, -1):
-        t += z
-        t += 2 * i + 1.0 - s
-        np.divide(-i * (i - s), t, out=t)
-    return -np.log(t + z + (1.0 - s)) - z
+    for top in range(depth, 0, -block):
+        levels = range(top, max(top - block, 0), -1)
+        if len(parts) == 1:
+            nums = [k * (s - k) for k in levels]
+        else:
+            i = np.array(levels, dtype=float)[:, None]
+            nums = np.repeat(i * (shapes - i), sizes, axis=1)
+        for k, num in zip(levels, nums):
+            t += b0
+            t += 2.0 * k
+            np.divide(num, t, out=t)
+    t += b0
+    out = -np.log(t) - z
+    ends = list(itertools.accumulate(sizes))
+    return [out[end - size:end] for end, size in zip(ends, sizes)]
 
 
 def _ln_lower_series(a, ln_z, lg_a):
-    """ln P(a, z), lg_a = ln Gamma(a): power series, as long as the largest z needs."""
+    """ln P(a, z), lg_a = ln Gamma(a): power series, as long as the largest z
+    needs, by Horner's rule in w = z / z_hi on the terms at the largest z,
+    z_hi^k / ((a+1)..(a+k)), which neither underflow nor overflow: two ufunc
+    calls a term."""
     z = np.exp(ln_z)
-    z_hi, n, term, total = float(z.max(initial=0.0)), 0, 1.0, 1.0
+    z_hi, n, term, total, terms = float(z.max(initial=0.0)), 0, 1.0, 1.0, [1.0]
     while term >= 1e-17 * total:
         if n == 400:
             raise NonConvergenceError("incomplete-gamma power series did not converge")
         n += 1
         term = term * z_hi / (a + n)
         total += term
-    total = np.ones_like(z)
-    for k in range(n, 0, -1):
-        total *= z
-        total /= a + k
-        total += 1.0
+        terms.append(term)
+    w = z / z_hi if z_hi else z
+    total = np.full_like(z, terms[-1])
+    for term in terms[-2::-1]:
+        total *= w
+        total += term
     return a * ln_z - z - lg_a - math.log(a) + np.log(total)
 
 
@@ -388,19 +451,23 @@ def _upper_small_z(s, ln_z):
     It keeps the cancellation of Gamma(s0) against z^s0/s0 inside expm1 and
     never overflows; at s0 = 0 it is E1(z) = -gamma_E - ln z - S.  Then n
     steps of Gamma(s, z) = (Gamma(s+1, z) - z^s e^-z) / s (DLMF 8.8.2).
-    S takes the terms the largest z needs (at most 26 for z <= 1.5).
+    S takes the terms the largest z needs (at most 26 for z <= 1.5), by
+    Horner's rule on its coefficients, two ufunc calls a term.
     """
     n = max(0, math.ceil(-s - 0.5))
     s0 = s + n
     z = np.exp(ln_z)
-    z_hi, term, terms = float(z.max(initial=0.0)), 1.0, 0
+    z_hi, term, inv_fact, coefs = float(z.max(initial=0.0)), 1.0, 1.0, []
     while abs(term) >= 1e-17:
-        terms += 1
-        term *= -z_hi / terms
-    sigma = np.zeros_like(z)
-    for k in range(terms, 0, -1):  # Horner form
-        sigma += 1.0 / (s0 + k)
-        sigma *= z / -k
+        k = len(coefs) + 1
+        term *= -z_hi / k
+        inv_fact /= -k
+        coefs.append(inv_fact / (s0 + k))  # (-1)^k / (k! (s0 + k))
+    sigma = np.full_like(z, coefs[-1])
+    for coef in coefs[-2::-1]:
+        sigma *= z
+        sigma += coef
+    sigma *= z
     # ln Gamma(1 + s0) = ln Gamma(2 + s0) - log1p(s0), from the Taylor series
     g = _LGAMMA2_TAYLOR[-1]
     for coef in _LGAMMA2_TAYLOR[-2::-1]:
@@ -428,9 +495,22 @@ def _incomplete_args(s, ln_z):
     return s, ln_z, z, z > max(1.5, s + 1.0)
 
 
-def ln_gamma_upper_scaled(s, ln_z, a=0.0, p=None):
-    """ln(z^(a-s) Gamma(s, z)) for one real shape s, z = exp(ln_z) > 0 and
-    a caller's power a, by default 0: the scaled function ln(z^-s Gamma(s, z)).
+def _bridge(s, ln_z, z, ln_end):
+    """ln(z^-s Gamma(s, z)) for z up to E = _BRIDGE_END from ln_end, the
+    value at E: Gamma(s, E) plus the rule's sum for the integral of
+    t^(s-1) e^-t over [z, E], two positive terms that do not cancel."""
+    half = 0.5 * (_BRIDGE_END - z)
+    t = (_BRIDGE_END - half)[:, None] + half[:, None] * _BRIDGE_X
+    rule = np.exp((s - 1.0) * np.log(t) - t) @ _BRIDGE_W
+    return np.log(rule * half + math.exp(ln_end + s * math.log(_BRIDGE_END))) - s * ln_z
+
+
+def ln_gamma_upper_segments(segments):
+    """The list of ln(z^(a-s) Gamma(s, z)) for the segments (s, ln_z, a, p)
+    of one real shape s each, z = exp(ln_z) > 0, a caller's power a (0
+    gives the scaled function ln(z^-s Gamma(s, z))) and p, None or a - s as
+    the caller knows it.  One evaluator: ln_gamma_upper_scaled is its
+    one-segment call, and a mixture's branches share one fraction pass.
 
     The power z^-s is taken out so that a caller multiplying by z^a adds
     a ln z to a log of moderate size instead of cancelling two large ones;
@@ -438,34 +518,66 @@ def ln_gamma_upper_scaled(s, ln_z, a=0.0, p=None):
     z)), s > 1/2 below the fraction, its own power is z^0, and a caller that
     knows p = a - s better than s = a - p rounded passes it: the value is
     then p ln z + ln(Gamma(s) (1 - P(s, z))), with no s ln z round trip.
-    Legendre continued fraction above z = max(1.5, s + 1), at the depth the
-    smallest z needs; below it Gamma(s) (1 - P(s, z)) for s > 1/2, else
-    _upper_small_z, series as long as the largest z needs (Gil, Segura &
-    Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.7-8.9).  z beyond the float
-    range gives -inf, and z = 0 at a = 0 the limit: -ln(-s) for s < 0, else
-    +inf.  A non-finite s raises GammaDomainError, a NaN ln_z ValueError.
+
+    Above z = max(1.5, s + 1): Legendre's continued fraction, one bottom-up
+    pass over every segment at the largest depth that any segment's smallest
+    z needs; values that depend on s alone stay floats per segment.  For s
+    in _BRIDGE_S and z <= 4 the fraction runs only at z = 4, and the bridge
+    Gamma(s, z) = Gamma(s, 4) + int_z^4 t^(s-1) e^-t dt adds a 14-point
+    Gauss-Legendre sum: two positive terms, and a fraction about half as deep
+    (26 to 32 levels at z = 4 against 52 to 66 just above max(1.5, s + 1),
+    at s from -1/2 to 1.25).  Below the fraction Gamma(s) (1 - P(s, z)) for
+    s > 1/2, else _upper_small_z, series as long as the largest z needs (Gil,
+    Segura & Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.2.2, 8.7-8.9).  z
+    beyond the float range gives -inf, and z = 0 at a = 0 the limit: -ln(-s)
+    for s < 0, else +inf.  A non-finite s raises GammaDomainError, a NaN ln_z
+    ValueError.
     """
-    s, ln_z, z, cf = _incomplete_args(s, ln_z)
-    out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
-    if cf.any():
-        out[cf] = _upper_cf(s, z[cf])
-    series = ~cf & (ln_z > -np.inf)
-    scaled = slice(None)  # the elements that hold ln(z^-s Gamma(s, z))
-    if series.any():
-        lz = ln_z[series]
-        if s > 0.5:
-            lg = math.lgamma(s)
-            head = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg)))
-            if p is None:
-                out[series] = head - s * lz
+    prepared, parts = [], []
+    for s, ln_z, a, p in segments:
+        s, ln_z, z, above = _incomplete_args(s, ln_z)
+        # outside the bridge's shapes its end lies below every z
+        end = _BRIDGE_END if _BRIDGE_S[0] <= s <= _BRIDGE_S[1] else 0.0
+        bridge = above & (z <= end)
+        bridged = bool(bridge.any())
+        cf = z > end if bridged else above
+        if bridged or cf.any():
+            parts.append((s, np.concatenate((z[cf], (end,))) if bridged else z[cf]))
+        prepared.append((s, ln_z, z, above, cf, bridge, bridged, a, p))
+    fractions = iter(_upper_cf(parts) if parts else ())
+    outs = []
+    for s, ln_z, z, above, cf, bridge, bridged, a, p in prepared:
+        out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
+        if bridged:
+            frac = next(fractions)
+            out[bridge] = _bridge(s, ln_z[bridge], z[bridge], frac[-1])
+            out[cf] = frac[:-1]
+        elif cf.any():
+            out[cf] = next(fractions)
+        series = ~above & (ln_z > -np.inf)
+        scaled = slice(None)  # the elements that hold ln(z^-s Gamma(s, z))
+        if series.any():
+            lz = ln_z[series]
+            if s > 0.5:
+                lg = math.lgamma(s)
+                head = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg)))
+                if p is None:
+                    out[series] = head - s * lz
+                else:
+                    out[series] = head + p * lz
+                    scaled = ~series
             else:
-                out[series] = head + p * lz
-                scaled = ~series
-        else:
-            out[series] = _upper_small_z(s, lz)
-    if a:
-        out[scaled] += a * ln_z[scaled]
-    return out
+                out[series] = _upper_small_z(s, lz)
+        if a:
+            out[scaled] += a * ln_z[scaled]
+        outs.append(out)
+    return outs
+
+
+def ln_gamma_upper_scaled(s, ln_z, a=0.0, p=None):
+    """ln(z^(a-s) Gamma(s, z)) for one real shape s: the one-segment call
+    of ln_gamma_upper_segments, which describes the arguments and methods."""
+    return ln_gamma_upper_segments([(s, ln_z, a, p)])[0]
 
 
 def gamma_p(a, ln_z):
@@ -479,7 +591,7 @@ def gamma_p(a, ln_z):
     lg = math.lgamma(a)
     out = np.empty_like(z)
     if cf.any():
-        out[cf] = -np.expm1(_upper_cf(a, z[cf]) + a * ln_z[cf] - lg)
+        out[cf] = -np.expm1(_upper_cf([(a, z[cf])])[0] + a * ln_z[cf] - lg)
     if not cf.all():
         out[~cf] = np.exp(_ln_lower_series(a, ln_z[~cf], lg))
     return out

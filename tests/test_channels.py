@@ -301,17 +301,22 @@ class TestOpticalSnrDistribution:
     @pytest.mark.parametrize("w", (0.0, 1.0))
     def test_zero_weight_branch_is_not_evaluated(self, w, monkeypatch):
         # at w = 0 or 1 one branch carries the whole mixture; the other's
-        # upper gamma is never computed, by the density or by the CDF
+        # shape never reaches the upper gamma, by the density or by the CDF
         cfg = grid_cfg()
         egg = replace(cfg.egg, w=w)
+        xi2 = cfg.pointing.xi2
+        live, dead = 1.0 - xi2, egg.a - xi2 / egg.c
+        if w == 0.0:
+            live, dead = dead, live
         calls = []
-        real = ch.ln_gamma_upper_scaled
-        monkeypatch.setattr(ch, "ln_gamma_upper_scaled",
-                            lambda s, *args: calls.append(s) or real(s, *args))
+        real = ch.ln_gamma_upper_segments
+        monkeypatch.setattr(ch, "ln_gamma_upper_segments", lambda segments: calls.append(
+            [s for s, *_ in segments]) or real(segments))
         x = np.geomspace(cfg.rho * 1e-3, cfg.rho * 1e3, 7)
         _pdf_times_x(np.log(x), cfg.rho, egg, cfg.pointing)
         uowc_snr_cdf(x, cfg.rho, egg, cfg.pointing)
-        assert len(calls) == 2
+        assert calls == [[live], [live]]
+        assert dead not in calls[0]
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_params(self, bad):

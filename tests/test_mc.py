@@ -20,6 +20,10 @@ from rfuowc.mc import (
 )
 from rfuowc.system import OutageQuery, SystemConfig, outage_quadrature
 
+# a RuntimeWarning (ln 0, an overflowing exp), also one raised in a chunk
+# thread, fails the test that drew it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 WEAK = PointingParams(a0=0.5076, xi=0.6079)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rfuowc.specfun as sf
+from rfuowc.channels import WATER_PRESETS
 from rfuowc.specfun import (
     ContourError,
     GammaDomainError,
@@ -307,6 +308,17 @@ LN_Z = np.concatenate([np.linspace(-700.0, 700.0, 57), np.linspace(-4.0, 3.0, 29
                        np.linspace(math.log(1.5), math.log(60.0), 30)])
 
 
+# the shapes the optical kernels and the real-line forms pass: 1 - xi^2 and
+# a - xi^2/c (c floored) of every preset at both pointings, -xi^2 and
+# 1 - 2 xi^2 at both pointings, and S_VALUES
+KERNEL_XI2 = (0.6079 ** 2, 0.5244 ** 2)
+KERNEL_S = sorted({round(s, 12) for s in S_VALUES + tuple(
+    shape for xi2 in KERNEL_XI2 for shape in (
+        1.0 - xi2, -xi2, 1.0 - 2.0 * xi2,
+        *(p.egg.a - xi2 / math.floor(p.egg.c) for p in WATER_PRESETS.values())))})
+EPS = 2.0 ** -52
+
+
 class TestIncompleteGamma:
     @pytest.mark.parametrize("s", S_VALUES)
     def test_upper_matches_mpmath(self, s):
@@ -380,19 +392,75 @@ class TestIncompleteGamma:
 
     def test_empty_branches_are_skipped(self, monkeypatch):
         calls = []
-        for name in ("_upper_cf", "_ln_lower_series", "_upper_small_z"):
+        for name in ("_ln_lower_series", "_upper_small_z"):
             def stub(s, arr, *rest, name=name):
                 calls.append(name)
                 return np.full_like(arr, -1.0)
             monkeypatch.setattr(sf, name, stub)
-        # in each call one branch's mask alone is non-empty, or none is
-        ln_gamma_upper_scaled(0.3, np.log([2.0, 40.0]))
+
+        def fraction(parts):
+            calls.append(("_upper_cf", [z.tolist() for _, z in parts]))
+            return [np.full_like(z, -1.0) for _, z in parts]
+
+        def bridge(s, ln_z, z, ln_end):
+            calls.append(("_bridge", z.size, ln_end))
+            return np.full_like(z, -2.0)
+
+        monkeypatch.setattr(sf, "_upper_cf", fraction)
+        monkeypatch.setattr(sf, "_bridge", bridge)
+        # in each call one branch's mask alone is non-empty, or none is; a
+        # bridged shape's fraction runs at z = 4 alone, or at its z > 4 and 4
+        ln_gamma_upper_scaled(0.3, np.log([6.0, 40.0]))
+        ln_gamma_upper_scaled(0.3, np.log([2.0, 3.0]))
+        ln_gamma_upper_scaled(-3.0, np.log([2.0, 6.0]))  # below the bridge's shapes
         ln_gamma_upper_scaled(0.3, np.log([0.5, 1.0]))
         ln_gamma_upper_scaled(5.5, np.array([-np.inf, -np.inf]))
         gamma_p(5.5, np.log([0.5, 2.0]))
         gamma_p(0.3, np.log([2.0, 40.0]))
-        assert calls == ["_upper_cf", "_upper_small_z", "_ln_lower_series",
-                         "_upper_cf"]
+        assert calls == [("_upper_cf", [[6.0, 40.0]]),
+                         ("_upper_cf", [[4.0]]), ("_bridge", 2, -1.0),
+                         ("_upper_cf", [[2.0, 6.0]]), "_upper_small_z", "_ln_lower_series",
+                         ("_upper_cf", [[2.0, 40.0]])]
+        # the segments of one call share one fraction pass
+        calls.clear()
+        got = sf.ln_gamma_upper_segments([(0.3, np.log([2.0, 40.0]), 0.0, None),
+                                          (-3.0, np.log([2.0]), 0.0, None),
+                                          (0.3, np.log([0.5]), 0.0, None)])
+        assert calls == [("_upper_cf", [[40.0, 4.0], [2.0]]), ("_bridge", 1, -1.0),
+                         "_upper_small_z"]
+        assert [g.tolist() for g in got] == [[-2.0, -1.0], [-1.0], [-1.0]]
+
+    @pytest.mark.parametrize("s", KERNEL_S)
+    def test_fraction_and_bridge_keep_their_digits(self, s):
+        # the window of the fraction and the bridge, z from max(1.5, s + 1)
+        # to 60, both sides of the bridge's end at z = 4
+        mpmath = pytest.importorskip("mpmath")
+        lo = max(1.5, s + 1.0)
+        z = np.concatenate([np.geomspace(lo, 60.0, 41)[1:], [lo * (1.0 + 1e-9)],
+                            [3.999, 4.0, 4.001] if lo < 3.999 else []])
+        ln_z = np.log(z)
+        got = ln_gamma_upper_scaled(s, ln_z)
+        with mpmath.workdps(40):
+            for l, g in zip(ln_z, got):
+                ref = float(mpmath.log(mpmath.gammainc(s, mpmath.exp(l))) - s * l)
+                assert abs(g - ref) <= 4.0 * EPS * max(1.0, abs(ref)), (s, l)
+
+    def test_segments_equal_their_one_segment_calls(self):
+        # one fraction pass runs every segment at the deepest level any needs
+        ln_z = np.log(np.concatenate([np.geomspace(0.01, 1.5, 7), np.geomspace(1.6, 200.0, 17)]))
+        segments = [(s, ln_z + shift, a, p) for s, shift, a, p in (
+            (0.6305, 0.0, 0.0, None), (0.0127, 0.4, 0.5307, 0.5180), (-0.3695, -0.3, 0.0, None),
+            (-43.89, 0.2, 0.0, None), (1.2436, 0.0, 1.2526, 0.0090), (5.5, 0.1, 0.0, None))]
+        for (s, lz, a, p), g in zip(segments, sf.ln_gamma_upper_segments(segments)):
+            one = ln_gamma_upper_scaled(s, lz, a, p)
+            assert np.all(np.abs(g - one) <= 2.0 * np.spacing(np.abs(one))), s
+
+    def test_bridge_rule_is_gauss_legendre(self):
+        # the stored digits against numpy's rule, whose nodes are within an
+        # ulp and weights within 16 ulp of them
+        x, w = np.polynomial.legendre.leggauss(14)
+        assert np.all(np.abs(sf._BRIDGE_X - x) <= np.spacing(np.abs(x)))
+        np.testing.assert_allclose(sf._BRIDGE_W, w, rtol=4e-15)
 
 
 class TestScaledLadders:

@@ -296,21 +296,48 @@ class TestOutage:
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _cf_sweep_calls(monkeypatch):
-    """(reference key, config, query) of the benchmark's cf-threshold-sweep
-    points, 9 thresholds x 5 presets."""
+def _workload_calls(monkeypatch, points):
+    """(reference key, config, query) of benchmark points; `points` takes
+    perfbench's workloads module and returns its points."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
     spec.loader.exec_module(workloads)
     calls = []
-    for p in workloads.WORKLOADS["cf-threshold-sweep"][1]:
+    for p in points(workloads):
         cfg = SystemConfig.from_direct_snr(
             mu1=p.mu1, n_relays=p.n_relays, egg=get_preset(p.preset).egg,
             pointing=PointingParams(*workloads.POINTINGS[p.pointing]), uowc_scale=p.mu1)
         calls.append((p.key, cfg, OutageQuery(p.gamma_th)))
+    return calls
+
+
+def _cf_sweep_calls(monkeypatch):
+    """(reference key, config, query) of the benchmark's cf-threshold-sweep
+    points, 9 thresholds x 5 presets."""
+    calls = _workload_calls(monkeypatch, lambda w: w.WORKLOADS["cf-threshold-sweep"][1])
     assert len(calls) == 45
     return calls
+
+
+@pytest.mark.parametrize("shift_seed", (None, 1, 2, 3, 4, 5, 6))
+def test_quadrature_error_estimate_bounds_the_reference_wherever_the_knots_fall(
+        monkeypatch, shift_seed):
+    # every point of perfbench/reference.json (mpmath, floored c), at the
+    # shipped knots and with every knot shifted by U(-0.5, 0.5) on the log
+    # axis: K15/G7 accepts a sweep whose two rules agree, so where the knots
+    # fall decides whether the estimate holds (worst 0.42x at the shipped
+    # knots, 0.44x over these six shifts)
+    calls = _workload_calls(monkeypatch, lambda w: w.all_points())
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["values"]
+    assert sorted(key for key, _, _ in calls) == sorted(ref)
+    if shift_seed is not None:
+        rng, real = np.random.default_rng(shift_seed), system._knots
+        monkeypatch.setattr(system, "_knots", lambda *args: [
+            u + rng.uniform(-0.5, 0.5) for u in real(*args)])
+    for key, cfg, q in calls:
+        res = outage_quadrature(cfg, q, floor_c=True)
+        assert abs(res.value - ref[key]["p_out"]) <= res.err_est, key
 
 
 def test_closed_form_stays_off_the_contour(monkeypatch):
