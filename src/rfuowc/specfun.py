@@ -529,9 +529,10 @@ def ln_gamma_upper_segments(segments):
     at s from -1/2 to 1.25).  Below the fraction Gamma(s) (1 - P(s, z)) for
     s > 1/2, else _upper_small_z, series as long as the largest z needs (Gil,
     Segura & Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.2.2, 8.7-8.9).  z
-    beyond the float range gives -inf, and z = 0 at a = 0 the limit: -ln(-s)
-    for s < 0, else +inf.  A non-finite s raises GammaDomainError, a NaN ln_z
-    ValueError.
+    beyond the float range gives -inf, and z = 0 the limit, with m = max(s,
+    0): -inf for a > m, +inf for a < m, and at a = m ln Gamma(s) for s > 0,
+    +inf for s = 0 and -ln(-s) for s < 0 (a - m is p where s > 0 and p is
+    given).  A non-finite s raises GammaDomainError, a NaN ln_z ValueError.
     """
     prepared, parts = [], []
     for s, ln_z, a, p in segments:
@@ -547,7 +548,10 @@ def ln_gamma_upper_segments(segments):
     fractions = iter(_upper_cf(parts) if parts else ())
     outs = []
     for s, ln_z, z, above, cf, bridge, bridged, a, p in prepared:
-        out = np.full_like(z, -math.log(-s) if s < 0.0 else np.inf)  # at z = 0
+        # z = 0: z^(a-m) times Gamma(s) (s > 0), -ln z (s = 0) or 1/-s (s < 0)
+        power = p if p is not None and s > 0.0 else a - max(s, 0.0)
+        at_m = math.lgamma(s) if s > 0.0 else -math.log(-s) if s < 0.0 else np.inf
+        out = np.full_like(z, math.copysign(np.inf, -power) if power else at_m)
         if bridged:
             frac = next(fractions)
             out[bridge] = _bridge(s, ln_z[bridge], z[bridge], frac[-1])
@@ -555,7 +559,7 @@ def ln_gamma_upper_segments(segments):
         elif cf.any():
             out[cf] = next(fractions)
         series = ~above & (ln_z > -np.inf)
-        scaled = slice(None)  # the elements that hold ln(z^-s Gamma(s, z))
+        scaled = np.isfinite(ln_z)  # the elements that hold ln(z^-s Gamma(s, z))
         if series.any():
             lz = ln_z[series]
             if s > 0.5:
@@ -565,7 +569,7 @@ def ln_gamma_upper_segments(segments):
                     out[series] = head - s * lz
                 else:
                     out[series] = head + p * lz
-                    scaled = ~series
+                    scaled = above & scaled
             else:
                 out[series] = _upper_small_z(s, lz)
         if a:

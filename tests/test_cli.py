@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -163,6 +164,23 @@ class TestSweepCommand:
         first, second = ([{k: v for k, v in r.items() if k != "elapsed_ms"}
                           for r in sweep_rows(tmp_path, BASE_CFG)] for _ in range(2))
         assert first == second
+
+    def test_monte_carlo_rows_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        # the chunks run on one thread per core the process may use, and each
+        # chunk draws from the stream of its own index: one core and four
+        # give the same rows
+        text = "\n".join(['axis = "n_relays"', 'values = "1:4"', 'methods = "monte_carlo"',
+                          'preset = "salty/4.7"', 'pointing.a0 = 0.5076', 'pointing.xi = 0.6079',
+                          'mc.samples = 100000', 'mc.chunk = 16384'])
+        rows, asked = [], []
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", raising=False,
+                                value=lambda pid, n=cores: asked.append(n) or set(range(n)))
+            rows.append([{k: v for k, v in r.items() if k != "elapsed_ms"}
+                         for r in sweep_rows(tmp_path, text, "--seed", "11")])
+        assert sorted(set(asked)) == [1, 4]
+        assert len(rows[0]) == 4
+        assert rows[0] == rows[1]
 
     def test_seed_precedence(self, tmp_path, monkeypatch):
         cfg_text = BASE_CFG.replace("mc.seed = 123\n", "")

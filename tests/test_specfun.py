@@ -362,6 +362,19 @@ class TestIncompleteGamma:
             got = ln_gamma_upper_scaled(s, np.array([-np.inf, 0.0]))[0]
             assert got == (-math.log(-s) if s < 0.0 else np.inf), s
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", (-0.7, 0.0, 0.3, 0.6, 2.5))
+    def test_zero_argument_gives_the_limit_at_every_power(self, s):
+        # z^(a-s) Gamma(s, z) -> z^(a-m) times Gamma(s) (s > 0), -ln z (s = 0)
+        # or 1/-s (s < 0), m = max(s, 0), with or without p = a - s; z beyond
+        # the float range stays -inf
+        m = max(s, 0.0)
+        at_m = math.lgamma(s) if s > 0.0 else -math.log(-s) if s < 0.0 else math.inf
+        for a, want in ((m - 1.0, math.inf), (m, at_m), (m + 0.5, -math.inf)):
+            for p in (None, a - s):
+                got = ln_gamma_upper_scaled(s, np.array([-np.inf, np.inf]), a, p)
+                assert got.tolist() == [want, -math.inf], (a, p)
+
     @pytest.mark.parametrize("s", S_VALUES)
     def test_one_call_serves_mixed_arguments(self, s):
         # the fraction's depth is set by the smallest z of a call and the
