@@ -178,9 +178,7 @@ def rf_avg_snr(params: RfLinkParams) -> float:
 
 def rf_snr_pdf(x, mu1: float, n_relays: int):
     """Density of the selected (maximum of N exponential) first-hop SNR."""
-    if mu1 <= 0:
-        raise ValueError("mu1 must be positive")
-    n = _check_n(n_relays)
+    n = _check_rf(mu1, n_relays)
     x = np.asarray(x, dtype=float)
     u = x / mu1
     # n * (1 - e^{-u})^{n-1} * e^{-u} / mu1, the stable product form of the
@@ -193,9 +191,7 @@ def rf_snr_pdf(x, mu1: float, n_relays: int):
 
 def rf_snr_cdf(x, mu1: float, n_relays: int):
     """CDF of the selected first-hop SNR, (1 - e^{-x/mu1})^N."""
-    if mu1 <= 0:
-        raise ValueError("mu1 must be positive")
-    n = _check_n(n_relays)
+    n = _check_rf(mu1, n_relays)
     x = np.asarray(x, dtype=float)
     base = -np.expm1(-x / mu1)
     out = np.where(x < 0, 0.0, base ** n)
@@ -204,7 +200,7 @@ def rf_snr_cdf(x, mu1: float, n_relays: int):
 
 def rf_snr_cdf_sum(x, mu1: float, n_relays: int):
     """Literal alternating-sum form of rf_snr_cdf (identity-check oracle)."""
-    n = _check_n(n_relays)
+    n = _check_rf(mu1, n_relays)
     terms = [
         math.comb(n - 1, k) * (-1.0) ** k / (k + 1) * math.exp(-(k + 1) * x / mu1)
         for k in range(n)
@@ -218,9 +214,7 @@ def relay_constant_c(mu1: float, n_relays: int) -> float:
     The paper's alternating binomial sum for it is exact in rationals but
     cancels in floating point (C(63, 31) = 9.2e17): at N = 64 it is negative.
     """
-    if mu1 <= 0:
-        raise ValueError("mu1 must be positive")
-    n = _check_n(n_relays)
+    n = _check_rf(mu1, n_relays)
     return 1.0 + mu1 * math.fsum(1.0 / k for k in range(1, n + 1))
 
 
@@ -240,6 +234,13 @@ def _check_n(n_relays) -> int:
     if not (1 <= n <= MAX_RELAYS):
         raise ValueError(f"n_relays must be in 1..{MAX_RELAYS}")
     return n
+
+
+def _check_rf(mu1, n_relays) -> int:
+    """The relay count as _check_n gives it, once mu1 is positive and finite."""
+    if not 0.0 < mu1 < math.inf:
+        raise ValueError(f"mu1 must be positive and finite, got {mu1!r}")
+    return _check_n(n_relays)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .channels import EggParams, PointingParams, _whole
+from .channels import EggParams, PointingParams, _check_rf, _whole
 
 __all__ = [
     "McConfig",
@@ -139,9 +139,8 @@ def _pointing_exponent(u, xi2):
 def sample_rf_best_snr(stream: Generator, mu1: float, n_relays: int, size=None):
     """Best-of-N first-hop SNR, the max of N exponentials of mean mu1, drawn
     by inverting its CDF at one uniform (see _best_of_n_tail)."""
-    if mu1 <= 0 or n_relays < 1:
-        raise ValueError("need mu1 > 0 and n_relays >= 1")
-    out = -mu1 * _best_of_n_tail(stream.random(size=size), int(n_relays))
+    n = _check_rf(mu1, n_relays)
+    out = -mu1 * _best_of_n_tail(stream.random(size=size), n)
     return float(out) if size is None else out
 
 

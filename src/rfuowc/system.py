@@ -81,12 +81,10 @@ class SystemConfig:
     rho: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.mu1 < math.inf:
-            raise ValueError(f"mu1 must be positive and finite, got {self.mu1!r}")
+        n = ch._check_rf(self.mu1, self.n_relays)
         if not 0.0 < self.uowc_scale < math.inf:
             raise ValueError("optical SNR scale must be positive and finite, "
                              f"got {self.uowc_scale!r}")
-        n = ch._check_n(self.n_relays)
         object.__setattr__(self, "n_relays", n)
         object.__setattr__(self, "c_const", ch.relay_constant_c(self.mu1, n))
         try:

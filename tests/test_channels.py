@@ -26,6 +26,7 @@ from rfuowc.channels import (
     uowc_snr_pdf,
     _pdf_times_x,
 )
+from rfuowc.mc import sample_rf_best_snr
 from rfuowc.quadrature import adaptive_quad
 from rfuowc.specfun import MeijerGSpec, meijer_g
 from rfuowc.system import SystemConfig
@@ -160,6 +161,20 @@ class TestRfHop:
         assert scale(rf3) == pytest.approx(2.0 / relay_constant_c(1.0, 3))
         with pytest.raises(ValueError):
             scale(rf, "other")
+
+    @pytest.mark.parametrize("mu1, n", [(mu1, 2) for mu1 in (0.0, -1.0, math.nan, math.inf)]
+                             + [(1.0, n) for n in (0, 2.5, 65, True)])
+    @pytest.mark.parametrize("call", [
+        lambda mu1, n: rf_snr_pdf(1.0, mu1, n),
+        lambda mu1, n: rf_snr_cdf(1.0, mu1, n),
+        lambda mu1, n: rf_snr_cdf_sum(1.0, mu1, n),
+        relay_constant_c,
+        lambda mu1, n: sample_rf_best_snr(np.random.default_rng(0), mu1, n),
+        lambda mu1, n: SystemConfig(mu1, n, 1.0, get_preset("salty/4.7").egg, WEAK),
+    ], ids=["pdf", "cdf", "cdf_sum", "relay_constant", "sampler", "system"])
+    def test_bad_rf_arguments_raise(self, call, mu1, n):
+        with pytest.raises(ValueError):
+            call(mu1, n)
 
 
 class TestIrradianceMoments:
