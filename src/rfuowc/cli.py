@@ -1,13 +1,14 @@
 """Command-line driver: sweeps, validation, plotting, preset listing.
 
 A sweep runs each method over all its points through system.evaluate.  Exit
-codes: 0 success, 1 validation failure, 2 configuration error.  A sweep cell
+codes: 0 success, 1 validation failure, 2 bad config or output.  A sweep cell
 whose method raises a typed numerical error is a NaN row; it still exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -43,21 +44,26 @@ def run_sweep(spec: SweepSpec):
             for value, *cells in zip(spec.values, *runs) for res in cells]
 
 
-def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None):
-    """Run one sweep per parsed config dict, in order, into one CSV.
+def sweep(cfgs, out_path, seed=None, methods=None, mc_samples=None, config_bytes=None):
+    """Run one sweep per parsed config dict, in order, into one CSV, and into
+    its manifest given config_bytes (the sweep command's one config file).
 
     Each of seed, methods and mc_samples that is given overwrites its config
     key (mc.seed, methods, mc.samples), so a flag and its key share one
-    check.  Every config is checked before any point is evaluated.  Returns
-    the specs and the rows written."""
+    check.  Configs are checked and outputs opened before any point is
+    evaluated.  Returns the specs and the rows written."""
     flags = {"mc.seed": seed, "methods": methods, "mc.samples": mc_samples}
     flags = {key: value for key, value in flags.items() if value is not None}
     specs = [load_sweep_spec({**cfg, **flags}) for cfg in cfgs]
-    rows = [row for spec in specs for row in run_sweep(spec)]
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    paths = [out_path] + ([out_path + ".manifest.json"] if config_bytes is not None else [])
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path in paths]
+        rows = [row for spec in specs for row in run_sweep(spec)]
+        writer = csv.writer(files[0], lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows([row[col] for col in CSV_HEADER] for row in rows)
+        if config_bytes is not None:
+            _write_manifest(files[1], config_bytes, specs[0].mc.seed, rows)
     return specs, rows
 
 
@@ -80,7 +86,7 @@ def figure_main(name: str, scenarios, mc_samples=None):
     print(f"wrote {csv_path} and companion SVG ({len(rows)} rows)")
 
 
-def _write_manifest(out_path, config_bytes, seed, rows):
+def _write_manifest(fh, config_bytes, seed, rows):
     manifest = {
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "tool_version": __version__,
@@ -93,11 +99,8 @@ def _write_manifest(out_path, config_bytes, seed, rows):
             for row in rows
         ],
     }
-    path = out_path + ".manifest.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    json.dump(manifest, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _cmd_sweep(args) -> int:
@@ -108,14 +111,17 @@ def _cmd_sweep(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    (spec,), rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
-                          mc_samples=args.mc_samples)
-    manifest = _write_manifest(args.out, config_bytes, spec.mc.seed, rows)
+    try:
+        _, rows = sweep([cfg], args.out, seed=args.seed, methods=args.methods,
+                        mc_samples=args.mc_samples, config_bytes=config_bytes)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     failed = sum(row["error"] is not None for row in rows)
     if failed:
         print(f"{failed} of {len(rows)} cells raised a numerical error and are NaN rows; "
               f"the manifest names each error", file=sys.stderr)
-    print(f"wrote {len(rows)} rows to {args.out} (manifest: {manifest})")
+    print(f"wrote {len(rows)} rows to {args.out} (manifest: {args.out}.manifest.json)")
     return EXIT_OK
 
 

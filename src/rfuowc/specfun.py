@@ -1,17 +1,18 @@
 """Gamma-family helpers, incomplete gamma functions and numerical Meijer
 G-function evaluation.
 
-The optical-hop density and CDF reduce to upper incomplete gamma functions
-(ln_gamma_upper_segments, gamma_p): one evaluator over a list of (shape,
-ln z) segments, whose one-segment call is ln_gamma_upper_scaled, so that
-the mixture's branches share one continued-fraction pass; from z = 1.5 to
-4 a Gauss-Legendre bridge to the fraction's value at z = 4 halves that
-pass's depth.  The G-function instances of the
-closed-form outage expression all have real parameters, a positive real
-argument, at most two upper parameters, and either up to a few hundred
-lower parameters or a few carrying integer scales (Gamma(b - B s), a Fox
-H-function).  Within that family the function is evaluated by a residue
-(Slater-type) series over the right poles in log space with sign tracking,
+The optical-hop density and CDF reduce to upper incomplete gamma functions:
+one evaluator, ln_gamma_upper_segments, over a list of (shape, ln z)
+segments, whose one-segment call is ln_gamma_upper_scaled and which alone
+runs the continued fraction, one pass shared by the mixture's branches;
+from z = 1.5 to 4 a Gauss-Legendre bridge to the fraction's value at z = 4
+halves that pass's depth.  gamma_p reads Gamma(a, z) through it above the
+fraction's cut.  The G-function instances of the closed-form outage
+expression all have real parameters, a positive real argument, at most two
+upper parameters, and either up to a few hundred lower parameters or a few
+carrying integer scales (Gamma(b - B s), a Fox H-function).  Within that
+family the function is evaluated by a residue (Slater-type) series over the
+right poles in log space with sign tracking,
 coincident poles giving residues polynomial in ln z (the logarithmic case);
 when it is ill-conditioned (heavy alternating cancellation), by quadrature
 of the defining Mellin-Barnes contour integral, also exposed on its own as
@@ -29,7 +30,6 @@ on that path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -390,34 +390,24 @@ def _upper_cf(parts):
     """ln(z^-s Gamma(s, z)) by Legendre's fraction for each (s, z) of parts,
     one bottom-up pass over all of them, two levels deeper than forward needs
     at each part's smallest z, where it is slowest.  A level is three ufunc
-    calls: t += z + 1 - s, t += 2i and t = i (s - i) / t.  Its numerator is a
-    float for one part; several parts share a pass through a row of one per
-    element, from a table built for up to 2^15 elements at a time."""
+    calls: t += z + 1 - s, t += 2i and t = i (s - i) / t, its numerators a
+    row of one per element from a table built for up to 2^15 elements at a
+    time.  Its one caller is ln_gamma_upper_segments."""
     depth = max(_cf_depth(s, float(z.min())) for s, z in parts) + 2
     sizes = [zp.size for _, zp in parts]
-    if len(parts) == 1:
-        (s, z), = parts
-        b0, block = z + (1.0 - s), depth
-    else:
-        shapes = np.array([s for s, _ in parts])
-        z = np.concatenate([zp for _, zp in parts])
-        b0, block = z + np.repeat(1.0 - shapes, sizes), max(1, (1 << 15) // z.size)
+    shapes = np.array([s for s, _ in parts])
+    z = np.concatenate([zp for _, zp in parts])
+    b0, block = z + np.repeat(1.0 - shapes, sizes), max(1, (1 << 15) // z.size)
     t = np.zeros_like(z)
     for top in range(depth, 0, -block):
         levels = range(top, max(top - block, 0), -1)
-        if len(parts) == 1:
-            nums = [k * (s - k) for k in levels]
-        else:
-            i = np.array(levels, dtype=float)[:, None]
-            nums = np.repeat(i * (shapes - i), sizes, axis=1)
-        for k, num in zip(levels, nums):
+        i = np.array(levels, dtype=float)[:, None]
+        for k, num in zip(levels, np.repeat(i * (shapes - i), sizes, axis=1)):
             t += b0
             t += 2.0 * k
             np.divide(num, t, out=t)
     t += b0
-    out = -np.log(t) - z
-    ends = list(itertools.accumulate(sizes))
-    return [out[end - size:end] for end, size in zip(ends, sizes)]
+    return np.split(-np.log(t) - z, np.cumsum(sizes)[:-1])
 
 
 def _ln_lower_series(a, ln_z, lg_a):
@@ -508,16 +498,17 @@ def _bridge(s, ln_z, z, ln_end):
 def ln_gamma_upper_segments(segments):
     """The list of ln(z^(a-s) Gamma(s, z)) for the segments (s, ln_z, a, p)
     of one real shape s each, z = exp(ln_z) > 0, a caller's power a (0
-    gives the scaled function ln(z^-s Gamma(s, z))) and p, None or a - s as
-    the caller knows it.  One evaluator: ln_gamma_upper_scaled is its
-    one-segment call, and a mixture's branches share one fraction pass.
+    gives the scaled function ln(z^-s Gamma(s, z))) and p = a - s as the
+    caller knows it, or None for a - s rounded.  One evaluator:
+    ln_gamma_upper_scaled is its one-segment call, gamma_p reads Gamma(a, z)
+    through it, and a mixture's branches share one fraction pass.
 
     The power z^-s is taken out so that a caller multiplying by z^a adds
     a ln z to a log of moderate size instead of cancelling two large ones;
     the evaluator adds it itself.  Where Gamma(s, z) is Gamma(s) (1 - P(s,
     z)), s > 1/2 below the fraction, its own power is z^0, and a caller that
     knows p = a - s better than s = a - p rounded passes it: the value is
-    then p ln z + ln(Gamma(s) (1 - P(s, z))), with no s ln z round trip.
+    p ln z + ln(Gamma(s) (1 - P(s, z))), with no s ln z round trip.
 
     Above z = max(1.5, s + 1): Legendre's continued fraction, one bottom-up
     pass over every segment at the largest depth that any segment's smallest
@@ -531,17 +522,19 @@ def ln_gamma_upper_segments(segments):
     Segura & Temme, SIAM J. Sci. Comput. 34 (2012); DLMF 8.2.2, 8.7-8.9).  z
     beyond the float range gives -inf, and z = 0 the limit, with m = max(s,
     0): -inf for a > m, +inf for a < m, and at a = m ln Gamma(s) for s > 0,
-    +inf for s = 0 and -ln(-s) for s < 0 (a - m is p where s > 0 and p is
-    given).  A non-finite s raises GammaDomainError, a NaN ln_z ValueError.
+    +inf for s = 0 and -ln(-s) for s < 0 (a - m is p where s > 0).  A
+    non-finite s raises GammaDomainError, a NaN ln_z ValueError.
     """
     prepared, parts = [], []
     for s, ln_z, a, p in segments:
         s, ln_z, z, above = _incomplete_args(s, ln_z)
+        if p is None:
+            p = a - s
         # outside the bridge's shapes its end lies below every z
         end = _BRIDGE_END if _BRIDGE_S[0] <= s <= _BRIDGE_S[1] else 0.0
         bridge = above & (z <= end)
         bridged = bool(bridge.any())
-        cf = z > end if bridged else above
+        cf = above & (z > end)
         if bridged or cf.any():
             parts.append((s, np.concatenate((z[cf], (end,))) if bridged else z[cf]))
         prepared.append((s, ln_z, z, above, cf, bridge, bridged, a, p))
@@ -549,7 +542,7 @@ def ln_gamma_upper_segments(segments):
     outs = []
     for s, ln_z, z, above, cf, bridge, bridged, a, p in prepared:
         # z = 0: z^(a-m) times Gamma(s) (s > 0), -ln z (s = 0) or 1/-s (s < 0)
-        power = p if p is not None and s > 0.0 else a - max(s, 0.0)
+        power = p if s > 0.0 else a
         at_m = math.lgamma(s) if s > 0.0 else -math.log(-s) if s < 0.0 else np.inf
         out = np.full_like(z, math.copysign(np.inf, -power) if power else at_m)
         if bridged:
@@ -564,12 +557,8 @@ def ln_gamma_upper_segments(segments):
             lz = ln_z[series]
             if s > 0.5:
                 lg = math.lgamma(s)
-                head = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg)))
-                if p is None:
-                    out[series] = head - s * lz
-                else:
-                    out[series] = head + p * lz
-                    scaled = above & scaled
+                out[series] = lg + np.log1p(-np.exp(_ln_lower_series(s, lz, lg))) + p * lz
+                scaled &= above
             else:
                 out[series] = _upper_small_z(s, lz)
         if a:
@@ -586,7 +575,9 @@ def ln_gamma_upper_scaled(s, ln_z, a=0.0, p=None):
 
 def gamma_p(a, ln_z):
     """Regularized lower incomplete gamma P(a, z), one real shape a > 0; any
-    other shape raises GammaDomainError.  At a = 1 it is 1 - e^-z."""
+    other shape raises GammaDomainError.  At a = 1 it is 1 - e^-z, else the
+    power series up to z = max(1.5, a + 1) and 1 - Gamma(a, z) / Gamma(a)
+    above, Gamma(a, z) from ln_gamma_upper_scaled."""
     a, ln_z, z, cf = _incomplete_args(a, ln_z)
     if a <= 0.0:
         raise GammaDomainError(f"gamma_p requires a > 0, got {a!r}")
@@ -595,7 +586,7 @@ def gamma_p(a, ln_z):
     lg = math.lgamma(a)
     out = np.empty_like(z)
     if cf.any():
-        out[cf] = -np.expm1(_upper_cf([(a, z[cf])])[0] + a * ln_z[cf] - lg)
+        out[cf] = -np.expm1(ln_gamma_upper_scaled(a, ln_z[cf], a) - lg)
     if not cf.all():
         out[~cf] = np.exp(_ln_lower_series(a, ln_z[~cf], lg))
     return out

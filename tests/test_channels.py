@@ -31,6 +31,10 @@ from rfuowc.quadrature import adaptive_quad
 from rfuowc.specfun import MeijerGSpec, meijer_g
 from rfuowc.system import SystemConfig
 
+# a RuntimeWarning (ln 0, inf - inf) in an optical or RF evaluator fails the
+# test that drew it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 WEAK = PointingParams(a0=0.5076, xi=0.6079)
 STRONG = PointingParams(a0=0.1641, xi=0.5244)
 
@@ -284,6 +288,7 @@ class TestOpticalSnrDistribution:
         assert uowc_snr_cdf(x_small, cfg.rho, cfg.egg, cfg.pointing) <= 1e-6
         assert uowc_snr_cdf(cfg.rho * 1e12, cfg.rho, cfg.egg,
                             cfg.pointing) == pytest.approx(1.0, abs=1e-6)
+        assert uowc_snr_cdf(math.inf, cfg.rho, cfg.egg, cfg.pointing) == 1.0
 
     def test_cdf_monotone_500_points(self):
         cfg = grid_cfg("salty/7.1")

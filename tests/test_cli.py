@@ -323,6 +323,25 @@ class TestSweepCommand:
         assert sorted(manifest) == ["config_sha256", "points", "seed", "timestamp",
                                     "tool_version"]
 
+    @pytest.mark.parametrize("bad", ("csv", "manifest"))
+    def test_unwritable_output_fails_before_any_point(self, tmp_path, monkeypatch, capsys,
+                                                      bad):
+        def evaluate(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        out = tmp_path / "missing" / "x.csv"
+        if bad == "manifest":  # the CSV's folder exists, the manifest is a folder
+            out = tmp_path / "x.csv"
+            (tmp_path / "x.csv.manifest.json").mkdir()
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        assert main(["sweep", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error:")
+        assert str(out) in lines[0]
+
     def test_config_error_exit_code(self, tmp_path):
         assert sweep_exit(tmp_path, BASE_CFG.replace('"n_relays"', '"altitude"')) == 2
         assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
